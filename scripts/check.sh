@@ -41,7 +41,7 @@ go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 # Focused journal checks first: golden-report drift and journal
 # determinism fail in seconds here, before the full race suite spins up.
 echo "== golden journal + report"
-go test -count 1 -run 'TestTrainJournal' ./internal/attack
+go test -count 1 -run 'TestTrainJournal|TestTrainGolden' ./internal/attack
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
