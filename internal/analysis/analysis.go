@@ -92,7 +92,7 @@ func DefaultConfig(module string) *Config {
 			"tensor": true, "nn": true, "yolo": true, "gan": true,
 			"eot": true, "attack": true, "eval": true, "scene": true,
 			"metrics": true, "shapes": true, "optim": true, "imaging": true,
-			"physical": true, "defense": true, "core": true,
+			"physical": true, "defense": true,
 		},
 		RandAllowlist:   map[string]bool{"serve": true, "telemetry": true, "obs": true, "fabric": true, "chaos": true},
 		FloatEqApproved: map[string]bool{},

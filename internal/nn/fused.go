@@ -11,21 +11,15 @@ import (
 // as one module, with an eval-time fused fast path. Training-mode behavior is
 // exactly the three submodules chained (Forward caches, Backward, batch
 // statistics all intact). In inference mode, when fusing is switched on with
-// SetFused(true), Forward runs a single tensor kernel pass instead of three
-// module passes:
+// SetFused(true), Forward runs a single tensor kernel pass
+// (tensor.Conv2DBNLeaky) instead of three module passes. The kernel keeps the
+// batch-norm arithmetic verbatim, so its output is bit-identical to the
+// unfused chain — fused and unfused serving replicas stay
+// byte-interchangeable.
 //
-//   - exact-parity mode (the default): tensor.Conv2DBNLeaky keeps the
-//     batch-norm arithmetic verbatim, so the output is bit-identical to the
-//     unfused chain — fused and unfused serving replicas stay
-//     byte-interchangeable.
-//   - folded mode (SetExactParity(false)): the batch-norm scale/shift is
-//     folded into the convolution weights once (tensor.FoldBN), and
-//     tensor.Conv2DBiasLeaky runs conv+bias+leaky in one pass. Equal to the
-//     unfused chain only up to floating-point reassociation (see the parity
-//     suite's epsilon).
-//
-// Folds snapshot the parameters and running statistics at SetTraining(false)
-// / SetFused(true) time; mutate either and the next mode switch refolds.
+// The fold snapshots the batch-norm affine and running statistics at
+// SetTraining(false) / SetFused(true) time; mutate either and the next mode
+// switch refolds.
 // When tensor.RefKernelsEnabled() is set (benchmark/parity harness), Forward
 // always takes the unfused chain so the reference window measures the
 // genuinely unfused pipeline.
@@ -38,8 +32,7 @@ type ConvBNLeaky struct {
 	BN   *BatchNorm2D
 	Act  *LeakyReLU
 
-	fused       bool
-	exactParity bool
+	fused bool
 
 	// Fold snapshot, rebuilt lazily after any mode switch.
 	foldDirty bool
@@ -47,8 +40,6 @@ type ConvBNLeaky struct {
 	beta      []float64
 	mean      []float64
 	invSD     []float64
-	foldedW   *tensor.Tensor
-	foldedB   *tensor.Tensor
 
 	// True when the most recent Forward took the fused kernel path (and
 	// therefore left no Backward caches behind).
@@ -60,7 +51,7 @@ var _ ModeSetter = (*ConvBNLeaky)(nil)
 
 // NewConvBNLeaky builds a fresh darknet conv block: bias-free He-initialized
 // convolution, batch norm over outC channels, leaky rectifier. Fusing starts
-// off; exact parity starts on.
+// off.
 func NewConvBNLeaky(rng *rand.Rand, name string, inC, outC, kernel, stride, pad int, slope float64) *ConvBNLeaky {
 	return WrapConvBNLeaky(
 		NewConv2D(rng, name, inC, outC, kernel, stride, pad, false),
@@ -80,7 +71,7 @@ func WrapConvBNLeaky(conv *Conv2D, bn *BatchNorm2D, act *LeakyReLU) *ConvBNLeaky
 	if conv.OutC != bn.C {
 		panic("nn: ConvBNLeaky channel mismatch between Conv2D and BatchNorm2D")
 	}
-	return &ConvBNLeaky{Conv: conv, BN: bn, Act: act, exactParity: true, foldDirty: true}
+	return &ConvBNLeaky{Conv: conv, BN: bn, Act: act, foldDirty: true}
 }
 
 // SetFused toggles the eval-time fused kernel path. Enabling it while in
@@ -97,11 +88,6 @@ func (f *ConvBNLeaky) SetFused(on bool) {
 // Fused reports whether the fused kernel path is enabled.
 func (f *ConvBNLeaky) Fused() bool { return f.fused }
 
-// SetExactParity selects between the bit-identical fused kernel (true, the
-// default) and the folded-weights kernel (false, epsilon-close but one
-// elementwise pass cheaper).
-func (f *ConvBNLeaky) SetExactParity(on bool) { f.exactParity = on }
-
 // SetTraining propagates the mode to the batch norm. Entering inference mode
 // with fusing enabled folds the weights once, here, so serving paths pay the
 // fold outside the request hot path.
@@ -113,9 +99,8 @@ func (f *ConvBNLeaky) SetTraining(training bool) {
 	}
 }
 
-// refold rebuilds the fold snapshot from the current parameters and running
-// statistics: the per-channel affine (exact-parity kernel) and the folded
-// weight/bias tensors (folded kernel).
+// refold rebuilds the fold snapshot, the per-channel affine the fused kernel
+// reads, from the current parameters and running statistics.
 func (f *ConvBNLeaky) refold() {
 	if !f.foldDirty {
 		return
@@ -133,8 +118,6 @@ func (f *ConvBNLeaky) refold() {
 	for ch, v := range f.BN.RunningVar.Data() {
 		f.invSD[ch] = 1 / math.Sqrt(v+f.BN.Eps)
 	}
-	f.foldedW, f.foldedB = tensor.FoldBN(f.Conv.Weight.Value,
-		f.gamma, f.beta, f.mean, f.BN.RunningVar.Data(), f.BN.Eps)
 	f.foldDirty = false
 }
 
@@ -144,11 +127,8 @@ func (f *ConvBNLeaky) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if f.fused && !f.BN.Training() && !tensor.RefKernelsEnabled() {
 		f.refold()
 		f.fusedForward = true
-		if f.exactParity {
-			return tensor.Conv2DBNLeaky(x, f.Conv.Weight.Value,
-				f.gamma, f.beta, f.mean, f.invSD, f.Conv.Stride, f.Conv.Pad, f.Act.Slope)
-		}
-		return tensor.Conv2DBiasLeaky(x, f.foldedW, f.foldedB, f.Conv.Stride, f.Conv.Pad, f.Act.Slope)
+		return tensor.Conv2DBNLeaky(x, f.Conv.Weight.Value,
+			f.gamma, f.beta, f.mean, f.invSD, f.Conv.Stride, f.Conv.Pad, f.Act.Slope)
 	}
 	f.fusedForward = false
 	return f.Act.Forward(f.BN.Forward(f.Conv.Forward(x)))
@@ -174,7 +154,7 @@ func (f *ConvBNLeaky) Params() []*Param {
 func (f *ConvBNLeaky) Clone() *ConvBNLeaky {
 	return &ConvBNLeaky{
 		Conv: f.Conv.Clone(), BN: f.BN.Clone(), Act: f.Act.Clone(),
-		fused: f.fused, exactParity: f.exactParity, foldDirty: true,
+		fused: f.fused, foldDirty: true,
 	}
 }
 
