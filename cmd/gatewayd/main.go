@@ -74,6 +74,9 @@ func run() error {
 		if wal, err = fabric.OpenWAL(*walPath); err != nil {
 			return err
 		}
+		if n := wal.Skipped(); n > 0 {
+			fmt.Printf("gatewayd: wal %s: skipped %d torn or undecodable line(s)\n", *walPath, n)
+		}
 	}
 
 	// Tracing: the gateway is usually the trace root, so its logical clock

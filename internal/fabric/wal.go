@@ -43,39 +43,57 @@ const (
 // reached a terminal record are re-dispatched. Re-dispatch is idempotent
 // because routing keys on the patch digest: the job lands on the node
 // whose result cache already holds (or is computing) that evaluation.
+//
+// Durable here means surviving a process crash, any number of times: every
+// complete line written before the crash replays. It does not mean
+// surviving power loss or a kernel crash — appends are never synced, so
+// lines still in the page cache can be lost.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
 	records []WALRecord
+	skipped int
 }
 
 // OpenWAL opens (creating if absent) the journal at path and reads every
 // intact record. A torn final line — the expected artifact of a crash
-// mid-append — is tolerated: decoding stops there and the file is appended
-// to as usual, so the torn bytes are simply dead.
+// mid-append — is cut off the file before it is reopened for append, so the
+// next record starts on a line of its own. Complete lines that do not
+// decode are skipped, not fatal; Skipped counts both.
 func OpenWAL(path string) (*WAL, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("fabric: read wal %s: %w", path, err)
 	}
-	var records []WALRecord
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
+	w := &WAL{}
+	complete := bytes.LastIndexByte(data, '\n') + 1
+	if complete < len(data) {
+		if err := os.Truncate(path, int64(complete)); err != nil {
+			return nil, fmt.Errorf("fabric: truncate torn wal tail %s: %w", path, err)
+		}
+		w.skipped++
+	}
+	for _, line := range bytes.Split(data[:complete], []byte{'\n'}) {
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var rec WALRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break
+			w.skipped++
+			continue
 		}
-		records = append(records, rec)
+		w.records = append(w.records, rec)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if w.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, fmt.Errorf("fabric: open wal %s: %w", path, err)
 	}
-	return &WAL{f: f, records: records}, nil
+	return w, nil
 }
+
+// Skipped reports how many lines OpenWAL dropped: undecodable complete
+// lines plus a torn final line.
+func (w *WAL) Skipped() int { return w.skipped }
 
 // Records returns the records read at open time, in log order.
 func (w *WAL) Records() []WALRecord {
