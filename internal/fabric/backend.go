@@ -27,6 +27,14 @@ type jobFailedError struct {
 
 func (e *jobFailedError) Error() string { return "fabric: node error " + e.code + ": " + e.msg }
 
+// Is makes a node's expired reply match context.DeadlineExceeded: it is the
+// job's own propagated deadline, which the node can report before the
+// gateway's context fires. Dispatch checks errors.As first, so an expired
+// reply still fails over while job budget remains.
+func (e *jobFailedError) Is(target error) bool {
+	return target == context.DeadlineExceeded && e.code == CodeExpired
+}
+
 // backend manages the gateway's relationship with one node: a persistent
 // framed connection with automatic redial, the pending-job table, and the
 // node's last health report.

@@ -265,6 +265,61 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// scriptedExpiredNode speaks the node side of the protocol on conn: a Hello,
+// then an "expired" error for every job, as a node does once the propagated
+// deadline has passed.
+func scriptedExpiredNode(conn net.Conn) {
+	defer conn.Close()
+	hello, _ := json.Marshal(Health{ID: "scripted", Workers: 1, QueueCapacity: 1})
+	if WriteFrame(conn, Frame{Type: FrameHello, Payload: hello}) != nil {
+		return
+	}
+	reply, _ := json.Marshal(JobError{Code: CodeExpired, Error: "job deadline passed"})
+	for {
+		f, err := ReadFrame(conn)
+		if err != nil {
+			return
+		}
+		if f.Type == FrameJob && WriteFrame(conn, Frame{Type: FrameError, JobID: f.JobID, Payload: reply}) != nil {
+			return
+		}
+	}
+}
+
+// TestChaosExpiredReplyIsDeadline pins, without timing, the race behind the
+// old TestChaosDeadlinePropagation flake: a node's expired reply that wins
+// against the gateway's own context must still classify as the job deadline
+// and answer 504, not 502.
+func TestChaosExpiredReplyIsDeadline(t *testing.T) {
+	g := newTestGateway(t, newFakeClock(), []string{"scripted:1"}, func(cfg *GatewayConfig) {
+		cfg.MaxAttempts = 1
+		cfg.Dial = func(string) (net.Conn, error) {
+			gw, node := net.Pipe()
+			go scriptedExpiredNode(node)
+			return gw, nil
+		}
+	})
+	waitRoutable(t, g, "scripted:1")
+
+	_, err := g.dispatch(context.Background(), evalReq(t, 333))
+	var jf *jobFailedError
+	if !errors.As(err, &jf) || jf.code != CodeExpired {
+		t.Fatalf("dispatch returned %v, want the node's expired reply", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired reply %v does not match context.DeadlineExceeded", err)
+	}
+	rec := httptest.NewRecorder()
+	writeDispatchError(rec, err)
+	var body serve.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusGatewayTimeout || body.Code != serve.CodeTimeout {
+		t.Fatalf("expired reply mapped to %d %q, want %d %q", rec.Code, body.Code, http.StatusGatewayTimeout, serve.CodeTimeout)
+	}
+}
+
 // TestChaosWALReplayAfterKill: a gateway dies with two finished jobs and
 // one journaled-but-unfinished job in its WAL (plus a torn final line, the
 // classic crash artifact). The restarted gateway must answer polls for the
