@@ -82,7 +82,23 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 
 	// Heal: the parked connection dies, the backend redials clean, and the
 	// primary serves its own key again (cache-missing, so it executes).
+	// The parked connection still looks routable until its read wakes up,
+	// so wait for the redial itself: a job sent on the dying connection
+	// would fail over to the secondary's cache and never reach the primary.
+	b := g.backend(primary)
+	conn := func() net.Conn {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.conn
+	}
+	parked := conn()
 	in.Heal(primary)
+	for deadline := time.Now().Add(10 * time.Second); conn() == nil || conn() == parked; {
+		if time.Now().After(deadline) {
+			t.Fatal("partitioned backend never redialed after heal")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	waitRoutable(t, g, primary)
 	if _, err := g.dispatch(context.Background(), req); err != nil {
 		t.Fatalf("dispatch after heal: %v", err)
