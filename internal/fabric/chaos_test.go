@@ -302,8 +302,8 @@ func scriptedExpiredNode(conn net.Conn) {
 	}
 }
 
-// TestChaosExpiredReplyIsDeadline pins, without timing, the race behind the
-// old TestChaosDeadlinePropagation flake: a node's expired reply that wins
+// TestChaosExpiredReplyIsDeadline pins, without timing, the race
+// TestChaosDeadlinePropagation can hit: a node's expired reply that wins
 // against the gateway's own context must still classify as the job deadline
 // and answer 504, not 502.
 func TestChaosExpiredReplyIsDeadline(t *testing.T) {

@@ -41,9 +41,8 @@ func walIDs(w *WAL) []string {
 }
 
 // TestWALSurvivesRepeatedCrashes: every complete record must replay after
-// any number of crash-and-restart cycles, each leaving a torn tail. Before
-// torn tails were cut on open, the first record after a restart merged into
-// the torn line and was lost, along with everything after it.
+// any number of crash-and-restart cycles, each leaving a torn tail. The
+// first append after a restart must not merge into the torn line.
 func TestWALSurvivesRepeatedCrashes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.wal")
 	var want []string

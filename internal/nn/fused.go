@@ -89,8 +89,8 @@ func (f *ConvBNLeaky) SetFused(on bool) {
 func (f *ConvBNLeaky) Fused() bool { return f.fused }
 
 // SetTraining propagates the mode to the batch norm. Entering inference mode
-// with fusing enabled folds the weights once, here, so serving paths pay the
-// fold outside the request hot path.
+// with fusing enabled takes the fold snapshot once, here, so serving paths
+// pay for it outside the request hot path.
 func (f *ConvBNLeaky) SetTraining(training bool) {
 	f.BN.SetTraining(training)
 	f.foldDirty = true
