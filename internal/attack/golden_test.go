@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ type goldenCase struct {
 	method string
 	iters  int
 	window int
-	long   bool // skipped under -short
+	long   bool // skipped under -short and -race
 }
 
 var goldenCases = []goldenCase{
@@ -77,8 +78,8 @@ func goldenDigest(t *testing.T, c goldenCase) string {
 		c.name, sha256.Sum256(enc), statsDigest(stats), sha256.Sum256(journal.Bytes()))
 }
 
-// statsDigest hashes every TrainStats slice, length-prefixed so an empty
-// slice and a missing one hash alike but a moved value does not.
+// statsDigest hashes every TrainStats slice, length-prefixed so a value
+// moved from one slice to the next changes the digest.
 func statsDigest(s *TrainStats) [32]byte {
 	h := sha256.New()
 	var b [8]byte
@@ -93,6 +94,19 @@ func statsDigest(s *TrainStats) [32]byte {
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
+}
+
+// raceEnabled reports whether the test binary was built with -race, which
+// slows the trainers about tenfold.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // TestTrainGolden pins the trainers byte for byte: the same seed must give
@@ -135,8 +149,11 @@ func TestTrainGolden(t *testing.T) {
 	}
 	for i, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.long && testing.Short() {
-				t.Skip("long golden case skipped in -short mode")
+			// The long cases add iterations, not goroutine interleavings:
+			// under the race detector they would cost minutes and exercise
+			// no concurrency the short cases do not.
+			if c.long && (testing.Short() || raceEnabled()) {
+				t.Skip("long golden case skipped in -short mode and under -race")
 			}
 			t.Parallel()
 			got[i] = goldenDigest(t, c)
