@@ -11,8 +11,8 @@
 // recorded for the record but never gated (they move with the hardware).
 //
 // The -serve flag switches to the serving suite (see serve.go): end-to-end
-// executor benchmarks of micro-batched versus one-at-a-time request handling,
-// written to BENCH_serve.json and gated on the batched/single throughput
+// executor benchmarks of micro-batching versus a batch size of 1 (each request
+// flushed on arrival), written to BENCH_serve.json and gated on the batched/single throughput
 // ratio. -prev points the gate at a different previously committed file than
 // -out, so CI can write a scratch artifact while comparing against the
 // committed history.
@@ -85,7 +85,7 @@ func main() {
 	out := flag.String("out", "", "output JSON path (default BENCH_tensor.json, or BENCH_serve.json with -serve)")
 	runs := flag.Int("runs", 5, "timed runs per benchmark; medians are reported")
 	smoke := flag.Bool("smoke", false, "single fast run per benchmark (CI gate)")
-	serveSuite := flag.Bool("serve", false, "run the serving suite (micro-batched vs single-request executor) instead of the tensor suite")
+	serveSuite := flag.Bool("serve", false, "run the serving suite (micro-batched vs batch size 1 executor) instead of the tensor suite")
 	prevPath := flag.String("prev", "", "previously committed bench file to gate against (default: the -out path)")
 	filter := flag.String("bench", "", "regexp selecting benchmarks to run (default all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the timed windows")

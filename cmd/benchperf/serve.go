@@ -3,9 +3,10 @@ package main
 // The -serve suite: end-to-end serving benchmarks over the executor core,
 // written to BENCH_serve.json. Where the tensor suite compares production
 // kernels against the preserved reference kernels, the serving suite compares
-// the micro-batched request path against the one-request-at-a-time path in
-// the same process — the headline, machine-comparable number is the RPS ratio
-// between the two, measured with 8 concurrent clients whose requests collapse
+// micro-batching against a baseline at BatchSize 1 in the same process: the
+// same coalescer path, flushing each request on arrival as a batch of one.
+// The headline, machine-comparable number is the RPS ratio between the two,
+// measured with 8 concurrent clients whose requests collapse
 // onto 2 unique patch digests per round (the fabric's cache-affinity routing
 // concentrates duplicates exactly like this). On a single-core host the win
 // is within-batch dedupe, not parallelism, so the ratio is stable across
@@ -46,8 +47,8 @@ type serveResult struct {
 	RPS      float64 `json:"rps"`
 	P50Ms    float64 `json:"p50_ms"`
 	P99Ms    float64 `json:"p99_ms"`
-	// BaselineRPS is the single-request-path throughput for ratio
-	// benchmarks (zero when the benchmark has no baseline window).
+	// BaselineRPS is the BatchSize 1 throughput for ratio benchmarks (zero
+	// when the benchmark has no baseline window).
 	BaselineRPS float64 `json:"baseline_rps,omitempty"`
 	// Ratio is the median over runs of batched RPS / baseline RPS — the
 	// gated, machine-comparable figure.
@@ -82,8 +83,9 @@ func serveStubJob(j eval.Job) (eval.Detail, error) {
 	return eval.Detail{Score: metrics.Score{PWC: serveEvalWork(j.Cond.Seed)}}, nil
 }
 
-// serveExecCfg is the shared executor shape; batch toggles the coalescer and
-// cacheEntries toggles the result cache (-1 for the cold-cache windows).
+// serveExecCfg is the shared executor shape; batch is the coalescer's batch
+// size (1 for the baselines) and cacheEntries toggles the result cache (-1
+// for the cold-cache windows).
 func serveExecCfg(batch, cacheEntries int) serve.Config {
 	return serve.Config{
 		Workers:       runtime.GOMAXPROCS(0),
@@ -213,7 +215,7 @@ func serveMain(out, prevPath string, runs int, smoke bool) int {
 // both windows — the cold-cache scenario, where every burst of duplicates
 // reaches the executor before any result exists. The batched executor wins by
 // collapsing the six duplicates in each burst into the two unique runs; the
-// single-request path runs all eight. (With the cache on, a single-core host
+// BatchSize 1 baseline runs all eight. (With the cache on, a single-core host
 // serializes clients against the worker and the baseline accidentally hits
 // the cache mid-burst, hiding exactly the concurrent-miss race batching
 // exists to win.) Baseline and batched windows run back-to-back within each
@@ -228,7 +230,7 @@ func benchEvalBatch8(runs, rounds int) (serveResult, error) {
 		seedFor := func(round, client int) int64 {
 			return seedBase + int64(round*unique+client%unique)
 		}
-		base, _, _, _, err := measureEval(serveExecCfg(0, -1), clients, rounds, seedFor)
+		base, _, _, _, err := measureEval(serveExecCfg(1, -1), clients, rounds, seedFor)
 		if err != nil {
 			return serveResult{}, err
 		}
@@ -288,7 +290,8 @@ func measureEval(cfg serve.Config, clients, rounds int, seedFor func(int, int) i
 }
 
 // benchDetectBatch compares the stacked batched forward against per-request
-// forwards on real detector inference (32×32 frames, 4 concurrent clients).
+// forwards at BatchSize 1 on real detector inference (32×32 frames, 4
+// concurrent clients).
 // Informational: on one core the gain is im2col/matmul efficiency at N=4,
 // modest by design — the dedupe-driven evaluate gate is the hard contract.
 func benchDetectBatch(runs, rounds int) (serveResult, error) {
@@ -351,7 +354,7 @@ func benchDetectBatch(runs, rounds int) (serveResult, error) {
 	var ratios, rpss, baselines, p50s, p99s []float64
 	n := 0
 	for r := 0; r < runs; r++ {
-		base, _, _, _, err := window(0)
+		base, _, _, _, err := window(1)
 		if err != nil {
 			return serveResult{}, err
 		}

@@ -42,7 +42,7 @@ func run() error {
 		queue      = flag.Int("queue", 0, "job queue capacity (0 = 2×workers)")
 		cache      = flag.Int("cache", 128, "evaluation result cache entries (negative disables)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "evaluation result cache byte budget (0 = 64 MiB, negative = entries-only accounting)")
-		batchSize  = flag.Int("batch-size", 0, "micro-batch size: coalesce up to this many concurrent requests per dispatch (0 or 1 = no batching)")
+		batchSize  = flag.Int("batch-size", 0, "micro-batch size: coalesce up to this many concurrent requests per dispatch (0 or 1 = flush each request on arrival)")
 		batchWait  = flag.Duration("batch-deadline", 0, "longest a parked request waits for its micro-batch to fill (0 = 2ms)")
 		timeout    = flag.Duration("timeout", 2*time.Minute, "per-job deadline")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")

@@ -219,8 +219,17 @@ func TestChaosSlowLorisHelloTimeout(t *testing.T) {
 // must not burn a worker slot on the node. The node's only worker is
 // pinned; a second job queues behind it carrying the gateway's ~300ms
 // budget in its Job frame. By the time the worker frees up the budget is
-// long gone, and the propagated deadline makes the pool skip the job.
+// long gone, and the propagated deadline makes the pool skip the job. The
+// node runs at BatchSize 0 (a batch of one per request) and at BatchSize 2,
+// the shape the ledger and the README recommend: the request's deadline must
+// reach the pool either way.
 func TestChaosDeadlinePropagation(t *testing.T) {
+	for _, batch := range []int{0, 2} {
+		t.Run("batch="+strconv.Itoa(batch), func(t *testing.T) { chaosDeadlinePropagation(t, batch) })
+	}
+}
+
+func chaosDeadlinePropagation(t *testing.T, batch int) {
 	det := fabricDetector()
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -232,7 +241,7 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 			return stubDetail(0.25), nil
 		}
 	}
-	nodes := startNodes(t, det, 1, serve.Config{Workers: 1, QueueSize: 2}, jobFor)
+	nodes := startNodes(t, det, 1, serve.Config{Workers: 1, QueueSize: 2, BatchSize: batch}, jobFor)
 	var releaseOnce sync.Once
 	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	defer releaseAll()

@@ -3,8 +3,13 @@ package fabric
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -71,6 +76,140 @@ func FuzzReadFrame(f *testing.F) {
 			if back.Type != fr.Type || back.JobID != fr.JobID || !bytes.Equal(back.Payload, fr.Payload) {
 				t.Fatalf("round trip mismatch: %+v vs %+v", fr, back)
 			}
+		}
+	})
+}
+
+// walFuzzRecord is record i of the journal FuzzWALReplay damages, cycling
+// through the three record types with their optional fields.
+func walFuzzRecord(i int) WALRecord {
+	id := fmt.Sprintf("j%06d-%x", i+1, i*7919)
+	switch i % 3 {
+	case 0:
+		return WALRecord{T: walSubmit, ID: id, Seq: uint64(i + 1), Digest: fmt.Sprintf("%016x", i*104729),
+			Req: json.RawMessage(`{"scene":"road","challenge":"fix","seed":` + strconv.Itoa(i) + `}`)}
+	case 1:
+		return WALRecord{T: walDispatch, ID: id}
+	default:
+		return WALRecord{T: walResult, ID: id, Status: "done", Result: json.RawMessage(`{"pwc":0.25,"cached":false}`)}
+	}
+}
+
+// walLines encodes replayed records the way Append writes them, for
+// comparison against the lines originally written.
+func walLines(t *testing.T, recs []WALRecord) []string {
+	t.Helper()
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return out
+}
+
+// isSubsequence reports whether want appears in got in order. A damaged line
+// may still decode (a flipped bit inside an id is a different valid record),
+// so replay may hold extra records — never fewer intact ones.
+func isSubsequence(want, got []string) bool {
+	i := 0
+	for _, g := range got {
+		if i < len(want) && g == want[i] {
+			i++
+		}
+	}
+	return i == len(want)
+}
+
+// FuzzWALReplay pins the WAL's crash contract: write n records, then either
+// truncate the file at any offset (flip == 0) or flip one bit anywhere. The
+// journal must still open, replay every record whose line the damage did
+// not touch, in order, and take a fresh append that replays after reopening.
+func FuzzWALReplay(f *testing.F) {
+	for n := uint8(0); n < 4; n++ {
+		for _, off := range []uint16{0, 1, 23, 24, 57, 90, 91, 150, 400, 65535} {
+			for _, flip := range []uint8{0, 1, 4, 8} {
+				f.Add(n, off, flip)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, n uint8, offset uint16, flip uint8) {
+		path := filepath.Join(t.TempDir(), "gw.wal")
+		w, err := OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]WALRecord, 1+int(n)%12)
+		for i := range recs {
+			recs[i] = walFuzzRecord(i)
+			if err := w.Append(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Damage the file, then keep the records whose line lies wholly
+		// outside the damage: a cut must leave the line's newline in place,
+		// and a flip must miss the line and the newlines on either side of
+		// it (a flipped newline merges two lines into one undecodable line).
+		var touched func(start, end int) bool
+		if flip == 0 {
+			cut := int(offset) % (len(data) + 1)
+			data = data[:cut]
+			touched = func(_, end int) bool { return end > cut }
+		} else {
+			p := int(offset) % len(data)
+			data[p] ^= 1 << ((flip - 1) % 8)
+			touched = func(start, end int) bool { return start-1 <= p && p < end }
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var intact []WALRecord
+		start := 0
+		for i, line := range walLines(t, recs) {
+			end := start + len(line) + 1
+			if !touched(start, end) {
+				intact = append(intact, recs[i])
+			}
+			start = end
+		}
+		want := walLines(t, intact)
+
+		w, err = OpenWAL(path)
+		if err != nil {
+			t.Fatalf("OpenWAL on damaged journal: %v", err)
+		}
+		if got := walLines(t, w.Records()); !isSubsequence(want, got) {
+			t.Fatalf("replay lost intact records:\n got %q\nwant %q in order", got, want)
+		}
+		fresh := WALRecord{T: walSubmit, ID: "fresh", Seq: 1 << 20}
+		if err := w.Append(fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		w, err = OpenWAL(path)
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
+		}
+		defer w.Close()
+		got := walLines(t, w.Records())
+		if !isSubsequence(append(want, walLines(t, []WALRecord{fresh})...), got) {
+			t.Fatalf("replay after append:\n got %q\nwant %q then the fresh record", got, want)
+		}
+		if got[len(got)-1] != walLines(t, []WALRecord{fresh})[0] {
+			t.Fatalf("fresh record is not the last replayed: %q", got)
 		}
 	})
 }

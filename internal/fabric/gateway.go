@@ -190,6 +190,8 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		g.AddNode(addr)
 	}
 	if g.wal != nil {
+		reg.Gauge("fabric_gateway_wal_skipped_lines", "torn or undecodable WAL lines dropped when the journal was opened", nil).
+			Set(float64(g.wal.Skipped()))
 		g.replayWAL(g.wal.Records())
 	}
 	return g

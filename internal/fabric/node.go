@@ -322,9 +322,10 @@ func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout tim
 	sp := n.cfg.Trace.SpanInContext(sc, "fabric_job", obs.S("node", n.cfg.ID), obs.I64("job", int64(id)))
 	ctx := obs.ContextWithSpan(context.Background(), sp)
 	if timeout > 0 {
-		// The gateway's remaining budget: the pool checks the context before
-		// dequeuing, so work the gateway already abandoned is skipped
-		// instead of burning a worker slot.
+		// The gateway's remaining budget: the executor's flush group
+		// carries it to the pool, which checks it before running a queued
+		// job, so work the gateway already abandoned is skipped instead of
+		// burning a worker slot, at any batch size.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"roadtrojan/internal/chaos"
+	"roadtrojan/internal/eval"
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/serve"
 )
@@ -31,7 +32,9 @@ type tracedFabric struct {
 	sinks    map[string]*obs.Journal
 }
 
-func startTracedFabric(t *testing.T, nodeCount int, mutate func(*GatewayConfig)) *tracedFabric {
+// startTracedFabric brings the traced fabric up. job, when non-nil, replaces
+// the nodes' real evaluation, for tests that only check span structure.
+func startTracedFabric(t *testing.T, nodeCount int, job eval.JobFunc, mutate func(*GatewayConfig)) *tracedFabric {
 	t.Helper()
 	det := fabricDetector()
 	tf := &tracedFabric{
@@ -59,7 +62,7 @@ func startTracedFabric(t *testing.T, nodeCount int, mutate func(*GatewayConfig))
 		}
 		addrOf[proc] = l.Addr().String()
 		tr := trace(proc)
-		exec := serve.NewExecutor(det, serve.Config{Workers: 1, QueueSize: 4, Trace: tr}, nil)
+		exec := serve.NewExecutor(det, serve.Config{Workers: 1, QueueSize: 4, Job: job, Trace: tr}, nil)
 		node := NewNode(exec, NodeConfig{ID: proc, Heartbeat: 50 * time.Millisecond, Trace: tr})
 		go func() { _ = node.Serve(l) }()
 		t.Cleanup(func() {
@@ -208,7 +211,7 @@ func postEvaluate(t *testing.T, url string, req serve.EvalRequest) []byte {
 // byte-identical across two full fresh runs of the whole fabric.
 func TestTraceGoldenCrossProcess(t *testing.T) {
 	run := func() (string, *obs.MergedTrace) {
-		tf := startTracedFabric(t, 3, nil)
+		tf := startTracedFabric(t, 3, nil, nil)
 		postEvaluate(t, tf.gwSrv.URL, evalReq(t, 77))
 		m := tf.merged(t)
 		return renderString(t, m), m
@@ -273,7 +276,7 @@ func TestTraceGoldenCrossProcess(t *testing.T) {
 // per-stage histograms pushed by nodes over Stats frames, with at least one
 // exemplar carrying the request's trace id.
 func TestTraceFleetMetricsExemplars(t *testing.T) {
-	tf := startTracedFabric(t, 3, nil)
+	tf := startTracedFabric(t, 3, nil, nil)
 	postEvaluate(t, tf.gwSrv.URL, evalReq(t, 78))
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -315,18 +318,18 @@ func TestTraceFleetMetricsExemplars(t *testing.T) {
 // failover, and the merged trace shows the whole story — one dispatch span
 // with the timed-out attempt and the winning attempt as siblings, and
 // exactly one node-side fabric_job span (under the winning attempt only).
+// The nodes run a stub job: the test is about span structure, and a real
+// evaluation under the race detector can outlast the attempt timeout on the
+// healthy node too, re-executing the job.
 func TestTraceChaosPartitionSiblingAttempts(t *testing.T) {
 	in := chaos.New(chaosSeed, chaos.Plan{}, nil)
-	tf := startTracedFabric(t, 2, func(cfg *GatewayConfig) {
+	stub := func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }
+	tf := startTracedFabric(t, 2, stub, func(cfg *GatewayConfig) {
 		inner := cfg.Dial
 		cfg.Dial = in.Dial(inner)
 		// The partitioned primary black-holes, so the attempt timeout is
-		// what forces the failover — but it bounds the healthy node's
-		// round trip too, and under a full -race run that can take
-		// seconds. Generous values keep the test about span structure,
-		// not machine speed.
-		cfg.AttemptTimeout = 5 * time.Second
-		cfg.JobTimeout = 45 * time.Second
+		// what forces the failover.
+		cfg.AttemptTimeout = time.Second
 	})
 
 	req := evalReq(t, 301)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -76,7 +77,8 @@ func TestWALSurvivesRepeatedCrashes(t *testing.T) {
 }
 
 // TestWALSkipsCorruptLine: a bad line in the middle of the journal is
-// counted and skipped; the records after it still replay.
+// counted and skipped; the records after it still replay, and a gateway
+// opened on the journal reports the skipped line on /metrics.
 func TestWALSkipsCorruptLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.wal")
 	data := `{"t":"submit","id":"a"}` + "\n" + `{"t":` + "\n" + `{"t":"submit","id":"b"}` + "\n"
@@ -87,11 +89,20 @@ func TestWALSkipsCorruptLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	if got := fmt.Sprint(walIDs(w)); got != "[a b]" {
 		t.Fatalf("replayed %s, want [a b]", got)
 	}
 	if w.Skipped() != 1 {
 		t.Fatalf("Skipped() = %d, want 1", w.Skipped())
+	}
+
+	// The gateway takes ownership of w and closes it on Close.
+	g := newTestGateway(t, newFakeClock(), nil, func(cfg *GatewayConfig) { cfg.WAL = w })
+	var body strings.Builder
+	if err := g.Metrics().WriteText(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.String(), "\nfabric_gateway_wal_skipped_lines 1\n") {
+		t.Errorf("gateway metrics missing fabric_gateway_wal_skipped_lines 1:\n%s", body.String())
 	}
 }

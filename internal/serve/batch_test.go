@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,34 +100,49 @@ func evaluateConcurrently(t *testing.T, e *Executor, reqs []EvalRequest) []EvalR
 	return resps
 }
 
-// TestBatchSizeFlush: BatchSize concurrent unique requests trigger exactly
-// one size flush without the deadline clock ever firing.
-func TestBatchSizeFlush(t *testing.T) {
-	var ran atomic.Int64
-	clk := &stepClock{}
-	e := batchExecutor(t, Config{Workers: 1, QueueSize: 16, BatchSize: 4, Clock: clk}, &ran)
+// timers reports how many deadline timers the coalescers have started.
+func (c *stepClock) timers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.chans)
+}
 
-	reqs := make([]EvalRequest, 4)
-	for i := range reqs {
-		reqs[i] = batchEvalReq(int64(100 + i))
-	}
-	resps := evaluateConcurrently(t, e, reqs)
-	for i, r := range resps {
-		if r.PWC != float64(reqs[i].Seed) {
-			t.Errorf("request %d: PWC %v, want %v (stub echoes seed)", i, r.PWC, reqs[i].Seed)
-		}
-		if r.Cached {
-			t.Errorf("request %d unexpectedly cached", i)
-		}
-	}
-	if got := ran.Load(); got != 4 {
-		t.Errorf("stub ran %d times, want 4 (all keys unique)", got)
-	}
-	if got := e.flushCounter(flushSize).Value(); got != 1 {
-		t.Errorf("size flushes = %d, want 1", got)
-	}
-	if got := e.flushCounter(flushDeadline).Value(); got != 0 {
-		t.Errorf("deadline flushes = %d, want 0 (clock never fired)", got)
+// TestBatchSizeFlush: four concurrent unique requests flush on size alone,
+// without the deadline clock ever firing — as one batch at BatchSize 4, and
+// one flush per request, with no deadline timer at all, at BatchSize 0 and 1.
+func TestBatchSizeFlush(t *testing.T) {
+	for _, tc := range []struct{ size, flushes, timers int }{{0, 4, 0}, {1, 4, 0}, {4, 1, 1}} {
+		t.Run("size="+strconv.Itoa(tc.size), func(t *testing.T) {
+			var ran atomic.Int64
+			clk := &stepClock{}
+			e := batchExecutor(t, Config{Workers: 1, QueueSize: 16, BatchSize: tc.size, Clock: clk}, &ran)
+
+			reqs := make([]EvalRequest, 4)
+			for i := range reqs {
+				reqs[i] = batchEvalReq(int64(100 + i))
+			}
+			resps := evaluateConcurrently(t, e, reqs)
+			for i, r := range resps {
+				if r.PWC != float64(reqs[i].Seed) {
+					t.Errorf("request %d: PWC %v, want %v (stub echoes seed)", i, r.PWC, reqs[i].Seed)
+				}
+				if r.Cached {
+					t.Errorf("request %d unexpectedly cached", i)
+				}
+			}
+			if got := ran.Load(); got != 4 {
+				t.Errorf("stub ran %d times, want 4 (all keys unique)", got)
+			}
+			if got := e.flushCounter(flushSize).Value(); got != int64(tc.flushes) {
+				t.Errorf("size flushes = %d, want %d", got, tc.flushes)
+			}
+			if got := e.flushCounter(flushDeadline).Value(); got != 0 {
+				t.Errorf("deadline flushes = %d, want 0 (clock never fired)", got)
+			}
+			if got := clk.timers(); got != tc.timers {
+				t.Errorf("deadline timers started = %d, want %d", got, tc.timers)
+			}
+		})
 	}
 }
 
@@ -300,6 +316,111 @@ func TestDrainFlushRunsParkedRequests(t *testing.T) {
 	}
 	if _, err := e.Evaluate(context.Background(), batchEvalReq(99)); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("post-close evaluate error = %v, want ErrShuttingDown", err)
+	}
+}
+
+// waitUntil polls cond until it holds. The deadline only bounds a hang; no
+// outcome depends on how long the wait takes.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGroupContextFollowsWaiters pins the group-context rule without timing:
+// a deduped group where one of two waiters cancels still runs once and
+// answers the other, a group whose waiters all cancel is skipped at dequeue,
+// and a group the full queue refuses counts one rejection per waiter. Only
+// size flushes happen (the injected clock never fires), and the single
+// worker stays pinned until every group is queued and every cancel is in.
+func TestGroupContextFollowsWaiters(t *testing.T) {
+	var ran atomic.Int64
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	e := batchExecutor(t, Config{Workers: 1, QueueSize: 2, BatchSize: 2, Clock: &stepClock{},
+		Job: func(j eval.Job) (eval.Detail, error) {
+			if ran.Add(1) == 1 {
+				started <- struct{}{}
+				<-release
+			}
+			return eval.Detail{Score: metrics.Score{PWC: float64(j.Cond.Seed)}}, nil
+		}}, nil)
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+
+	bg := context.Background()
+	evaluate := func(ctx context.Context, seed int64) <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			resp, err := e.Evaluate(ctx, batchEvalReq(seed))
+			ch <- reply{v: resp, err: err}
+		}()
+		return ch
+	}
+	wantCanceled := func(name string, ch <-chan reply) {
+		t.Helper()
+		if r := <-ch; !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("%s: error %v, want context.Canceled", name, r.err)
+		}
+	}
+
+	// Pin the worker with a group of two seed-1 requests.
+	pinned := []<-chan reply{evaluate(bg, 1), evaluate(bg, 1)}
+	<-started
+
+	// Seed 2: a deduped group; waiter a cancels, waiter b keeps waiting.
+	ctxA, cancelA := context.WithCancel(bg)
+	defer cancelA()
+	a, b := evaluate(ctxA, 2), evaluate(bg, 2)
+	waitUntil(t, "the seed-2 group to queue", func() bool { return e.QueueDepth() == 1 })
+	cancelA()
+	wantCanceled("seed-2 waiter a", a)
+
+	// Seed 3: both waiters cancel.
+	ctxC, cancelC := context.WithCancel(bg)
+	defer cancelC()
+	ctxD, cancelD := context.WithCancel(bg)
+	defer cancelD()
+	c, d := evaluate(ctxC, 3), evaluate(ctxD, 3)
+	waitUntil(t, "the seed-3 group to queue", func() bool { return e.QueueDepth() == 2 })
+	cancelC()
+	cancelD()
+	wantCanceled("seed-3 waiter c", c)
+	wantCanceled("seed-3 waiter d", d)
+
+	// Seed 4: the queue is full, so the whole group is refused.
+	rejectedBefore := e.rejected.Value()
+	for _, ch := range []<-chan reply{evaluate(bg, 4), evaluate(bg, 4)} {
+		if r := <-ch; !errors.Is(r.err, ErrQueueFull) {
+			t.Fatalf("seed-4 waiter: error %v, want ErrQueueFull", r.err)
+		}
+	}
+	if got := e.rejected.Value() - rejectedBefore; got != 2 {
+		t.Errorf("serve_rejected_total grew by %d for a refused group of two, want 2", got)
+	}
+
+	releaseAll()
+	for _, ch := range pinned {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("pinned request: %v", r.err)
+		}
+	}
+	if r := <-b; r.err != nil || r.v.(EvalResponse).PWC != 2 {
+		t.Fatalf("seed-2 waiter b: error %v, response %+v; want PWC 2", r.err, r.v)
+	}
+	// Close waits for the worker to empty the queue, so the seed-3 task has
+	// been dequeued (and skipped) before the count is read.
+	if err := e.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := ran.Load(); got != 2 {
+		t.Errorf("stub ran %d times, want 2 (seed 1 and seed 2; the all-cancelled seed-3 group must be skipped)", got)
 	}
 }
 

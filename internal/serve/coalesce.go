@@ -10,14 +10,15 @@ import (
 	"roadtrojan/internal/yolo"
 )
 
-// Micro-batching coalescer. With Config.BatchSize > 1, concurrent requests
-// park in a small buffer in front of the executor instead of entering the
-// job queue one by one; the buffer flushes as one batch when either
-// BatchSize requests are waiting (size flush) or BatchDeadline has elapsed
-// since the first request arrived (deadline flush), whichever comes first —
-// so an idle service adds at most one deadline of latency to a lone request
-// while a busy one amortizes dispatch and, for evaluations, collapses
-// duplicate patch digests into a single run. Closing the input channel
+// Micro-batching coalescer. Every evaluate and detect request parks in a
+// small buffer in front of the executor instead of entering the job queue
+// directly; the buffer flushes as one batch when either BatchSize requests
+// are waiting (size flush) or BatchDeadline has elapsed since the first
+// request arrived (deadline flush), whichever comes first — so an idle
+// service adds at most one deadline of latency to a lone request while a
+// busy one amortizes dispatch and, for evaluations, collapses duplicate
+// patch digests into a single run. At BatchSize ≤ 1 every arrival is a size
+// flush and no deadline timer is ever started. Closing the input channel
 // flushes whatever is pending (drain flush) before the run loop exits.
 
 // Flush reasons, used as the serve_batch_flushes_total label.
@@ -54,8 +55,9 @@ func newCoalescer[T any](size, buffer int, wait time.Duration, clock Clock, flus
 }
 
 // run owns the pending batch: append on arrival, flush on size, deadline, or
-// input close. The deadline timer starts with the batch's first item; a nil
-// timer channel blocks forever, which is exactly the idle state.
+// input close. The deadline timer starts with the first item of a batch that
+// is still below size; a nil timer channel blocks forever, which is exactly
+// the idle state.
 func (c *coalescer[T]) run() {
 	defer close(c.done)
 	var batch []T
@@ -70,12 +72,11 @@ func (c *coalescer[T]) run() {
 				return
 			}
 			batch = append(batch, it)
-			if len(batch) == 1 {
-				timer = c.clock.After(c.wait)
-			}
 			if len(batch) >= c.size {
 				c.flush(batch, flushSize)
 				batch, timer = nil, nil
+			} else if len(batch) == 1 {
+				timer = c.clock.After(c.wait)
 			}
 		case <-timer:
 			// A timer from an already-flushed batch can fire late; the
@@ -94,23 +95,71 @@ func (c *coalescer[T]) close() {
 	<-c.done
 }
 
-// callResult is one evaluate waiter's outcome.
-type callResult struct {
-	detail eval.Detail
-	cached bool
-	err    error
+// reply is one waiter's outcome: an EvalResponse or DetectResponse, or err.
+type reply struct {
+	v   any
+	err error
 }
 
-// evalCall is one evaluate request parked in the coalescer: its cache key
-// (the dedupe identity), the prepared job, and a buffered reply channel so
-// fan-out never blocks on a waiter that gave up. parked/traceID feed the
-// batch_wait stage histogram.
-type evalCall struct {
-	key     string
-	job     eval.Job
-	done    chan callResult
+// waiter is what every parked request carries into its flush: its context
+// (the request's own deadline capped by JobTimeout), a buffered reply
+// channel so fan-out never blocks on a waiter that gave up, and the parked
+// time and trace ID feeding the batch_wait stage histogram.
+type waiter struct {
+	ctx     context.Context
+	done    chan reply
 	parked  time.Time
 	traceID string
+}
+
+func (w *waiter) base() *waiter { return w }
+
+// parkedCall is a request kind the coalescers carry: *evalCall or
+// *detectCall.
+type parkedCall interface{ base() *waiter }
+
+// evalCall is one cache-missed evaluate request: its cache key (the dedupe
+// identity) and the prepared job.
+type evalCall struct {
+	waiter
+	key string
+	job eval.Job
+}
+
+// detectCall is one detect request. The batched forward/decode spans parent
+// to the span on the first caller's context in each group.
+type detectCall struct {
+	waiter
+	req DetectRequest
+}
+
+// observeFlush records one flush: its trigger, its occupancy, and how long
+// each request sat parked.
+func observeFlush[C parkedCall](e *Executor, batch []C, reason string) {
+	e.flushCounter(reason).Inc()
+	e.batchOccupancy.Observe(float64(len(batch)))
+	now := e.cfg.Clock.Now()
+	for _, c := range batch {
+		w := c.base()
+		e.observeStage(StageBatchWait, now.Sub(w.parked), w.traceID)
+	}
+}
+
+// groupBy splits a batch into groups sharing a key, in first-arrival order.
+func groupBy[C any, K comparable](batch []C, key func(C) K) [][]C {
+	index := make(map[K]int, len(batch))
+	var groups [][]C
+	for _, c := range batch {
+		k := key(c)
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	return groups
 }
 
 // flushEvaluate dispatches one evaluate batch: requests are grouped by cache
@@ -119,124 +168,61 @@ type evalCall struct {
 // pool task whose result fans out to every waiter in the group and fills the
 // cache once.
 func (e *Executor) flushEvaluate(batch []*evalCall, reason string) {
-	e.flushCounter(reason).Inc()
-	e.batchOccupancy.Observe(float64(len(batch)))
-	now := e.cfg.Clock.Now()
-	for _, c := range batch {
-		e.observeStage(StageBatchWait, now.Sub(c.parked), c.traceID)
-	}
-	groups := make(map[string][]*evalCall, len(batch))
-	var order []string
-	for _, c := range batch {
-		if _, ok := groups[c.key]; !ok {
-			order = append(order, c.key)
-		}
-		groups[c.key] = append(groups[c.key], c)
-	}
-	for _, key := range order {
-		g := groups[key]
+	observeFlush(e, batch, reason)
+	for _, g := range groupBy(batch, func(c *evalCall) string { return c.key }) {
 		if len(g) > 1 {
 			e.batchDedup.Add(int64(len(g) - 1))
 		}
-		if v, ok := e.cache.get(key); ok {
-			d := v.(eval.Detail)
+		if v, ok := e.cache.get(g[0].key); ok {
+			resp := detailToResponse(v.(eval.Detail))
+			resp.Cached = true
 			for _, c := range g {
 				e.cacheHits.Inc()
-				c.done <- callResult{detail: d, cached: true}
+				c.done <- reply{v: resp}
 			}
 			continue
 		}
 		e.cacheMisses.Inc()
-		e.dispatchEvalGroup(key, g)
+		e.dispatchEvalGroup(g)
 	}
 }
 
-// dispatchEvalGroup enqueues one pool task for a unique cache key and fans
-// its result out to the group's waiters. The task runs under its own
-// JobTimeout deadline — waiters enforce their individual request contexts on
-// their side of the reply channel.
-func (e *Executor) dispatchEvalGroup(key string, g []*evalCall) {
-	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.JobTimeout)
-	job := g[0].job
-	t := &task{ctx: ctx, done: make(chan taskResult, 1), traceID: g[0].traceID, run: func(det *yolo.Model) (any, error) {
-		j := job
-		j.Det = det
-		return e.cfg.Job(j)
-	}}
-	if err := e.enqueueTask(t); err != nil {
-		cancel()
-		for _, c := range g {
-			c.done <- callResult{err: err}
+// dispatchEvalGroup runs one unique cache key's job once, caches the detail,
+// and answers every waiter in the group with the same response.
+func (e *Executor) dispatchEvalGroup(g []*evalCall) {
+	key, job := g[0].key, g[0].job
+	dispatchGroup(e, g, func(det *yolo.Model) ([]any, error) {
+		job.Det = det
+		d, err := e.cfg.Job(job)
+		if err != nil {
+			return nil, err
 		}
-		return
-	}
-	go func() {
-		r := <-t.done
-		cancel()
-		if r.err != nil {
-			for _, c := range g {
-				c.done <- callResult{err: r.err}
-			}
-			return
-		}
-		d := r.v.(eval.Detail)
 		e.cache.put(key, d, detailBytes(d))
-		for _, c := range g {
-			c.done <- callResult{detail: d}
+		resp := detailToResponse(d)
+		vs := make([]any, len(g))
+		for i := range vs {
+			vs[i] = resp
 		}
-	}()
+		return vs, nil
+	})
 }
 
-// detectResult is one detect waiter's outcome.
-type detectResult struct {
-	dets []yolo.Detection
-	err  error
-}
-
-// detectCall is one detect request parked in the coalescer. span is the
-// request's span (the batched forward/decode leaves parent to the first
-// caller in each group); parked/traceID feed the batch_wait histogram.
-type detectCall struct {
-	req     DetectRequest
-	done    chan detectResult
-	parked  time.Time
-	span    *obs.Span
-	traceID string
-}
-
-// flushDetect dispatches one detect batch: frames are grouped by resolution,
-// each group is stacked into a single [N,3,H,W] tensor, and one pool task
-// runs one batched forward plus per-sample decode for the whole group — the
-// batch-first inference path.
+// flushDetect dispatches one detect batch: frames are grouped by resolution
+// and each group runs as one pool task — the batch-first inference path.
 func (e *Executor) flushDetect(batch []*detectCall, reason string) {
-	e.flushCounter(reason).Inc()
-	e.batchOccupancy.Observe(float64(len(batch)))
-	now := e.cfg.Clock.Now()
-	for _, c := range batch {
-		e.observeStage(StageBatchWait, now.Sub(c.parked), c.traceID)
-	}
+	observeFlush(e, batch, reason)
 	type dims struct{ h, w int }
-	groups := make(map[dims][]*detectCall, 1)
-	var order []dims
-	for _, c := range batch {
-		d := dims{c.req.Height, c.req.Width}
-		if _, ok := groups[d]; !ok {
-			order = append(order, d)
-		}
-		groups[d] = append(groups[d], c)
-	}
-	for _, d := range order {
-		e.dispatchDetectGroup(d.h, d.w, groups[d])
+	for _, g := range groupBy(batch, func(c *detectCall) dims { return dims{c.req.Height, c.req.Width} }) {
+		e.dispatchDetectGroup(g)
 	}
 }
 
-// dispatchDetectGroup runs one same-resolution group through a single
-// batched forward and fans the per-sample detections back out in request
-// order.
-func (e *Executor) dispatchDetectGroup(h, w int, g []*detectCall) {
-	ctx, cancel := context.WithTimeout(context.Background(), e.cfg.JobTimeout)
-	frame := 3 * h * w
-	pixels := make([]float64, 0, len(g)*frame)
+// dispatchDetectGroup stacks one same-resolution group into a single
+// [N,3,H,W] tensor, runs one batched forward plus per-sample decode, and
+// answers each waiter with its own frame's detections.
+func (e *Executor) dispatchDetectGroup(g []*detectCall) {
+	h, w := g[0].req.Height, g[0].req.Width
+	pixels := make([]float64, 0, len(g)*3*h*w)
 	for _, c := range g {
 		pixels = append(pixels, c.req.Image...)
 	}
@@ -244,8 +230,8 @@ func (e *Executor) dispatchDetectGroup(h, w int, g []*detectCall) {
 	// The batched forward runs once for the whole group; its spans and
 	// stage observations attribute to the group's first caller (the request
 	// whose arrival opened the batch window).
-	lead, hook := g[0].span, e.stageHook(g[0].traceID)
-	t := &task{ctx: ctx, done: make(chan taskResult, 1), traceID: g[0].traceID, run: func(det *yolo.Model) (any, error) {
+	lead, hook := obs.SpanFromContext(g[0].ctx), e.stageHook(g[0].traceID)
+	dispatchGroup(e, g, func(det *yolo.Model) ([]any, error) {
 		fsp := lead.Child(StageForward, obs.I("batch", len(g)))
 		end := hook(StageForward)
 		heads := det.Forward(img)
@@ -253,30 +239,13 @@ func (e *Executor) dispatchDetectGroup(h, w int, g []*detectCall) {
 		fsp.End()
 		dsp := lead.Child(StageDecode, obs.I("batch", len(g)))
 		end = hook(StageDecode)
-		dets := det.DecodeBatch(heads, yolo.DefaultDecode())
+		lists := det.DecodeBatch(heads, yolo.DefaultDecode())
 		end()
 		dsp.End()
-		return dets, nil
-	}}
-	if err := e.enqueueTask(t); err != nil {
-		cancel()
-		for _, c := range g {
-			c.done <- detectResult{err: err}
+		vs := make([]any, len(lists))
+		for i, dets := range lists {
+			vs[i] = DetectResponse{Detections: toWireDetections(dets)}
 		}
-		return
-	}
-	go func() {
-		r := <-t.done
-		cancel()
-		if r.err != nil {
-			for _, c := range g {
-				c.done <- detectResult{err: r.err}
-			}
-			return
-		}
-		lists := r.v.([][]yolo.Detection)
-		for i, c := range g {
-			c.done <- detectResult{dets: lists[i]}
-		}
-	}()
+		return vs, nil
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/scene"
 	"roadtrojan/internal/telemetry"
-	"roadtrojan/internal/tensor"
 	"roadtrojan/internal/yolo"
 )
 
@@ -37,7 +36,8 @@ type Executor struct {
 	jobs   chan *task
 	wg     sync.WaitGroup
 
-	// Micro-batching coalescers, nil unless Config.BatchSize > 1.
+	// Micro-batching coalescers: every request enters the job queue
+	// through one of them.
 	evalCo   *coalescer[*evalCall]
 	detectCo *coalescer[*detectCall]
 
@@ -136,37 +136,15 @@ func NewExecutor(det *yolo.Model, cfg Config, reg *telemetry.Registry) *Executor
 		e.wg.Add(1)
 		go e.worker(replica)
 	}
-	if cfg.BatchSize > 1 {
-		e.evalCo = newCoalescer(cfg.BatchSize, cfg.QueueSize, cfg.BatchDeadline, cfg.Clock, e.flushEvaluate)
-		e.detectCo = newCoalescer(cfg.BatchSize, cfg.QueueSize, cfg.BatchDeadline, cfg.Clock, e.flushDetect)
-	}
+	size := max(cfg.BatchSize, 1)
+	e.evalCo = newCoalescer(size, cfg.QueueSize, cfg.BatchDeadline, cfg.Clock, e.flushEvaluate)
+	e.detectCo = newCoalescer(size, cfg.QueueSize, cfg.BatchDeadline, cfg.Clock, e.flushDetect)
 	return e
 }
 
 // flushCounter returns the serve_batch_flushes_total counter for a reason.
 func (e *Executor) flushCounter(reason string) *telemetry.Counter {
 	return e.flushCounters[reason]
-}
-
-// enqueueTask places a coalescer-dispatched task on the bounded queue
-// without blocking. It gates on poolClosed rather than draining: drain
-// flushes run after external intake stops but before the queue closes, so
-// already-parked requests still execute during a graceful shutdown.
-func (e *Executor) enqueueTask(t *task) error {
-	e.drainMu.RLock()
-	defer e.drainMu.RUnlock()
-	if e.poolClosed {
-		return ErrShuttingDown
-	}
-	t.enqueued = e.cfg.Clock.Now()
-	select {
-	case e.jobs <- t:
-		e.queueDepth.Add(1)
-		return nil
-	default:
-		e.rejected.Inc()
-		return ErrQueueFull
-	}
 }
 
 // Metrics exposes the registry the executor's counters live in.
@@ -233,9 +211,10 @@ func (e *Executor) observeJobSeconds(d time.Duration) {
 }
 
 // Evaluate runs one scenario evaluation (or serves it from the cache),
-// applying the configured per-job deadline on top of ctx. Validation
-// failures are reported wrapped in ErrBadRequest; capacity exhaustion as
-// ErrQueueFull; drain as ErrShuttingDown.
+// applying the configured per-job deadline on top of ctx. A cache miss parks
+// in the evaluate coalescer and runs with its flush group, once per unique
+// cache key. Validation failures are reported wrapped in ErrBadRequest;
+// capacity exhaustion as ErrQueueFull; drain as ErrShuttingDown.
 func (e *Executor) Evaluate(ctx context.Context, req EvalRequest) (EvalResponse, error) {
 	reqSpan := obs.SpanFromContext(ctx)
 	start := e.cfg.Clock.Now()
@@ -278,50 +257,39 @@ func (e *Executor) Evaluate(ctx context.Context, req EvalRequest) (EvalResponse,
 		Parent: reqSpan,
 		Stages: e.stageHook(reqSpan.TraceID()),
 	}
-	if e.evalCo != nil {
-		return e.evaluateBatched(ctx, key, job)
-	}
-	e.cacheMisses.Inc()
+	sp := e.spanUnder(reqSpan, "evaluate_batched", obs.S("key", key))
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.JobTimeout)
 	defer cancel()
-	v, err := e.submit(ctx, func(det *yolo.Model) (any, error) {
-		j := job
-		j.Det = det
-		return e.cfg.Job(j)
-	})
-	if err != nil {
-		return EvalResponse{}, err
-	}
-	detail := v.(eval.Detail)
-	e.cache.put(key, detail, detailBytes(detail))
-	return detailToResponse(detail), nil
+	call := &evalCall{waiter: e.newWaiter(ctx), key: key, job: job}
+	return await[EvalResponse](e, e.evalCo, call, sp)
 }
 
-// evaluateBatched parks one cache-missed evaluate request in the coalescer
-// and waits for its flush group's outcome. The span brackets the full
-// park-to-answer window, so traces show what coalescing costs each request.
-func (e *Executor) evaluateBatched(ctx context.Context, key string, job eval.Job) (EvalResponse, error) {
-	sp := e.spanUnder(obs.SpanFromContext(ctx), "evaluate_batched", obs.S("key", key))
-	call := &evalCall{key: key, job: job, done: make(chan callResult, 1),
-		parked: e.cfg.Clock.Now(), traceID: obs.SpanFromContext(ctx).TraceID()}
-	if err := park(e, e.evalCo.in, call); err != nil {
-		sp.End(obs.S("outcome", errOutcome(err)))
-		return EvalResponse{}, err
-	}
-	select {
-	case r := <-call.done:
-		if r.err != nil {
-			sp.End(obs.S("outcome", errOutcome(r.err)))
-			return EvalResponse{}, r.err
+// newWaiter stamps a request about to park: its deadline-carrying context,
+// a reply channel, and the batch_wait bookkeeping.
+func (e *Executor) newWaiter(ctx context.Context) waiter {
+	return waiter{ctx: ctx, done: make(chan reply, 1), parked: e.cfg.Clock.Now(),
+		traceID: obs.SpanFromContext(ctx).TraceID()}
+}
+
+// await parks call in co and waits for its flush group's reply or its own
+// context, whichever comes first. sp brackets the full park-to-answer
+// window, so traces show what coalescing costs each request.
+func await[R any, C parkedCall](e *Executor, co *coalescer[C], call C, sp *obs.Span) (R, error) {
+	w := call.base()
+	r := reply{err: park(e, co.in, call)}
+	if r.err == nil {
+		select {
+		case r = <-w.done:
+		case <-w.ctx.Done():
+			r.err = w.ctx.Err()
 		}
-		resp := detailToResponse(r.detail)
-		resp.Cached = r.cached
-		sp.End(obs.S("outcome", "ok"))
-		return resp, nil
-	case <-ctx.Done():
-		sp.End(obs.S("outcome", "ctx"))
-		return EvalResponse{}, ctx.Err()
 	}
+	sp.End(obs.S("outcome", errOutcome(r.err)))
+	if r.err != nil {
+		var zero R
+		return zero, r.err
+	}
+	return r.v.(R), nil
 }
 
 // spanUnder opens name as a child of parent when the request carries a
@@ -335,10 +303,10 @@ func (e *Executor) spanUnder(parent *obs.Span, name string, attrs ...obs.Attr) *
 	return e.cfg.Trace.Span(name, attrs...)
 }
 
-// park places a call in a coalescer buffer without blocking, under the same
-// drain discipline as submit: refused once draining starts, queue-full when
-// the buffer is at capacity. Holding the read lock across the send keeps the
-// channel-close in Close safely ordered behind every in-flight send.
+// park places a call in a coalescer buffer without blocking: refused once
+// draining starts, queue-full when the buffer is at capacity. Holding the
+// read lock across the send keeps the channel-close in Close safely ordered
+// behind every in-flight send.
 func park[T any](e *Executor, in chan T, call T) error {
 	e.drainMu.RLock()
 	defer e.drainMu.RUnlock()
@@ -357,6 +325,8 @@ func park[T any](e *Executor, in chan T, call T) error {
 // errOutcome maps executor errors to span outcome labels.
 func errOutcome(err error) string {
 	switch {
+	case err == nil:
+		return "ok"
 	case errors.Is(err, ErrQueueFull):
 		return "queue_full"
 	case errors.Is(err, ErrShuttingDown):
@@ -368,9 +338,11 @@ func errOutcome(err error) string {
 	}
 }
 
-// Detect runs one rendered frame through a worker's detector replica — or,
-// with batching enabled, through the coalescer so concurrent same-resolution
-// frames share a single batched forward.
+// Detect runs one rendered frame through the detect coalescer: concurrent
+// same-resolution frames flushed together share a single batched forward on
+// a worker's detector replica, and at BatchSize ≤ 1 each frame runs alone as
+// a batch of one. The per-job deadline applies on top of ctx, as for
+// Evaluate.
 func (e *Executor) Detect(ctx context.Context, req DetectRequest) (DetectResponse, error) {
 	reqSpan := obs.SpanFromContext(ctx)
 	start := e.cfg.Clock.Now()
@@ -380,55 +352,11 @@ func (e *Executor) Detect(ctx context.Context, req DetectRequest) (DetectRespons
 	if err := req.validate(); err != nil {
 		return DetectResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if e.detectCo != nil {
-		return e.detectBatched(ctx, req)
-	}
-	hook := e.stageHook(reqSpan.TraceID())
+	sp := e.spanUnder(reqSpan, "detect_batched", obs.I("pixels", len(req.Image)))
 	ctx, cancel := context.WithTimeout(ctx, e.cfg.JobTimeout)
 	defer cancel()
-	v, err := e.submit(ctx, func(det *yolo.Model) (any, error) {
-		img := tensor.FromSlice(req.Image, 1, 3, req.Height, req.Width)
-		fsp := reqSpan.Child(StageForward)
-		end := hook(StageForward)
-		heads := det.Forward(img)
-		end()
-		fsp.End()
-		dsp := reqSpan.Child(StageDecode)
-		end = hook(StageDecode)
-		dets := det.DecodeSample(heads, 0, yolo.DefaultDecode())
-		end()
-		dsp.End()
-		return dets, nil
-	})
-	if err != nil {
-		return DetectResponse{}, err
-	}
-	return DetectResponse{Detections: toWireDetections(v.([]yolo.Detection))}, nil
-}
-
-// detectBatched parks one detect request in the coalescer and waits for its
-// group's batched forward.
-func (e *Executor) detectBatched(ctx context.Context, req DetectRequest) (DetectResponse, error) {
-	reqSpan := obs.SpanFromContext(ctx)
-	sp := e.spanUnder(reqSpan, "detect_batched", obs.I("pixels", len(req.Image)))
-	call := &detectCall{req: req, done: make(chan detectResult, 1),
-		parked: e.cfg.Clock.Now(), span: reqSpan, traceID: reqSpan.TraceID()}
-	if err := park(e, e.detectCo.in, call); err != nil {
-		sp.End(obs.S("outcome", errOutcome(err)))
-		return DetectResponse{}, err
-	}
-	select {
-	case r := <-call.done:
-		if r.err != nil {
-			sp.End(obs.S("outcome", errOutcome(r.err)))
-			return DetectResponse{}, r.err
-		}
-		sp.End(obs.S("outcome", "ok"))
-		return DetectResponse{Detections: toWireDetections(r.dets)}, nil
-	case <-ctx.Done():
-		sp.End(obs.S("outcome", "ctx"))
-		return DetectResponse{}, ctx.Err()
-	}
+	call := &detectCall{waiter: e.newWaiter(ctx), req: req}
+	return await[DetectResponse](e, e.detectCo, call, sp)
 }
 
 // Close drains gracefully: refuse new submissions, let the coalescers flush
@@ -444,12 +372,8 @@ func (e *Executor) Close(context.Context) error {
 		// External intake is now refused; the coalescers' drain flushes may
 		// still enqueue through enqueueTask (gated on poolClosed), so the
 		// jobs channel closes only after both run loops have exited.
-		if e.evalCo != nil {
-			e.evalCo.close()
-		}
-		if e.detectCo != nil {
-			e.detectCo.close()
-		}
+		e.evalCo.close()
+		e.detectCo.close()
 		e.drainMu.Lock()
 		e.poolClosed = true
 		close(e.jobs)

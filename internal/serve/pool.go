@@ -4,65 +4,90 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"roadtrojan/internal/obs"
 	"roadtrojan/internal/yolo"
 )
 
-// ErrQueueFull is returned by submit when the bounded job queue is at
-// capacity; the HTTP layer maps it to 429 Too Many Requests and the fabric
-// node to a queue_full frame.
+// ErrQueueFull is returned when the bounded job queue (or the coalescer
+// buffer in front of it) is at capacity; the HTTP layer maps it to 429 Too
+// Many Requests and the fabric node to a queue_full frame.
 var ErrQueueFull = errors.New("serve: job queue full")
 
-// ErrShuttingDown is returned by submit once drain has begun; the HTTP
-// layer maps it to 503 Service Unavailable.
+// ErrShuttingDown is returned once drain has begun; the HTTP layer maps it
+// to 503 Service Unavailable.
 var ErrShuttingDown = errors.New("serve: shutting down")
 
-// task is one queued unit of work. run receives the worker's private
-// detector replica; done is buffered so a worker never blocks on a caller
-// that gave up. enqueued stamps when the task entered the bounded queue
-// (feeding the queue_wait stage histogram, exemplared with traceID).
+// task is one queued unit of work: one coalescer flush group. run receives
+// the worker's private detector replica and returns one value per waiter, in
+// group order; finish fans the outcome out and must not block. enqueued
+// stamps when the task entered the bounded queue (feeding the queue_wait
+// stage histogram, exemplared with traceID).
 type task struct {
 	ctx      context.Context
-	run      func(det *yolo.Model) (any, error)
-	done     chan taskResult
+	run      func(det *yolo.Model) ([]any, error)
+	finish   func(vs []any, err error)
 	enqueued time.Time
 	traceID  string
 }
 
-type taskResult struct {
-	v   any
-	err error
-}
-
-// submit enqueues work without blocking: a full queue is backpressure, not
-// a wait. It then blocks until a worker finishes the task or the request
-// context expires.
-func (e *Executor) submit(ctx context.Context, run func(det *yolo.Model) (any, error)) (any, error) {
-	t := &task{ctx: ctx, run: run, done: make(chan taskResult, 1),
-		enqueued: e.cfg.Clock.Now(), traceID: obs.SpanFromContext(ctx).TraceID()}
-
+// enqueueTask is the one way into the worker queue. It places a task on the
+// bounded queue without blocking — a full queue is backpressure, not a wait —
+// and counts one rejection per waiter the task serves. It gates on
+// poolClosed rather than draining: drain flushes run after external intake
+// stops but before the queue closes, so already-parked requests still
+// execute during a graceful shutdown.
+func (e *Executor) enqueueTask(t *task, waiters int) error {
 	e.drainMu.RLock()
-	if e.draining {
-		e.drainMu.RUnlock()
-		return nil, ErrShuttingDown
+	defer e.drainMu.RUnlock()
+	if e.poolClosed {
+		return ErrShuttingDown
 	}
+	t.enqueued = e.cfg.Clock.Now()
 	select {
 	case e.jobs <- t:
-		e.drainMu.RUnlock()
 		e.queueDepth.Add(1)
+		return nil
 	default:
-		e.drainMu.RUnlock()
-		e.rejected.Inc()
-		return nil, ErrQueueFull
+		e.rejected.Add(int64(waiters))
+		return ErrQueueFull
 	}
+}
 
-	select {
-	case r := <-t.done:
-		return r.v, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// dispatchGroup enqueues one pool task on behalf of a flush group and fans
+// run's values out to the group's waiters, value i to waiter i. The task's
+// context is the group's deadline: it is cancelled once every waiter's
+// context is done, so the pool skips a group nobody is waiting for any more,
+// while a deduped group still runs as long as one waiter is. A one-waiter
+// group therefore carries exactly its request's deadline.
+func dispatchGroup[C parkedCall](e *Executor, g []C, run func(det *yolo.Model) ([]any, error)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var waiting atomic.Int64
+	waiting.Store(int64(len(g)))
+	stops := make([]func() bool, len(g))
+	for i, c := range g {
+		stops[i] = context.AfterFunc(c.base().ctx, func() {
+			if waiting.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	t := &task{ctx: ctx, run: run, traceID: g[0].base().traceID, finish: func(vs []any, err error) {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+		for i, c := range g {
+			r := reply{err: err}
+			if err == nil {
+				r.v = vs[i]
+			}
+			c.base().done <- r
+		}
+	}}
+	if err := e.enqueueTask(t, len(g)); err != nil {
+		t.finish(nil, err)
 	}
 }
 
@@ -72,12 +97,10 @@ func (e *Executor) worker(det *yolo.Model) {
 	defer e.wg.Done()
 	for t := range e.jobs {
 		e.queueDepth.Add(-1)
-		if !t.enqueued.IsZero() {
-			e.observeStage(StageQueueWait, e.cfg.Clock.Now().Sub(t.enqueued), t.traceID)
-		}
+		e.observeStage(StageQueueWait, e.cfg.Clock.Now().Sub(t.enqueued), t.traceID)
 		e.inflight.Add(1)
 		start := time.Now()
-		t.done <- e.runTask(t, det)
+		t.finish(e.runTask(t, det))
 		e.observeJobSeconds(time.Since(start))
 		e.inflight.Add(-1)
 	}
@@ -86,16 +109,15 @@ func (e *Executor) worker(det *yolo.Model) {
 // runTask executes one task, converting an expired deadline into an error
 // without running the job, and a job panic into an error instead of killing
 // the worker.
-func (e *Executor) runTask(t *task, det *yolo.Model) (res taskResult) {
+func (e *Executor) runTask(t *task, det *yolo.Model) (vs []any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.panics.Inc()
-			res = taskResult{err: fmt.Errorf("serve: job panicked: %v", p)}
+			vs, err = nil, fmt.Errorf("serve: job panicked: %v", p)
 		}
 	}()
 	if err := t.ctx.Err(); err != nil {
-		return taskResult{err: err}
+		return nil, err
 	}
-	v, err := t.run(det)
-	return taskResult{v: v, err: err}
+	return t.run(det)
 }

@@ -49,14 +49,14 @@ type Config struct {
 	// few large batched results can't blow memory even when the entry count
 	// is small; 0 means 64 MiB, negative means entries-only accounting.
 	CacheBytes int64
-	// BatchSize enables micro-batched serving when > 1: concurrent
-	// evaluate/detect requests coalesce in front of the executor and flush
-	// as one batch when BatchSize requests are parked or BatchDeadline has
-	// elapsed since the first. 0 or 1 serves requests one at a time (the
-	// pre-batching behavior).
+	// BatchSize is the micro-batch size. Every evaluate/detect request
+	// parks in a coalescer in front of the executor, which flushes as one
+	// batch when BatchSize requests are parked or BatchDeadline has elapsed
+	// since the first. 0 or 1 flushes each request on arrival, as a batch
+	// of one.
 	BatchSize int
 	// BatchDeadline is the longest the first parked request waits for its
-	// batch to fill; 0 means 2ms.
+	// batch to fill; 0 means 2ms. Unused when BatchSize ≤ 1.
 	BatchDeadline time.Duration
 	// Clock injects time for the coalescer deadline (tests); nil means the
 	// wall clock.
