@@ -84,8 +84,30 @@ func VerifyChannel(det *yolo.Model, cam scene.Camera, sc Scene, p *Patch, ch phy
 		return 0, err
 	}
 	det.SetTraining(false)
+	batch, boxes, err := verifyViews(cam, sc, ground, ch, rng)
+	if err != nil {
+		return 0, err
+	}
+	// Conv, eval-mode batch norm and decode are per-sample, so one batched
+	// forward scores every view exactly as a forward of that view alone.
+	heads := det.Forward(batch)
 	opts := yolo.DefaultDecode()
-	hits, views := 0, 0
+	hits := 0
+	for i, box := range boxes {
+		dets := det.DecodeSample(heads, i, opts)
+		if d, ok := yolo.MatchTarget(dets, box, 0.2); ok && d.Class == p.Cfg.TargetClass {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(boxes)), nil
+}
+
+// verifyViews renders the verification views that see the target, nearest
+// first, each drawing its capture noise before the next one renders, and
+// stacks them into one [V,3,H,W] batch alongside each view's target box.
+func verifyViews(cam scene.Camera, sc Scene, ground *scene.Ground, ch physical.Channel, rng *rand.Rand) (*tensor.Tensor, []scene.Box, error) {
+	var imgs []*tensor.Tensor
+	var boxes []scene.Box
 	for _, dist := range []float64{3, 3.5, 4, 5, 6, 7} {
 		c := cam
 		c.Y = sc.TargetGY - dist
@@ -95,20 +117,16 @@ func VerifyChannel(det *yolo.Model, cam scene.Camera, sc Scene, p *Patch, ch phy
 		}
 		img, err := c.Render(ground)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		views++
 		if ch.Enabled {
 			img = ch.Capture.Apply(rng, img)
 		}
-		heads := det.Forward(img.Reshape(1, 3, img.Dim(1), img.Dim(2)))
-		dets := det.DecodeSample(heads, 0, opts)
-		if d, ok := yolo.MatchTarget(dets, box, 0.2); ok && d.Class == p.Cfg.TargetClass {
-			hits++
-		}
+		imgs = append(imgs, img.Reshape(1, 3, img.Dim(1), img.Dim(2)))
+		boxes = append(boxes, box)
 	}
-	if views == 0 {
-		return 0, fmt.Errorf("attack: target not visible from any verification view")
+	if len(imgs) == 0 {
+		return nil, nil, fmt.Errorf("attack: target not visible from any verification view")
 	}
-	return float64(hits) / float64(views), nil
+	return tensor.Concat(0, imgs...), boxes, nil
 }

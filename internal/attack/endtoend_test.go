@@ -7,7 +7,6 @@ import (
 
 	"roadtrojan/internal/eot"
 	"roadtrojan/internal/imaging"
-	"roadtrojan/internal/nn"
 	"roadtrojan/internal/scene"
 	"roadtrojan/internal/tensor"
 	"roadtrojan/internal/yolo"
@@ -59,8 +58,7 @@ func TestEndToEndAttackGradient(t *testing.T) {
 		batch := img.Reshape(1, 3, cam.ImgH, cam.ImgW)
 		heads := det.Forward(batch)
 		loss, dHeads := det.AttackLoss(heads, []yolo.AttackTarget{target}, w)
-		dBatch := det.Backward(dHeads)
-		nn.ZeroGrads(det.Params())
+		dBatch := det.InputGrad(dHeads)
 		dTex := fg.backward(dBatch.Reshape(3, cam.ImgH, cam.ImgW))
 		dPatch := maskBwd(gcomp.backward(dTex))
 		return loss, dPatch
@@ -126,8 +124,7 @@ func TestEndToEndAttackReducesLoss(t *testing.T) {
 		}
 		heads := det.Forward(img.Reshape(1, 3, cam.ImgH, cam.ImgW))
 		loss, dHeads := det.AttackLoss(heads, []yolo.AttackTarget{target}, w)
-		dBatch := det.Backward(dHeads)
-		nn.ZeroGrads(det.Params())
+		dBatch := det.InputGrad(dHeads)
 		dTex := fg.backward(dBatch.Reshape(3, cam.ImgH, cam.ImgW))
 		return loss, maskBwd(gcomp.backward(dTex))
 	}

@@ -174,8 +174,7 @@ func forwardFrames(det *yolo.Model, g *scene.Ground, decaled *tensor.Tensor, win
 	}
 	prob /= float64(w)
 
-	dBatch := det.Backward(dHeads)
-	nn.ZeroGrads(det.Params()) // the detector is frozen (white-box victim)
+	dBatch := det.InputGrad(dHeads) // the detector is frozen (white-box victim)
 
 	var dTex *tensor.Tensor
 	for i := range graphs {

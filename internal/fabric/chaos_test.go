@@ -343,6 +343,13 @@ func TestChaosExpiredReplyIsDeadline(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout || body.Code != serve.CodeTimeout {
 		t.Fatalf("expired reply mapped to %d %q, want %d %q", rec.Code, body.Code, http.StatusGatewayTimeout, serve.CodeTimeout)
 	}
+	var scrape bytes.Buffer
+	if err := g.reg.WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if want := `fabric_gateway_node_errors_total{code="expired"} 1` + "\n"; !strings.Contains(scrape.String(), want) {
+		t.Fatalf("gateway registry lacks %q:\n%s", want, scrape.String())
+	}
 }
 
 // TestChaosWALReplayAfterKill: a gateway dies with two finished jobs and

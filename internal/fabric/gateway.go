@@ -335,6 +335,8 @@ func (g *Gateway) dispatch(ctx context.Context, req serve.EvalRequest) (payload 
 				sawDown, lastErr = true, err
 			case errors.As(err, &jf):
 				asp.End(obs.S("outcome", jf.code))
+				g.reg.Counter("fabric_gateway_node_errors_total", "error replies from nodes, by code, including the ones the gateway fails over",
+					telemetry.Labels{"code": jf.code}).Inc()
 				switch jf.code {
 				case CodeQueueFull:
 					sawSaturated, lastErr = true, err

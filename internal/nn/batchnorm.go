@@ -127,6 +127,23 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // mean/variance dependence on the batch is accounted for; in inference mode
 // the running statistics are constants.
 func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
+	return b.backward(dOut, true)
+}
+
+// InputGrad returns dInput like Backward but leaves γ and β's gradients
+// untouched, skipping the per-channel reductions that feed them. It is
+// inference-mode only: in training mode dInput itself depends on those
+// reductions, so InputGrad panics there.
+func (b *BatchNorm2D) InputGrad(dOut *tensor.Tensor) *tensor.Tensor {
+	if b.training {
+		panic("nn: BatchNorm2D.InputGrad in training mode; the batch statistics need Backward (SetTraining(false) to freeze)")
+	}
+	return b.backward(dOut, false)
+}
+
+// backward is the shared body; accumulate=false (inference mode only)
+// skips the γ/β reductions.
+func (b *BatchNorm2D) backward(dOut *tensor.Tensor, accumulate bool) *tensor.Tensor {
 	mustForwarded(b.lastInput, "BatchNorm2D")
 	n, c, h, w := dOut.Dim(0), dOut.Dim(1), dOut.Dim(2), dOut.Dim(3)
 	plane := h * w
@@ -138,27 +155,30 @@ func (b *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 		invSD := b.lastInvSD[ch]
 		mean := b.lastMean[ch]
 		var sumD, sumDXhat float64
-		for s := 0; s < n; s++ {
-			base := (s*c + ch) * plane
-			ds := dOut.Data()[base : base+plane]
-			if b.lastXHat != nil {
-				xhs := b.lastXHat.Data()[base : base+plane]
-				for i, d := range ds {
-					sumD += d
-					sumDXhat += d * xhs[i]
-				}
-			} else {
-				// Inference-mode forward skipped the x̂ cache; rebuild each
-				// value from the cached input with the identical expression.
-				xs := b.lastInput.Data()[base : base+plane]
-				for i, d := range ds {
-					sumD += d
-					sumDXhat += d * ((xs[i] - mean) * invSD)
+		if accumulate {
+			for s := 0; s < n; s++ {
+				base := (s*c + ch) * plane
+				ds := dOut.Data()[base : base+plane]
+				if b.lastXHat != nil {
+					xhs := b.lastXHat.Data()[base : base+plane]
+					for i, d := range ds {
+						sumD += d
+						sumDXhat += d * xhs[i]
+					}
+				} else {
+					// Inference-mode forward skipped the x̂ cache; rebuild
+					// each value from the cached input with the identical
+					// expression.
+					xs := b.lastInput.Data()[base : base+plane]
+					for i, d := range ds {
+						sumD += d
+						sumDXhat += d * ((xs[i] - mean) * invSD)
+					}
 				}
 			}
+			b.Beta.Grad.Data()[ch] += sumD
+			b.Gamma.Grad.Data()[ch] += sumDXhat
 		}
-		b.Beta.Grad.Data()[ch] += sumD
-		b.Gamma.Grad.Data()[ch] += sumDXhat
 
 		if b.training {
 			for s := 0; s < n; s++ {

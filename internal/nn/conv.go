@@ -46,12 +46,23 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns dInput.
 func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	mustForwarded(c.lastInput, "Conv2D")
 	var dB *tensor.Tensor
 	if c.Bias != nil {
 		dB = c.Bias.Grad
 	}
-	return tensor.Conv2DBackward(c.lastInput, c.Weight.Value, dOut, c.Stride, c.Pad, c.Weight.Grad, dB)
+	return c.backward(dOut, c.Weight.Grad, dB)
+}
+
+// InputGrad returns dInput like Backward but leaves the parameter gradients
+// untouched: the frozen-layer path, which skips the weight-gradient im2col
+// and dot. dInput is bit-identical to Backward's.
+func (c *Conv2D) InputGrad(dOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(dOut, nil, nil)
+}
+
+func (c *Conv2D) backward(dOut, dW, dB *tensor.Tensor) *tensor.Tensor {
+	mustForwarded(c.lastInput, "Conv2D")
+	return tensor.Conv2DBackward(c.lastInput, c.Weight.Value, dOut, c.Stride, c.Pad, dW, dB)
 }
 
 // Params returns the layer's parameters.

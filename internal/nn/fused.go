@@ -24,9 +24,9 @@ import (
 // always takes the unfused chain so the reference window measures the
 // genuinely unfused pipeline.
 //
-// The fused pass does not populate Backward caches: Backward after a fused
-// Forward panics. The attack trainer's eval-mode Forward→Backward loop keeps
-// fusing off (the default) and is unaffected.
+// The fused pass does not populate Backward caches: Backward or InputGrad
+// after a fused Forward panics. The attack trainer's eval-mode
+// Forward→InputGrad loop keeps fusing off (the default) and is unaffected.
 type ConvBNLeaky struct {
 	Conv *Conv2D
 	BN   *BatchNorm2D
@@ -138,10 +138,23 @@ func (f *ConvBNLeaky) Forward(x *tensor.Tensor) *tensor.Tensor {
 // behind, so Backward after one panics — run with fusing off (the default)
 // to train, as the attack trainer does.
 func (f *ConvBNLeaky) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	if f.fusedForward {
-		panic("nn: ConvBNLeaky.Backward after a fused Forward; fused kernels are inference-only (SetFused(false) to train)")
-	}
+	f.mustUnfused("Backward")
 	return f.Conv.Backward(f.BN.Backward(f.Act.Backward(dOut)))
+}
+
+// InputGrad is Backward for a frozen block: it returns the bit-identical
+// dInput without touching any parameter gradient, skipping the convolution's
+// weight gradient and the batch norm's γ/β reductions. Inference mode only
+// (BatchNorm2D.InputGrad panics in training mode).
+func (f *ConvBNLeaky) InputGrad(dOut *tensor.Tensor) *tensor.Tensor {
+	f.mustUnfused("InputGrad")
+	return f.Conv.InputGrad(f.BN.InputGrad(f.Act.Backward(dOut)))
+}
+
+func (f *ConvBNLeaky) mustUnfused(method string) {
+	if f.fusedForward {
+		panic("nn: ConvBNLeaky." + method + " after a fused Forward; fused kernels are inference-only (SetFused(false) to train)")
+	}
 }
 
 // Params returns the convolution weights and the batch-norm affine.

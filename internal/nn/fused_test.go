@@ -105,12 +105,16 @@ func TestConvBNLeakyBackwardAfterFusedPanics(t *testing.T) {
 	f.SetFused(true)
 	x := tensor.NewRandN(rng, 1, 1, 1, 5, 5)
 	out := f.Forward(x)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Backward after fused Forward must panic")
-		}
-	}()
-	f.Backward(out)
+	for name, backward := range map[string]func(*tensor.Tensor) *tensor.Tensor{"Backward": f.Backward, "InputGrad": f.InputGrad} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after fused Forward must panic", name)
+				}
+			}()
+			backward(out)
+		})
+	}
 }
 
 // TestConvBNLeakyRefoldAfterTraining: parameters changed between eval

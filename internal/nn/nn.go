@@ -2,7 +2,10 @@
 // forward and backward passes over internal/tensor. Modules cache whatever
 // their backward pass needs during Forward; calling Backward before Forward
 // panics. Parameter gradients accumulate across Backward calls until
-// ZeroGrads.
+// ZeroGrads. A frozen network (the attacked detector) instead calls
+// InputGrad on Conv2D, inference-mode BatchNorm2D and ConvBNLeaky: the same
+// input gradient, bit for bit, with no parameter gradient computed or
+// touched.
 //
 // # Concurrency
 //

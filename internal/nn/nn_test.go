@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -403,4 +404,21 @@ func TestSequentialEmptyIsIdentity(t *testing.T) {
 	if seq.Params() != nil {
 		t.Fatal("empty Sequential has no params")
 	}
+}
+
+// TestBatchNormInputGradPanicsInTraining: with batch statistics, dInput
+// depends on the γ/β reductions InputGrad skips, so the input-only entry
+// must refuse training mode with an nn:-prefixed panic.
+func TestBatchNormInputGradPanicsInTraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	bn := NewBatchNorm2D("bn", 2)
+	x := tensor.NewRandN(rng, 1, 2, 2, 3, 3)
+	bn.Forward(x)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "nn: ") {
+			t.Fatalf("InputGrad in training mode: recovered %q, want an nn: panic", msg)
+		}
+	}()
+	bn.InputGrad(x)
 }

@@ -626,3 +626,80 @@ func TestDetailBytesScalesWithRuns(t *testing.T) {
 		t.Error("detailBytes does not scale with frames")
 	}
 }
+
+// TestLRUCacheModel drives the cache with seeded random gets and puts,
+// oversized, negative-size and refreshing puts included, next to a plain
+// slice model of the same policy. After every operation the cache must pass
+// check() and agree with the model on the result, the entry count and the
+// byte total.
+func TestLRUCacheModel(t *testing.T) {
+	type entry struct {
+		key  string
+		val  int
+		size int64
+	}
+	sizes := []int64{-7, 0, 5, 20, 45, 90, 150}
+	for _, budget := range []struct {
+		entries int
+		bytes   int64
+	}{{4, 100}, {3, -1}, {6, 0}, {0, 100}, {8, 60}} {
+		rng := rand.New(rand.NewSource(int64(31 + budget.entries)))
+		c := newLRUCache(budget.entries, budget.bytes)
+		var model []entry // most recently used first
+		find := func(key string) int {
+			for i, e := range model {
+				if e.key == key {
+					return i
+				}
+			}
+			return -1
+		}
+		modelBytes := func() int64 {
+			var n int64
+			for _, e := range model {
+				n += e.size
+			}
+			return n
+		}
+		toFront := func(i int) {
+			e := model[i]
+			model = append(model[:i], model[i+1:]...)
+			model = append([]entry{e}, model...)
+		}
+		for op := 0; op < 2000; op++ {
+			key := strconv.Itoa(rng.Intn(10))
+			if rng.Intn(2) == 0 {
+				v, ok := c.get(key)
+				i := find(key)
+				if ok != (i >= 0) || (ok && v.(int) != model[i].val) {
+					t.Fatalf("budget %+v op %d: get(%s) = %v, %v; model has index %d", budget, op, key, v, ok, i)
+				}
+				if i >= 0 {
+					toFront(i)
+				}
+			} else {
+				val, size := op, sizes[rng.Intn(len(sizes))]
+				c.put(key, val, size)
+				size = max(size, 0)
+				if budget.entries > 0 && (budget.bytes <= 0 || size <= budget.bytes) {
+					if i := find(key); i >= 0 {
+						model[i].val, model[i].size = val, size
+						toFront(i)
+					} else {
+						model = append([]entry{{key, val, size}}, model...)
+					}
+					for len(model) > budget.entries || (budget.bytes > 0 && modelBytes() > budget.bytes) {
+						model = model[:len(model)-1]
+					}
+				}
+			}
+			if err := c.check(); err != nil {
+				t.Fatalf("budget %+v op %d: %v", budget, op, err)
+			}
+			if c.len() != len(model) || c.bytes() != modelBytes() {
+				t.Fatalf("budget %+v op %d: cache holds %d entries / %d bytes, model %d / %d",
+					budget, op, c.len(), c.bytes(), len(model), modelBytes())
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"roadtrojan/internal/eval"
@@ -80,6 +81,38 @@ func (c *lruCache) put(key string, val any, size int64) {
 		delete(c.items, e.key)
 		c.curBytes -= e.size
 	}
+}
+
+// check verifies the cache's structural invariants: the list and the map
+// hold the same entries, curBytes is the sum of the entry sizes, and both
+// budgets hold. It returns the first violation found.
+func (c *lruCache) check() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ll.Len() != len(c.items) {
+		return fmt.Errorf("serve: lru list holds %d entries, map %d", c.ll.Len(), len(c.items))
+	}
+	inList := make(map[*list.Element]bool, c.ll.Len())
+	var sum int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		inList[el] = true
+		sum += el.Value.(*lruEntry).size
+	}
+	for key, el := range c.items {
+		if !inList[el] || el.Value.(*lruEntry).key != key {
+			return fmt.Errorf("serve: lru map entry %q is not in the list", key)
+		}
+	}
+	if sum != c.curBytes {
+		return fmt.Errorf("serve: lru curBytes %d, entry sizes sum to %d", c.curBytes, sum)
+	}
+	if c.ll.Len() > max(c.maxEntries, 0) {
+		return fmt.Errorf("serve: lru holds %d entries over the budget of %d", c.ll.Len(), c.maxEntries)
+	}
+	if c.maxBytes > 0 && c.curBytes > c.maxBytes {
+		return fmt.Errorf("serve: lru holds %d bytes over the budget of %d", c.curBytes, c.maxBytes)
+	}
+	return nil
 }
 
 // len reports the number of cached entries.

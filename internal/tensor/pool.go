@@ -9,10 +9,11 @@ import "fmt"
 func MaxPool2D(input *Tensor, kernel, stride int) (*Tensor, []int32) {
 	n, c, h, w := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	// Darknet-style "same" behaviour for stride 1: pad right/bottom so the
-	// output keeps the input size. For stride==kernel the usual floor division.
-	var oh, ow, pad int
+	// output keeps the input size (the window loop below skips taps past the
+	// edge). For stride==kernel the usual floor division.
+	var oh, ow int
 	if stride == 1 {
-		oh, ow, pad = h, w, kernel-1 // pad applied only on the max side
+		oh, ow = h, w
 	} else {
 		oh = ConvOut(h, kernel, stride, 0)
 		ow = ConvOut(w, kernel, stride, 0)
@@ -50,7 +51,6 @@ func MaxPool2D(input *Tensor, kernel, stride int) (*Tensor, []int32) {
 			}
 		}
 	})
-	_ = pad
 	return out, arg
 }
 

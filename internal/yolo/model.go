@@ -172,17 +172,33 @@ func (m *Model) Forward(x *tensor.Tensor) Heads {
 // Backward backpropagates head gradients to the input image, accumulating
 // parameter gradients. Either gradient may be nil (treated as zero).
 func (m *Model) Backward(d Heads) *tensor.Tensor {
+	return m.backward(d, (*nn.Conv2D).Backward, (*nn.ConvBNLeaky).Backward)
+}
+
+// InputGrad is Backward for the frozen detector the attack optimizes
+// against: it returns the bit-identical input gradient but computes no
+// parameter gradient (no weight-gradient im2col and dot, no batch-norm γ/β
+// reductions) and leaves every Params() gradient untouched. Inference mode
+// only: after SetTraining(true) it panics in the first batch norm.
+func (m *Model) InputGrad(d Heads) *tensor.Tensor {
+	return m.backward(d, (*nn.Conv2D).InputGrad, (*nn.ConvBNLeaky).InputGrad)
+}
+
+// backward is the graph walk Backward and InputGrad share; conv and block
+// backpropagate through the head convolutions and the conv blocks.
+func (m *Model) backward(d Heads, conv func(*nn.Conv2D, *tensor.Tensor) *tensor.Tensor,
+	block func(*nn.ConvBNLeaky, *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
 	var dRouteB, dRouteA *tensor.Tensor
 
 	if d.Fine != nil {
-		dCat := m.h2pre.Backward(m.h2conv.Backward(d.Fine))
+		dCat := block(m.h2pre, conv(m.h2conv, d.Fine))
 		latCh := dCat.Dim(1) - m.lastRouteACh
 		parts := tensor.SplitDim(dCat, 1, latCh, m.lastRouteACh)
-		dRouteB = m.lat.Backward(m.up.Backward(parts[0]))
+		dRouteB = block(m.lat, m.up.Backward(parts[0]))
 		dRouteA = parts[1]
 	}
 	if d.Coarse != nil {
-		dB := m.h1pre.Backward(m.h1conv.Backward(d.Coarse))
+		dB := block(m.h1pre, conv(m.h1conv, d.Coarse))
 		if dRouteB == nil {
 			dRouteB = dB
 		} else {
@@ -192,17 +208,17 @@ func (m *Model) Backward(d Heads) *tensor.Tensor {
 	if dRouteB == nil {
 		panic("yolo: Backward with no head gradients")
 	}
-	dt := m.neck.Backward(dRouteB)
-	dt = m.b6.Backward(dt)
-	dt = m.b5.Backward(m.p5.Backward(dt))
+	dt := block(m.neck, dRouteB)
+	dt = block(m.b6, dt)
+	dt = block(m.b5, m.p5.Backward(dt))
 	dt = m.p4.Backward(dt)
 	if dRouteA != nil {
 		dt.AddInPlace(dRouteA)
 	}
-	dt = m.b4.Backward(dt)
-	dt = m.b3.Backward(m.p3.Backward(dt))
-	dt = m.b2.Backward(m.p2.Backward(dt))
-	return m.b1.Backward(m.p1.Backward(dt))
+	dt = block(m.b4, dt)
+	dt = block(m.b3, m.p3.Backward(dt))
+	dt = block(m.b2, m.p2.Backward(dt))
+	return block(m.b1, m.p1.Backward(dt))
 }
 
 // Params returns every learnable parameter.
@@ -229,10 +245,11 @@ func (m *Model) SetTraining(training bool) {
 
 // SetFused toggles the eval-time fused conv+BN+leaky kernels on every conv
 // block (the two head convolutions carry their own bias and are unaffected).
-// Fusing is inference-only: Backward through a fused Forward panics, so
-// training paths (including the attack trainer's eval-mode backprop) leave
-// it off. The exact-parity kernels keep fused output bit-identical to the
-// unfused chain; serving enables this on its worker replicas.
+// Fusing is inference-only: Backward or InputGrad through a fused Forward
+// panics, so training paths leave it off, and so does the attack trainer,
+// whose eval-mode Forward feeds the input-only InputGrad. The exact-parity
+// kernels keep fused output bit-identical to the unfused chain; serving
+// enables this on its worker replicas.
 func (m *Model) SetFused(on bool) {
 	for _, cb := range m.blocks() {
 		cb.SetFused(on)
