@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the tier-1 verify path:
 # gofmt + build + vet + rtlint + race-enabled tests (scripts/check.sh).
 
-.PHONY: check build vet lint test race chaos trace bench bench-serve bench-tables serve report
+.PHONY: check build vet lint test race chaos trace bench bench-tables serve report
 
 check:
 	./scripts/check.sh
@@ -41,18 +41,13 @@ trace:
 	go test -race -count 1 ./cmd/tracetool
 	go test -race -count 1 -run 'TestTrace' ./internal/fabric
 
-# Measure the tensor hot path against the preserved reference kernels and
+# Measure the tensor kernels against the preserved reference kernels and
 # refresh the committed perf record (see DESIGN.md "Performance"). Run on a
-# quiet machine; the regression gate compares speedup ratios, not ns/op.
+# quiet machine; the regression gate compares speedup ratios against the
+# committed BENCH_tensor.json, not ns/op. End-to-end workloads (attack
+# window, evaluation, detection) are measured by perfledger/run.sh.
 bench:
 	go run ./cmd/benchperf -runs 5 -out BENCH_tensor.json
-
-# Measure micro-batched serving against the one-request-at-a-time path and
-# refresh the committed record. The gate is the batched/single RPS ratio at
-# batch 8 (duplicate-heavy burst, cold cache): machine-comparable, floored at
-# 2x, and compared against the previously committed file.
-bench-serve:
-	go run ./cmd/benchperf -serve -runs 5 -out BENCH_serve.json
 
 # Regenerate the paper tables/figures at reduced budget (needs
 # testdata/detector.rtwt from `go run ./cmd/trainyolo`).

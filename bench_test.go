@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"roadtrojan/internal/eval"
-	"roadtrojan/internal/yolo"
 )
 
 const (
@@ -135,40 +134,6 @@ func BenchmarkFigures2to8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := env.Figures(dir); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDetectorInference measures the victim's per-frame cost — the
-// quantity that made the paper pick YOLOv3-tiny over YOLOv3.
-func BenchmarkDetectorInference(b *testing.B) {
-	env := benchEnvironment(b)
-	sc := env.Road()
-	frame, err := env.Cam.Render(sc.Ground)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := frame.Reshape(1, 3, frame.Dim(1), frame.Dim(2))
-	env.Det.SetTraining(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		heads := env.Det.Forward(batch)
-		env.Det.DecodeSample(heads, 0, yolo.DefaultDecode())
-	}
-}
-
-// BenchmarkAttackIteration measures one generator update of the attack
-// (GAN + EOT + compositing + detector backward) — the training inner loop.
-func BenchmarkAttackIteration(b *testing.B) {
-	env := benchEnvironment(b)
-	det := &Detector{model: env.Det}
-	cfg := DefaultAttackConfig()
-	cfg.Iters = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		if _, err := CraftPatch(det, env.Road(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

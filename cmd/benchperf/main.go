@@ -1,4 +1,4 @@
-// Command benchperf measures the tensor hot path and writes the results to
+// Command benchperf measures the tensor kernels and writes the results to
 // a JSON file (BENCH_tensor.json at the repo root by convention, committed
 // alongside kernel changes so the perf history travels with the code).
 //
@@ -7,22 +7,17 @@
 // reference kernels (tensor.SetRefKernels). The headline number is the
 // speedup ratio between the two — unlike raw ns/op it is comparable across
 // machines, so it is the figure the regression gate checks against the
-// previously committed file. Raw ns/op, allocs/op and B/op medians are
+// committed BENCH_tensor.json. Raw ns/op, allocs/op and B/op medians are
 // recorded for the record but never gated (they move with the hardware).
 //
-// The -serve flag switches to the serving suite (see serve.go): end-to-end
-// executor benchmarks of micro-batching versus a batch size of 1 (each request
-// flushed on arrival), written to BENCH_serve.json and gated on the batched/single throughput
-// ratio. -prev points the gate at a different previously committed file than
-// -out, so CI can write a scratch artifact while comparing against the
-// committed history.
+// The end-to-end workloads (a real attack window, evaluation, detection) are
+// measured by perfledger; benchperf keeps only the production-vs-reference
+// kernel ratios the ledger cannot show.
 //
 // Usage:
 //
-//	go run ./cmd/benchperf -runs 5 -out BENCH_tensor.json   # full (make bench)
-//	go run ./cmd/benchperf -smoke -out out/bench_smoke.json # CI smoke step
-//	go run ./cmd/benchperf -serve -out BENCH_serve.json     # serving suite (make bench-serve)
-//	go run ./cmd/benchperf -serve -smoke -prev BENCH_serve.json -out out/bench_serve_smoke.json
+//	go run ./cmd/benchperf -runs 5 -out BENCH_tensor.json   # full, gated (make bench)
+//	go run ./cmd/benchperf -smoke -out out/bench_smoke.json # one fast run, record only
 package main
 
 import (
@@ -37,16 +32,17 @@ import (
 	"sort"
 	"time"
 
-	"roadtrojan/internal/gan"
-	"roadtrojan/internal/obs"
 	"roadtrojan/internal/tensor"
 	"roadtrojan/internal/yolo"
 )
 
+// committedFile is the perf record a full run is gated against.
+const committedFile = "BENCH_tensor.json"
+
 // speedupDropTolerance is how far a benchmark's ref/production speedup may
-// fall below the previously committed value before benchperf fails. The
-// ratio is machine-independent, but still jittery on loaded hosts; 25%
-// headroom separates real kernel regressions from scheduler noise.
+// fall below the committed value before benchperf fails. The ratio is
+// machine-independent, but still jittery on loaded hosts; 25% headroom
+// separates real kernel regressions from scheduler noise.
 const speedupDropTolerance = 0.25
 
 type result struct {
@@ -82,11 +78,9 @@ type bench struct {
 }
 
 func main() {
-	out := flag.String("out", "", "output JSON path (default BENCH_tensor.json, or BENCH_serve.json with -serve)")
+	out := flag.String("out", committedFile, "output JSON path")
 	runs := flag.Int("runs", 5, "timed runs per benchmark; medians are reported")
-	smoke := flag.Bool("smoke", false, "single fast run per benchmark (CI gate)")
-	serveSuite := flag.Bool("serve", false, "run the serving suite (micro-batched vs batch size 1 executor) instead of the tensor suite")
-	prevPath := flag.String("prev", "", "previously committed bench file to gate against (default: the -out path)")
+	smoke := flag.Bool("smoke", false, "single fast run per benchmark, recorded but not gated")
 	filter := flag.String("bench", "", "regexp selecting benchmarks to run (default all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the timed windows")
 	flag.Parse()
@@ -97,18 +91,6 @@ func main() {
 	if *runs < 1 {
 		fmt.Fprintln(os.Stderr, "benchperf: -runs must be >= 1")
 		os.Exit(2)
-	}
-	if *out == "" {
-		*out = "BENCH_tensor.json"
-		if *serveSuite {
-			*out = "BENCH_serve.json"
-		}
-	}
-	if *prevPath == "" {
-		*prevPath = *out
-	}
-	if *serveSuite {
-		os.Exit(serveMain(*out, *prevPath, *runs, *smoke))
 	}
 
 	var sel *regexp.Regexp
@@ -139,7 +121,12 @@ func main() {
 		}
 	}
 
-	prev := readPrevious(*prevPath)
+	// A smoke run is one short window per benchmark: its ratios are too
+	// noisy to gate, so it only proves the kernels still run.
+	var prev *benchFile
+	if !*smoke {
+		prev = readCommitted(committedFile)
+	}
 
 	file := benchFile{
 		SchemaVersion: 1,
@@ -177,9 +164,9 @@ func main() {
 	}
 }
 
-// benches defines the measured workloads, ordered from microkernel to full
-// pipeline. All use fixed seeds so both kernel configurations see identical
-// data.
+// benches defines the measured workloads, ordered from microkernel to the
+// full detector forward. All use fixed seeds so both kernel configurations
+// see identical data.
 func benches() []bench {
 	return []bench{
 		{
@@ -223,92 +210,7 @@ func benches() []bench {
 				return func() { det.Forward(frame) }
 			},
 		},
-		{
-			// The disabled-observability contract: a nil trace's typed event
-			// methods must cost nothing — no allocation (AllocsPerOp 0 here)
-			// and low single-digit nanoseconds — because the trainers call
-			// them unconditionally inside their hot loops. The kernel-config
-			// toggle does not touch this path, so the speedup hovers at 1.0;
-			// the numbers that matter are allocs/op and ns/op.
-			name: "ObsNoopEmit", ops: 5_000_000, smokeOps: 500_000,
-			setup: func() func() {
-				var tr *obs.Trace // nil = observability off
-				sp := tr.Span("train")
-				st := obs.IterStats{Method: "ours", Attack: 0.5, GanG: 0.1, PTarget: 0.2}
-				return func() {
-					st.It++
-					sp.Iter(st)
-					sp.EOT(obs.EOTDraw{It: st.It, Resize: 1})
-					sp.Verify(obs.VerifyStats{It: st.It, Score: 0.5})
-				}
-			},
-		},
-		{
-			name: "AttackIteration", ops: 3, smokeOps: 1,
-			setup: func() func() {
-				rng := rand.New(rand.NewSource(5))
-				det := yolo.New(rng, yolo.DefaultConfig())
-				det.SetTraining(true)
-				g := gan.NewGenerator(rng)
-				d := gan.NewDiscriminator(rng)
-				z := gan.SampleZ(rand.New(rand.NewSource(6)), 1)
-				frame := tensor.NewRandN(rng, 0.25, 1, 3, 64, 64).AddScalar(0.5).Clamp(0, 1)
-				probeRNG := rand.New(rand.NewSource(7))
-				var probe yolo.Heads
-				// One generator update worth of compute: patch synthesis,
-				// adversarial gradient from the discriminator, detector
-				// forward/backward on the patched frame, generator backward.
-				return func() {
-					patch := g.Forward(z)
-					_, dAdv := gan.GeneratorAdversarialGrad(d, patch)
-					pasted := pastePatch(frame, patch)
-					heads := det.Forward(pasted)
-					if probe.Coarse == nil {
-						probe.Coarse = tensor.NewRandN(probeRNG, 0.1, heads.Coarse.Shape()...)
-						probe.Fine = tensor.NewRandN(probeRNG, 0.1, heads.Fine.Shape()...)
-					}
-					dFrame := det.Backward(probe)
-					dPatch := cropGrad(dFrame, patch)
-					dPatch.AddInPlace(dAdv)
-					g.Backward(dPatch)
-				}
-			},
-		},
 	}
-}
-
-// pastePatch composites the grayscale [1,1,P,P] patch into the top-left
-// corner of every channel of a copy of the [1,3,H,W] frame — the monochrome
-// decal compositing of the attack loop without the scene machinery.
-func pastePatch(frame, patch *tensor.Tensor) *tensor.Tensor {
-	out := frame.Clone()
-	p := patch.Dim(2)
-	h, w := frame.Dim(2), frame.Dim(3)
-	for c := 0; c < 3; c++ {
-		for y := 0; y < p; y++ {
-			dst := out.Data()[(c*h+y)*w : (c*h+y)*w+p]
-			copy(dst, patch.Data()[y*p:(y+1)*p])
-		}
-	}
-	return out
-}
-
-// cropGrad sums the patch-region gradient over the frame's channels back
-// into a [1,1,P,P] patch gradient (the adjoint of pastePatch).
-func cropGrad(dFrame, patch *tensor.Tensor) *tensor.Tensor {
-	p := patch.Dim(2)
-	h, w := dFrame.Dim(2), dFrame.Dim(3)
-	out := tensor.New(1, 1, p, p)
-	for c := 0; c < 3; c++ {
-		for y := 0; y < p; y++ {
-			src := dFrame.Data()[(c*h+y)*w : (c*h+y)*w+p]
-			dst := out.Data()[y*p : (y+1)*p]
-			for i, v := range src {
-				dst[i] += v
-			}
-		}
-	}
-	return out
 }
 
 // run measures b for the given per-run op count under both kernel
@@ -378,9 +280,9 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// readPrevious loads the previously committed bench file, if any. A missing
-// or unparseable file disables the regression gate (first run, new schema).
-func readPrevious(path string) *benchFile {
+// readCommitted loads the committed bench file, if any. A missing or
+// unparseable file disables the regression gate (first run, new schema).
+func readCommitted(path string) *benchFile {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil
@@ -392,14 +294,7 @@ func readPrevious(path string) *benchFile {
 	return &f
 }
 
-// speedupExempt names benchmarks that never touch the tensor kernels: the
-// production and reference windows run identical code, so their ratio is
-// scheduler noise and gating it would flake. Their allocation count is
-// gated instead — for ObsNoopEmit, allocs/op creeping above zero means the
-// disabled-observability hot path started allocating.
-var speedupExempt = map[string]bool{"ObsNoopEmit": true}
-
-// compare gates the new speedups against the previous file: a benchmark
+// compare gates the new speedups against the committed file: a benchmark
 // whose ref/production ratio fell more than speedupDropTolerance is a
 // kernel regression. ns/op deltas are reported as information only.
 func compare(prev *benchFile, cur benchFile) []string {
@@ -416,21 +311,13 @@ func compare(prev *benchFile, cur benchFile) []string {
 		if !ok || p.Speedup <= 0 {
 			continue
 		}
-		if speedupExempt[r.Name] {
-			if p.AllocsPerOp == 0 && r.AllocsPerOp > 0 {
-				msgs = append(msgs, fmt.Sprintf(
-					"%s: allocs/op regressed 0 -> %.1f (no-op path must not allocate)",
-					r.Name, r.AllocsPerOp))
-			}
-			continue
-		}
 		if r.Speedup < p.Speedup*(1-speedupDropTolerance) {
 			msgs = append(msgs, fmt.Sprintf(
 				"%s: speedup regressed %.2fx -> %.2fx (tolerance %.0f%%)",
 				r.Name, p.Speedup, r.Speedup, speedupDropTolerance*100))
 		}
 		if p.NsPerOp > 0 {
-			fmt.Printf("%-20s ns/op %+.1f%% vs previous file (informational)\n",
+			fmt.Printf("%-20s ns/op %+.1f%% vs committed file (informational)\n",
 				r.Name, 100*(r.NsPerOp-p.NsPerOp)/p.NsPerOp)
 		}
 	}

@@ -31,7 +31,7 @@ func run() error {
 		runs    = flag.Int("runs", 3, "evaluation runs to average")
 		seed    = flag.Int64("seed", 7, "experiment seed")
 		only    = flag.String("only", "", "run a single experiment: I..VI or figures")
-		perf    = flag.String("perf", "", "render committed perf records (comma-separated paths, e.g. BENCH_tensor.json,BENCH_serve.json) instead of running experiments")
+		perf    = flag.String("perf", "", "render committed perf records (comma-separated paths, e.g. BENCH_tensor.json) instead of running experiments")
 		verbose = flag.Bool("v", false, "log attack training progress")
 	)
 	flag.Parse()

@@ -3,6 +3,7 @@ package fabric
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -77,6 +78,37 @@ func (r *Ring) Remove(id string) {
 		kept = append(kept, h)
 	}
 	r.hashes = kept
+}
+
+// check verifies the ring's structure: positions strictly ascending, one
+// owner per position, every owner a member, and every member owning at
+// least one position. Tests run it after every mutation.
+func (r *Ring) check() error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.hashes) != len(r.owner) {
+		return fmt.Errorf("fabric: ring has %d positions, %d owners", len(r.hashes), len(r.owner))
+	}
+	owned := make(map[string]int, len(r.nodes))
+	for i, h := range r.hashes {
+		if i > 0 && r.hashes[i-1] >= h {
+			return fmt.Errorf("fabric: ring positions not strictly ascending at %d", i)
+		}
+		id, ok := r.owner[h]
+		if !ok {
+			return fmt.Errorf("fabric: ring position %#x has no owner", h)
+		}
+		if !r.nodes[id] {
+			return fmt.Errorf("fabric: ring position %#x owned by non-member %q", h, id)
+		}
+		owned[id]++
+	}
+	for id := range r.nodes {
+		if owned[id] == 0 {
+			return fmt.Errorf("fabric: ring member %q owns no position", id)
+		}
+	}
+	return nil
 }
 
 // Len reports the number of physical nodes.

@@ -2,6 +2,10 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -130,5 +134,59 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	if got := r.Nodes(); len(got) != 0 {
 		t.Fatalf("nodes after removal = %v", got)
+	}
+}
+
+// TestRingModel drives the ring with seeded random adds and removes,
+// repeats included, next to a model that places every member's virtual
+// nodes itself. After every step the ring must pass check(), list the
+// model's members, and route each probe key to the owner of the first
+// model position at or after the key's hash.
+func TestRingModel(t *testing.T) {
+	const replicas = 8
+	rng := rand.New(rand.NewSource(41))
+	r := NewRing(replicas)
+	members := map[string]bool{}
+	keys := ringKeys(32)
+	for step := 0; step < 400; step++ {
+		id := "n" + strconv.Itoa(rng.Intn(6))
+		if rng.Intn(2) == 0 {
+			r.Add(id)
+			members[id] = true
+		} else {
+			r.Remove(id)
+			delete(members, id)
+		}
+		if err := r.check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+
+		ids := []string{}
+		owner := map[uint64]string{}
+		var pos []uint64
+		for m := range members {
+			ids = append(ids, m)
+			for i := 0; i < replicas; i++ {
+				h := ringHash(m + "#" + strconv.Itoa(i))
+				owner[h] = m
+				pos = append(pos, h)
+			}
+		}
+		sort.Strings(ids)
+		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
+		if got := r.Nodes(); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("step %d: nodes %v, model %v", step, got, ids)
+		}
+		for _, k := range keys {
+			want := ""
+			if len(pos) > 0 {
+				h := ringHash(k)
+				i := sort.Search(len(pos), func(i int) bool { return pos[i] >= h })
+				want = owner[pos[i%len(pos)]]
+			}
+			if got := r.Lookup(k); got != want {
+				t.Fatalf("step %d: lookup(%q) = %q, model %q", step, k, got, want)
+			}
+		}
 	}
 }

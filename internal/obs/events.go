@@ -3,8 +3,7 @@ package obs
 // Typed events for the repository's hot loops. Each takes its payload as a
 // struct by value so that calling it on a disabled span costs nothing: no
 // slice is materialized before the enabled check, which is what keeps the
-// no-op path at 0 allocs/op (see TestNoopZeroAllocs and the ObsNoopEmit
-// benchmark in cmd/benchperf).
+// no-op path at 0 allocs/op (see TestNoopZeroAllocs).
 //
 // The attribute build order below is the journal field order; keep it
 // stable — golden journals depend on it.

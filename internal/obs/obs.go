@@ -18,8 +18,8 @@
 //     every method returns immediately and allocates nothing, so trainers
 //     instrument their hot loops unconditionally. The typed event methods
 //     take structs by value for exactly this reason — no variadic slice is
-//     built before the enabled check. cmd/benchperf's ObsNoopEmit
-//     benchmark and TestNoopZeroAllocs pin the 0 allocs/op contract.
+//     built before the enabled check. TestNoopZeroAllocs pins the
+//     0 allocs/op contract.
 package obs
 
 import (

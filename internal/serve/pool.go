@@ -92,16 +92,20 @@ func dispatchGroup[C parkedCall](e *Executor, g []C, run func(det *yolo.Model) (
 }
 
 // worker drains the job queue with its own detector replica until the queue
-// closes at shutdown.
+// closes at shutdown. One clock read at dequeue ends the queue wait and
+// starts the job time behind the Retry-After estimate, both on cfg.Clock.
+// The job time is folded in before the waiters are answered, so a caller
+// that has its reply already sees the estimate include its own job.
 func (e *Executor) worker(det *yolo.Model) {
 	defer e.wg.Done()
 	for t := range e.jobs {
 		e.queueDepth.Add(-1)
-		e.observeStage(StageQueueWait, e.cfg.Clock.Now().Sub(t.enqueued), t.traceID)
+		start := e.cfg.Clock.Now()
+		e.observeStage(StageQueueWait, start.Sub(t.enqueued), t.traceID)
 		e.inflight.Add(1)
-		start := time.Now()
-		t.finish(e.runTask(t, det))
-		e.observeJobSeconds(time.Since(start))
+		vs, err := e.runTask(t, det)
+		e.observeJobSeconds(e.cfg.Clock.Now().Sub(start))
+		t.finish(vs, err)
 		e.inflight.Add(-1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -546,6 +547,56 @@ func TestQueueOverflowRetryAfterHeader(t *testing.T) {
 	}
 	releaseAll()
 	wg.Wait()
+}
+
+// jobClock is an injected clock that only the test's job moves: each job
+// advances it by its own duration, so the pool's job timing is exact.
+type jobClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *jobClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *jobClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+// After never fires: at BatchSize 1 every request flushes on arrival.
+func (c *jobClock) After(time.Duration) <-chan time.Time { return nil }
+
+// TestRetryAfterFollowsInjectedClock: the Retry-After estimate times jobs on
+// cfg.Clock, the same clock as queue_wait. A 30 s job sets the estimate to
+// 30 s; a following 10 s job moves the EWMA to 0.3·10 + 0.7·30 = 24 s.
+func TestRetryAfterFollowsInjectedClock(t *testing.T) {
+	clk := &jobClock{now: time.Unix(1000, 0)}
+	var jobDur atomic.Int64
+	e := batchExecutor(t, Config{Workers: 1, QueueSize: 4, BatchSize: 1, Clock: clk,
+		Job: func(eval.Job) (eval.Detail, error) {
+			clk.advance(time.Duration(jobDur.Load()))
+			return eval.Detail{}, nil
+		}}, nil)
+	if got := e.RetryAfterSeconds(); got != 1 {
+		t.Fatalf("RetryAfterSeconds before any job = %d, want 1", got)
+	}
+	for i, tc := range []struct {
+		job  time.Duration
+		want int
+	}{{30 * time.Second, 30}, {10 * time.Second, 24}} {
+		jobDur.Store(int64(tc.job))
+		if _, err := e.Evaluate(context.Background(), batchEvalReq(int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.RetryAfterSeconds(); got != tc.want {
+			t.Errorf("after a %v job: RetryAfterSeconds = %d, want %d", tc.job, got, tc.want)
+		}
+	}
 }
 
 // TestCacheHitRatioMetric: the derived gauge on /metrics tracks the live

@@ -71,16 +71,13 @@ go test -race -count 1 -run 'TestChaos' ./internal/chaos ./internal/fabric
 echo "== go test -race ./..."
 go test -race ./...
 
+# Kernel smoke: one short production-vs-reference window per benchmark,
+# recorded to a scratch artifact and never gated (one window is too noisy
+# to compare). The speedup gate runs on `make bench` against the committed
+# BENCH_tensor.json.
 echo "== benchperf smoke"
 mkdir -p out
 go run ./cmd/benchperf -smoke -out out/bench_smoke.json
-
-# Serving gate: micro-batched throughput must stay >= 2x the batch-size-1
-# baseline on the duplicate-heavy burst workload, and must not regress more
-# than the tolerance against the committed BENCH_serve.json. Writes a scratch
-# artifact; the committed file only changes via `make bench-serve`.
-echo "== benchperf serve smoke"
-go run ./cmd/benchperf -serve -smoke -prev BENCH_serve.json -out out/bench_serve_smoke.json
 
 # Ledger output gate: every perfledger workload in 1 s windows. It recomputes
 # the eval and detect responses in process and exits 1 on any byte mismatch
