@@ -15,36 +15,42 @@ import (
 // physical print resolution k, pushes it through the print channel when the
 // physical channel is enabled (monochrome patches suffer only luminance
 // error; colored baseline patches take the full chroma error), and
-// composites the decals onto a clone of the scene's ground texture. The
+// composites the decals onto a copy of the scene's ground texture. The
 // returned ground is what evaluation videos render.
 func Deploy(sc Scene, p *Patch, ch physical.Channel, rng *rand.Rand) (*scene.Ground, error) {
 	pls := Placements(p.Cfg, sc.TargetGX, sc.TargetGY)
-	decaledTex, err := deployTex(sc, p, ch, rng, pls)
+	layer := deployLayer(p, ch, rng)
+	var tex *tensor.Tensor
+	var err error
+	if p.IsColored() {
+		tex, _, err = applyRGBDecals(sc.Ground, layer, pls)
+	} else {
+		tex, _, err = applyGrayDecals(sc.Ground, layer, pls, p.Cfg.Ink)
+	}
 	if err != nil {
 		return nil, err
 	}
 	g := sc.Ground
-	return &scene.Ground{Tex: decaledTex, WidthM: g.WidthM, LengthM: g.LengthM, MPP: g.MPP}, nil
+	return &scene.Ground{Tex: tex, WidthM: g.WidthM, LengthM: g.LengthM, MPP: g.MPP}, nil
 }
 
-func deployTex(sc Scene, p *Patch, ch physical.Channel, rng *rand.Rand, pls []Placement) (*tensor.Tensor, error) {
+// deployLayer is the k×k layer Deploy lays down, printed when the channel
+// is enabled.
+func deployLayer(p *Patch, ch physical.Channel, rng *rand.Rand) *tensor.Tensor {
 	k := p.Cfg.K
 	if p.IsColored() {
 		layer := imaging.ResizeBilinear(p.RGB, k, k)
 		if ch.Enabled {
-			job := ch.Print.NewJob(rng)
-			layer = job.PrintRGB(layer)
+			layer = ch.Print.NewJob(rng).PrintRGB(layer)
 		}
-		tex, _, err := applyRGBDecals(sc.Ground, sc.Ground.Tex.Clone(), layer, pls)
-		return tex, err
+		return layer
 	}
 	// Monochrome decal: print the k×k silhouette, then restore transparency
 	// outside the cut shape (stickers are die-cut; nothing prints there).
-	maskK := imaging.ResizeBilinear(p.Mask, k, k)
 	layer := imaging.ResizeBilinear(p.MaskedGray(), k, k)
 	if ch.Enabled {
-		job := ch.Print.NewJob(rng)
-		printed := job.PrintGray(layer)
+		maskK := imaging.ResizeBilinear(p.Mask, k, k)
+		printed := ch.Print.NewJob(rng).PrintGray(layer)
 		restored := tensor.New(1, k, k)
 		for i := range restored.Data() {
 			m := maskK.Data()[i]
@@ -52,8 +58,7 @@ func deployTex(sc Scene, p *Patch, ch physical.Channel, rng *rand.Rand, pls []Pl
 		}
 		layer = restored
 	}
-	tex, _, err := applyGrayDecals(sc.Ground, sc.Ground.Tex.Clone(), layer, pls, p.Cfg.Ink)
-	return tex, err
+	return layer
 }
 
 // RenderPrint returns the patch as it would be sent to the printer at k×k —

@@ -47,7 +47,7 @@ func TestEndToEndAttackGradient(t *testing.T) {
 
 	forward := func() (float64, *tensor.Tensor) {
 		masked, maskBwd := imaging.ApplyShapeMask(patch, mask)
-		decaled, gcomp, err := applyGrayDecals(sc.Ground, sc.Ground.Tex, masked, pls, cfg.Ink)
+		decaled, gcomp, err := applyGrayDecals(sc.Ground, masked, pls, cfg.Ink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestEndToEndAttackReducesLoss(t *testing.T) {
 
 	lossOf := func() (float64, *tensor.Tensor) {
 		masked, maskBwd := imaging.ApplyShapeMask(patch, mask)
-		decaled, gcomp, err := applyGrayDecals(sc.Ground, sc.Ground.Tex, masked, pls, cfg.Ink)
+		decaled, gcomp, err := applyGrayDecals(sc.Ground, masked, pls, cfg.Ink)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 
 	"roadtrojan/internal/eot"
 	"roadtrojan/internal/imaging"
@@ -17,106 +18,104 @@ func patchCorners(r int) [4]imaging.Point {
 
 // decalWarp builds the warp that resamples an R×R patch raster onto the
 // ground texture at the given placement (output = ground raster pixels,
-// input = patch pixels). outside fills texels the decal does not cover.
+// input = patch pixels). It renders only the window of texels the decal
+// can touch, the quad's bounding box with a one-texel margin (windowSpan);
+// outside fills the texels of that window the decal does not cover.
 func decalWarp(g *scene.Ground, pl Placement, r int, outside float64) (*imaging.Warp, error) {
 	quad := g.DecalQuad(pl.GX, pl.GY, pl.SizeM, pl.Rot)
 	h, err := imaging.QuadToQuad(quad, patchCorners(r))
 	if err != nil {
 		return nil, fmt.Errorf("attack: decal warp: %w", err)
 	}
-	return imaging.NewWarp(h, g.Rows(), g.Cols(), outside), nil
+	lo, hi := quad[0], quad[0]
+	for _, p := range quad[1:] {
+		lo.X, lo.Y = math.Min(lo.X, p.X), math.Min(lo.Y, p.Y)
+		hi.X, hi.Y = math.Max(hi.X, p.X), math.Max(hi.Y, p.Y)
+	}
+	x0, x1 := windowSpan(lo.X, hi.X, g.Cols())
+	y0, y1 := windowSpan(lo.Y, hi.Y, g.Rows())
+	wp := imaging.NewWarp(h, y1-y0, x1-x0, outside)
+	wp.X0, wp.Y0 = x0, y0
+	return wp, nil
 }
 
-// grayComposite is the differentiable application of one monochrome patch
-// to the ground at N placements. Forward produces the decaled texture;
-// Backward converts the texture gradient into the patch gradient.
-type grayComposite struct {
-	warps []*imaging.Warp
-	comps []*imaging.CompositeInk
-	r     int
+// windowSpan returns a decal window's half-open texel range along one
+// axis, for a quad spanning [lo, hi] on it: the texels inside that span,
+// one more on each side to absorb rounding in the homography, clipped to
+// [0, n). A quad that misses the raster gets an empty range.
+func windowSpan(lo, hi float64, n int) (int, int) {
+	a := math.Max(math.Ceil(lo)-1, 0)
+	b := math.Min(math.Floor(hi)+2, float64(n))
+	if !(b > a) {
+		return 0, 0
+	}
+	return int(a), int(b)
+}
+
+// decalGraph is the differentiable application of one patch layer to the
+// ground at N placements: each placement's windowed warp and the adjoint
+// of its in-place composite. Backward converts the texture gradient into
+// the layer gradient.
+type decalGraph struct {
+	warps  []*imaging.Warp
+	backAt []func(dCanvas *tensor.Tensor) *tensor.Tensor // each composite's BackwardAt
 }
 
 // applyGrayDecals composites the [1,R,R] gray layer (1 = transparent) onto a
-// clone of base at every placement. Ink is near-black road paint.
-func applyGrayDecals(g *scene.Ground, base *tensor.Tensor, layer *tensor.Tensor, pls []Placement, ink float64) (*tensor.Tensor, *grayComposite, error) {
-	r := layer.Dim(1)
-	gc := &grayComposite{r: r}
-	tex := base
+// copy of the ground texture at every placement, each inside its decal
+// window. Ink is near-black road paint.
+func applyGrayDecals(g *scene.Ground, layer *tensor.Tensor, pls []Placement, ink float64) (*tensor.Tensor, *decalGraph, error) {
+	dg := &decalGraph{}
+	tex := g.Tex.Clone()
 	for _, pl := range pls {
-		wp, err := decalWarp(g, pl, r, 1) // outside = white = transparent
+		wp, err := decalWarp(g, pl, layer.Dim(1), 1) // outside = white = transparent
 		if err != nil {
 			return nil, nil, err
 		}
-		warped := wp.Forward(layer)
 		comp := imaging.NewCompositeInk([3]float64{ink, ink, ink * 1.02})
-		tex = comp.Forward(tex, warped)
-		gc.warps = append(gc.warps, wp)
-		gc.comps = append(gc.comps, comp)
+		comp.ForwardAt(tex, wp.Forward(layer), wp.X0, wp.Y0)
+		dg.warps = append(dg.warps, wp)
+		dg.backAt = append(dg.backAt, comp.BackwardAt)
 	}
-	return tex, gc, nil
+	return tex, dg, nil
+}
+
+// applyRGBDecals composites the colored layer onto a copy of the ground
+// texture at every placement, each inside its decal window. The coverage
+// mask is the warped footprint of the full square, so the colored
+// baseline's patch is an opaque square sticker.
+func applyRGBDecals(g *scene.Ground, layer *tensor.Tensor, pls []Placement) (*tensor.Tensor, *decalGraph, error) {
+	r := layer.Dim(1)
+	ones := tensor.Ones(1, r, r)
+	dg := &decalGraph{}
+	tex := g.Tex.Clone()
+	for _, pl := range pls {
+		wp, err := decalWarp(g, pl, r, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		mask := wp.Forward(ones)
+		warped := wp.Forward(layer) // last, so the warp's Backward maps to the layer
+		comp := imaging.NewCompositeRGB()
+		comp.ForwardAt(tex, warped, mask, wp.X0, wp.Y0)
+		dg.warps = append(dg.warps, wp)
+		dg.backAt = append(dg.backAt, comp.BackwardAt)
+	}
+	return tex, dg, nil
 }
 
 // backward maps d(decaled texture) to d(layer), summing over placements.
-func (gc *grayComposite) backward(dTex *tensor.Tensor) *tensor.Tensor {
+// dTex is left as it is.
+func (dg *decalGraph) backward(dTex *tensor.Tensor) *tensor.Tensor {
+	dTex = dTex.Clone() // BackwardAt rewrites each window in place
 	var dLayer *tensor.Tensor
-	for i := len(gc.comps) - 1; i >= 0; i-- {
-		dBg, dGray := gc.comps[i].Backward(dTex)
-		dp := gc.warps[i].Backward(dGray)
+	for i := len(dg.warps) - 1; i >= 0; i-- {
+		dp := dg.warps[i].Backward(dg.backAt[i](dTex))
 		if dLayer == nil {
 			dLayer = dp
 		} else {
 			dLayer.AddInPlace(dp)
 		}
-		dTex = dBg
-	}
-	return dLayer
-}
-
-// rgbComposite is the colored-baseline counterpart: a [3,R,R] patch pasted
-// as an opaque square sticker.
-type rgbComposite struct {
-	warps []*imaging.Warp
-	comps []*imaging.CompositeRGB
-}
-
-// applyRGBDecals composites the colored layer at every placement. The
-// coverage mask is the warped footprint of the full square.
-func applyRGBDecals(g *scene.Ground, base *tensor.Tensor, layer *tensor.Tensor, pls []Placement) (*tensor.Tensor, *rgbComposite, error) {
-	r := layer.Dim(1)
-	ones := tensor.Ones(1, r, r)
-	rc := &rgbComposite{}
-	tex := base
-	for _, pl := range pls {
-		wpL, err := decalWarp(g, pl, r, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		warped := wpL.Forward(layer)
-		wpM, err := decalWarp(g, pl, r, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		mask := wpM.Forward(ones)
-		comp := imaging.NewCompositeRGB()
-		tex = comp.Forward(tex, warped, mask)
-		rc.warps = append(rc.warps, wpL)
-		rc.comps = append(rc.comps, comp)
-	}
-	return tex, rc, nil
-}
-
-// backward maps d(decaled texture) to d(layer).
-func (rc *rgbComposite) backward(dTex *tensor.Tensor) *tensor.Tensor {
-	var dLayer *tensor.Tensor
-	for i := len(rc.comps) - 1; i >= 0; i-- {
-		dBg, dL := rc.comps[i].Backward(dTex)
-		dp := rc.warps[i].Backward(dL)
-		if dLayer == nil {
-			dLayer = dp
-		} else {
-			dLayer.AddInPlace(dp)
-		}
-		dTex = dBg
 	}
 	return dLayer
 }

@@ -399,7 +399,7 @@ func newGrayDecal(cfg Config, sc Scene) grayDecal {
 
 func (l *grayDecal) composite(printed *tensor.Tensor) (*tensor.Tensor, func(*tensor.Tensor) *tensor.Tensor, error) {
 	masked, maskBwd := imaging.ApplyShapeMask(printed, l.mask)
-	decaled, gcomp, err := applyGrayDecals(l.sc.Ground, l.sc.Ground.Tex, masked, Placements(l.cfg, l.sc.TargetGX, l.sc.TargetGY), l.cfg.Ink)
+	decaled, gcomp, err := applyGrayDecals(l.sc.Ground, masked, Placements(l.cfg, l.sc.TargetGX, l.sc.TargetGY), l.cfg.Ink)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -593,7 +593,7 @@ func newRGBParam(rng *rand.Rand, cfg Config, sc Scene, root *obs.Span) patchPara
 }
 
 func (p *rgbParam) composite(printed *tensor.Tensor) (*tensor.Tensor, func(*tensor.Tensor) *tensor.Tensor, error) {
-	decaled, rcomp, err := applyRGBDecals(p.sc.Ground, p.sc.Ground.Tex, printed, Placements(p.cfg, p.sc.TargetGX, p.sc.TargetGY))
+	decaled, rcomp, err := applyRGBDecals(p.sc.Ground, printed, Placements(p.cfg, p.sc.TargetGX, p.sc.TargetGY))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -86,4 +87,30 @@ func (br *breaker) stateValue() float64 {
 	br.mu.Lock()
 	defer br.mu.Unlock()
 	return float64(br.state)
+}
+
+// check verifies the breaker's state machine: the state is one of the
+// three constants, a closed breaker holds fewer failures than the
+// threshold, and an open one holds none and knows when it opened. Tests
+// run it after every call.
+func (br *breaker) check() error {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	switch br.state {
+	case breakerClosed:
+		if br.failures >= br.threshold {
+			return fmt.Errorf("fabric: closed breaker holds %d failures, threshold %d", br.failures, br.threshold)
+		}
+	case breakerOpen:
+		if br.failures != 0 {
+			return fmt.Errorf("fabric: open breaker holds %d failures", br.failures)
+		}
+		if br.openedAt.IsZero() {
+			return fmt.Errorf("fabric: open breaker has no opening time")
+		}
+	case breakerHalfOpen:
+	default:
+		return fmt.Errorf("fabric: breaker in unknown state %d", br.state)
+	}
+	return nil
 }

@@ -17,11 +17,17 @@ import (
 // Both the canvas and the decal layer receive gradients, so stacking N
 // decals (each composite's output is the next one's canvas) backpropagates
 // correctly.
+//
+// ForwardAt and BackwardAt composite a layer smaller than the canvas, in
+// place, at an origin. They give the bits Forward and Backward give with
+// the layer padded to the canvas by transparent texels: there gray is 1,
+// so bg·1 + ink·0 = bg and dBg = dOut·1.
 type CompositeInk struct {
 	Ink [3]float64 // ink color; road paint is near-black by default
 
 	lastBg   *tensor.Tensor
 	lastGray *tensor.Tensor
+	x0, y0   int // ForwardAt's origin
 }
 
 // NewCompositeInk returns a compositor with the given ink color.
@@ -48,6 +54,15 @@ func (cp *CompositeInk) Forward(bg, gray *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// ForwardAt blends gray [1,h,w] into canvas [3,H,W] in place, the layer's
+// top-left texel on canvas texel (x0, y0). The layer must lie inside the
+// canvas; texels outside it keep their value.
+func (cp *CompositeInk) ForwardAt(canvas, gray *tensor.Tensor, x0, y0 int) {
+	out := cp.Forward(cropWindow(canvas, x0, y0, gray.Dim(1), gray.Dim(2)), gray)
+	pasteWindow(canvas, out, x0, y0)
+	cp.x0, cp.y0 = x0, y0
+}
+
 // Backward returns (dBg, dGray).
 func (cp *CompositeInk) Backward(dOut *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	if cp.lastBg == nil {
@@ -71,6 +86,18 @@ func (cp *CompositeInk) Backward(dOut *tensor.Tensor) (*tensor.Tensor, *tensor.T
 	return dBg, dGray
 }
 
+// BackwardAt is ForwardAt's adjoint. dCanvas is the gradient of the
+// composited canvas; BackwardAt rewrites its window in place into the
+// gradient of the canvas before compositing and returns dGray [1,h,w].
+func (cp *CompositeInk) BackwardAt(dCanvas *tensor.Tensor) *tensor.Tensor {
+	if cp.lastGray == nil {
+		panic("imaging: CompositeInk.BackwardAt called before ForwardAt")
+	}
+	dBg, dGray := cp.Backward(cropWindow(dCanvas, cp.x0, cp.y0, cp.lastGray.Dim(1), cp.lastGray.Dim(2)))
+	pasteWindow(dCanvas, dBg, cp.x0, cp.y0)
+	return dGray
+}
+
 // CompositeRGB pastes a full-canvas RGB layer over the canvas using an
 // explicit coverage mask (used by the colored baseline attack [34], whose
 // patch has no transparent background: the whole square covers the road).
@@ -78,8 +105,11 @@ func (cp *CompositeInk) Backward(dOut *tensor.Tensor) (*tensor.Tensor, *tensor.T
 //	out_c = bg_c·(1 − m) + layer_c·m
 //
 // The mask is treated as a constant; gradients flow to bg and layer.
+// ForwardAt and BackwardAt work in place on a window, as CompositeInk's do:
+// outside it the mask is 0, so bg·1 + layer·0 = bg and dBg = dOut·1.
 type CompositeRGB struct {
 	lastMask *tensor.Tensor
+	x0, y0   int // ForwardAt's origin
 }
 
 // NewCompositeRGB returns an RGB-over-RGB compositor.
@@ -103,6 +133,15 @@ func (cp *CompositeRGB) Forward(bg, layer, mask *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// ForwardAt blends layer [3,h,w] with mask [1,h,w] into canvas [3,H,W] in
+// place, the layer's top-left texel on canvas texel (x0, y0). The layer
+// must lie inside the canvas; texels outside it keep their value.
+func (cp *CompositeRGB) ForwardAt(canvas, layer, mask *tensor.Tensor, x0, y0 int) {
+	out := cp.Forward(cropWindow(canvas, x0, y0, layer.Dim(1), layer.Dim(2)), layer, mask)
+	pasteWindow(canvas, out, x0, y0)
+	cp.x0, cp.y0 = x0, y0
+}
+
 // Backward returns (dBg, dLayer).
 func (cp *CompositeRGB) Backward(dOut *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	if cp.lastMask == nil {
@@ -123,6 +162,46 @@ func (cp *CompositeRGB) Backward(dOut *tensor.Tensor) (*tensor.Tensor, *tensor.T
 		}
 	}
 	return dBg, dLayer
+}
+
+// BackwardAt is ForwardAt's adjoint: it rewrites the window of dCanvas in
+// place into the gradient of the canvas before compositing and returns
+// dLayer [3,h,w].
+func (cp *CompositeRGB) BackwardAt(dCanvas *tensor.Tensor) *tensor.Tensor {
+	if cp.lastMask == nil {
+		panic("imaging: CompositeRGB.BackwardAt called before ForwardAt")
+	}
+	dBg, dLayer := cp.Backward(cropWindow(dCanvas, cp.x0, cp.y0, cp.lastMask.Dim(1), cp.lastMask.Dim(2)))
+	pasteWindow(dCanvas, dBg, cp.x0, cp.y0)
+	return dLayer
+}
+
+// cropWindow copies the [C,h,w] window at (x0, y0) out of t [C,H,W].
+func cropWindow(t *tensor.Tensor, x0, y0, h, w int) *tensor.Tensor {
+	c, th, tw := t.Dim(0), t.Dim(1), t.Dim(2)
+	if x0 < 0 || y0 < 0 || x0+w > tw || y0+h > th {
+		panic(fmt.Sprintf("imaging: window %dx%d at (%d,%d) outside canvas %v", w, h, x0, y0, t.Shape()))
+	}
+	win := tensor.New(c, h, w)
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			src := (ch*th+y0+y)*tw + x0
+			copy(win.Data()[(ch*h+y)*w:(ch*h+y+1)*w], t.Data()[src:src+w])
+		}
+	}
+	return win
+}
+
+// pasteWindow writes win [C,h,w] into t [C,H,W] at (x0, y0).
+func pasteWindow(t, win *tensor.Tensor, x0, y0 int) {
+	c, h, w := win.Dim(0), win.Dim(1), win.Dim(2)
+	th, tw := t.Dim(1), t.Dim(2)
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			dst := (ch*th+y0+y)*tw + x0
+			copy(t.Data()[dst:dst+w], win.Data()[(ch*h+y)*w:(ch*h+y+1)*w])
+		}
+	}
 }
 
 // ApplyShapeMask whitens a grayscale patch outside the shape mask:

@@ -11,7 +11,12 @@ import (
 type Warp struct {
 	H          Homography
 	OutH, OutW int
-	Outside    float64
+	// X0, Y0 place the output window inside a larger raster: output pixel
+	// (ox, oy) samples H at raster pixel (X0+ox, Y0+oy). The origin stays
+	// out of H, since folding a translation into H changes its rounding.
+	// Both are zero for a warp that renders the whole raster.
+	X0, Y0  int
+	Outside float64
 	// ClampEdges samples the nearest border pixel instead of filling with
 	// Outside when a coordinate falls outside the source (used by resizing,
 	// where half-pixel overshoot at the borders is expected).
@@ -28,7 +33,7 @@ func NewWarp(h Homography, outH, outW int, outside float64) *Warp {
 	return &Warp{H: h, OutH: outH, OutW: outW, Outside: outside}
 }
 
-// Forward warps src [C,H,W] into [C,OutH,OutW].
+// Forward warps src [C,H,W] into the [C,OutH,OutW] output window.
 func (wp *Warp) Forward(src *tensor.Tensor) *tensor.Tensor {
 	c, h, w := src.Dim(0), src.Dim(1), src.Dim(2)
 	wp.lastSrcShape = src.Shape()
@@ -40,7 +45,7 @@ func (wp *Warp) Forward(src *tensor.Tensor) *tensor.Tensor {
 	for oy := 0; oy < wp.OutH; oy++ {
 		for ox := 0; ox < wp.OutW; ox++ {
 			p := oy*wp.OutW + ox
-			u, v, ok := wp.H.Apply(float64(ox), float64(oy))
+			u, v, ok := wp.H.Apply(float64(ox+wp.X0), float64(oy+wp.Y0))
 			if wp.ClampEdges && ok {
 				if u < 0 {
 					u = 0

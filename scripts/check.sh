@@ -38,11 +38,13 @@ fi
 echo "== rtlint corpus + seeded-scratch self-test"
 go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 
-# Focused journal checks first: golden-report drift, journal determinism
-# and the frozen-detector parity checks (input-only backward, batched
-# verify) fail in seconds here, before the full race suite spins up.
+# Focused journal checks first: golden-report drift, journal determinism,
+# the frozen-detector parity checks (input-only backward, batched verify)
+# and the decal-window parity checks fail in seconds here, before the full
+# race suite spins up.
 echo "== golden journal + report + frozen-detector parity"
-go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView' ./internal/attack
+go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster' ./internal/attack
+go test -count 1 -run 'TestWarpWindowMatchesFullRaster|TestCompositeWindowMatchesFullCanvas' ./internal/imaging
 go test -count 1 -run 'TestInputGradMatchesBackward' ./internal/yolo
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
