@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,15 +24,15 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := run(flag.Args(), os.Stdout); err != nil {
+	if err := run(flag.Args(), os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "runreport:", err)
 		os.Exit(1)
 	}
 }
 
-// run renders each journal named in args to w. Split out of main so the
-// golden test can drive it.
-func run(args []string, w io.Writer) error {
+// run renders each journal named in args to w; warnings (skipped lines) go
+// to errw. Split out of main so the golden test can drive it.
+func run(args []string, w, errw io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("no journal file given (usage: runreport <journal.jsonl>)")
 	}
@@ -42,28 +43,28 @@ func run(args []string, w io.Writer) error {
 		if len(args) > 1 {
 			fmt.Fprintf(w, "== %s ==\n", path)
 		}
-		if err := render(path, w); err != nil {
+		if err := render(path, w, errw); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func render(path string, w io.Writer) error {
+func render(path string, w, errw io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	// Lenient read: a journal whose writer was killed mid-line (crash, disk
-	// full) still renders — the torn trailing line is dropped with a warning
-	// instead of failing the whole report.
-	recs, warning, err := obs.ReadJournalLenient(f)
-	if err != nil {
+	// A journal whose writer was killed mid-line (crash, disk full) or that
+	// took damage mid-file still renders: the skipped lines are counted in
+	// a warning instead of failing the whole report.
+	recs, err := obs.ReadJournal(f)
+	var skipped *obs.SkippedLinesError
+	if errors.As(err, &skipped) {
+		fmt.Fprintf(errw, "runreport: %s: %v\n", path, skipped)
+	} else if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
-	}
-	if warning != "" {
-		fmt.Fprintf(os.Stderr, "runreport: %s: %s\n", path, warning)
 	}
 	obs.BuildReport(recs).Render(w)
 	return nil

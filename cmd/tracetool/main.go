@@ -8,8 +8,8 @@
 // Each argument is proc=path, naming the process that wrote the journal —
 // the same name the process was started with (gatewayd -trace-proc, servd
 // -node-id) — or a bare path, in which case the file's base name without
-// extension is used. Journals are read leniently: a torn trailing line
-// (writer killed mid-record) is dropped with a warning.
+// extension is used. A damaged journal still merges: its torn or
+// undecodable lines are skipped and counted in one warning per file.
 //
 // Usage:
 //
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +41,7 @@ func main() {
 }
 
 // run merges the named journals and renders the result to w; warnings
-// (torn lines) go to errw. Split out of main so tests can drive it.
+// (skipped lines) go to errw. Split out of main so tests can drive it.
 func run(args []string, w, errw io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("no journals given (usage: tracetool <proc=journal.jsonl> ...)")
@@ -55,12 +56,12 @@ func run(args []string, w, errw io.Writer) error {
 		if proc == "" {
 			return fmt.Errorf("%s: empty process name", arg)
 		}
-		recs, warning, err := readJournal(path)
-		if err != nil {
+		recs, err := readJournal(path)
+		var skipped *obs.SkippedLinesError
+		if errors.As(err, &skipped) {
+			fmt.Fprintf(errw, "tracetool: %s: %v\n", path, skipped)
+		} else if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
-		}
-		if warning != "" {
-			fmt.Fprintf(errw, "tracetool: %s: %s\n", path, warning)
 		}
 		journals = append(journals, obs.ProcessJournal{Proc: proc, Records: recs})
 	}
@@ -71,11 +72,11 @@ func run(args []string, w, errw io.Writer) error {
 	return obs.RenderMerged(w, m)
 }
 
-func readJournal(path string) ([]obs.JournalRecord, string, error) {
+func readJournal(path string) ([]obs.JournalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer f.Close()
-	return obs.ReadJournalLenient(f)
+	return obs.ReadJournal(f)
 }

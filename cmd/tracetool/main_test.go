@@ -171,6 +171,41 @@ func TestTracetoolTornJournalWarnsAndMerges(t *testing.T) {
 	}
 }
 
+// TestTracetoolMidFileCorruptionWarnsAndMerges: a bit flip in the middle
+// of one journal skips that line with one counted warning, and the merge
+// still renders both roots.
+func TestTracetoolMidFileCorruptionWarnsAndMerges(t *testing.T) {
+	tmp := t.TempDir()
+	args := make([]string, 0, 3)
+	for _, proc := range []string{"gw", "n1", "n2"} {
+		data, err := os.ReadFile(filepath.Join("testdata", proc+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proc == "n2" {
+			lines := bytes.SplitAfter(data, []byte("\n"))
+			lines[9][0] ^= 1 // line 10 no longer opens a JSON object
+			data = bytes.Join(lines, nil)
+		}
+		path := filepath.Join(tmp, proc+".jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, proc+"="+path)
+	}
+	var out, errw bytes.Buffer
+	if err := run(args, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	want := "tracetool: " + filepath.Join(tmp, "n2.jsonl") + ": skipped 1 torn or undecodable line(s); first, line 10:"
+	if !strings.HasPrefix(errw.String(), want) || strings.Count(errw.String(), "\n") != 1 {
+		t.Fatalf("stderr %q, want one warning starting %q", errw.String(), want)
+	}
+	if !strings.Contains(out.String(), "merged trace: 3 process(es), 2 root span(s)") {
+		t.Fatalf("merge failed after mid-file corruption:\n%s", out.String())
+	}
+}
+
 func TestTracetoolBarePathDefaultsProcName(t *testing.T) {
 	// A bare path (no proc= prefix) names the process after the file.
 	tmp := t.TempDir()

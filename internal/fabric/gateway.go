@@ -478,6 +478,38 @@ func (g *Gateway) addJob(j *asyncJob) bool {
 	return true
 }
 
+// checkJobs verifies the async job table: jobOrder and jobTable hold the
+// same ids with no duplicates, each entry is keyed by its own id, every
+// status is pending, running, done or failed, and the table never exceeds
+// JobTableSize. Tests run it after every table operation.
+func (g *Gateway) checkJobs() error {
+	g.jobsMu.Lock()
+	defer g.jobsMu.Unlock()
+	if n := len(g.jobOrder); n > g.cfg.JobTableSize {
+		return fmt.Errorf("fabric: job table holds %d jobs, size %d", n, g.cfg.JobTableSize)
+	}
+	if len(g.jobOrder) != len(g.jobTable) {
+		return fmt.Errorf("fabric: job order lists %d ids, table holds %d", len(g.jobOrder), len(g.jobTable))
+	}
+	seen := make(map[string]bool, len(g.jobOrder))
+	for _, id := range g.jobOrder {
+		if seen[id] {
+			return fmt.Errorf("fabric: job order lists %q twice", id)
+		}
+		seen[id] = true
+		j := g.jobTable[id]
+		if j == nil || j.id != id {
+			return fmt.Errorf("fabric: job %q is missing from the table or keyed wrong", id)
+		}
+		switch status, _, _ := j.view(); status {
+		case "pending", "running", "done", "failed":
+		default:
+			return fmt.Errorf("fabric: job %q in unknown status %q", id, status)
+		}
+	}
+	return nil
+}
+
 func (g *Gateway) getJob(id string) *asyncJob {
 	g.jobsMu.Lock()
 	defer g.jobsMu.Unlock()
@@ -488,51 +520,14 @@ func (g *Gateway) getJob(id string) *asyncJob {
 
 // Handler returns the gateway mux.
 func (g *Gateway) Handler() http.Handler {
+	edge := serve.Instrument(g.reg, g.cfg.Trace, "fabric_gateway_request_seconds", "fabric_gateway_requests_total", "gateway_request")
 	mux := http.NewServeMux()
-	mux.Handle("/v1/evaluate", g.instrument("evaluate", g.handleEvaluate))
-	mux.Handle("POST /v1/jobs", g.instrument("jobs_submit", g.handleSubmit))
-	mux.Handle("GET /v1/jobs/{id}", g.instrument("jobs_poll", g.handlePoll))
-	mux.Handle("/healthz", g.instrument("healthz", g.handleHealthz))
+	mux.Handle("/v1/evaluate", edge("evaluate", g.handleEvaluate))
+	mux.Handle("POST /v1/jobs", edge("jobs_submit", g.handleSubmit))
+	mux.Handle("GET /v1/jobs/{id}", edge("jobs_poll", g.handlePoll))
+	mux.Handle("/healthz", edge("healthz", g.handleHealthz))
 	mux.Handle("/metrics", http.HandlerFunc(g.handleMetrics))
 	return mux
-}
-
-func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	hist := g.reg.Histogram("fabric_gateway_request_seconds", "request latency by endpoint",
-		telemetry.Labels{"endpoint": endpoint}, nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// An inbound trace context (an upstream caller's span) makes this
-		// request span a child in its tree; otherwise a fresh trace is
-		// minted here and the gateway is the root.
-		sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-		sp := g.cfg.Trace.SpanInContext(sc, "gateway_request", obs.S("endpoint", endpoint), obs.S("method", r.Method))
-		if sp != nil {
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		sp.End(obs.I("code", sw.code))
-		hist.Observe(time.Since(start).Seconds())
-		g.reg.Counter("fabric_gateway_requests_total", "requests by endpoint and status code",
-			telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeDispatchError maps dispatch failures onto the serve error surface.
@@ -542,16 +537,16 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &sat):
 		w.Header().Set("Retry-After", strconv.Itoa(sat.retryAfter))
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeSaturated})
+		serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeSaturated})
 	case errors.Is(err, serve.ErrBadRequest):
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
 	case errors.Is(err, ErrNoBackends), errors.Is(err, ErrGatewayClosed), errors.Is(err, errBackendDown):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeUnavailable})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeUnavailable})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeTimeout})
+		serve.WriteJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeTimeout})
 	default:
-		writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeInternal})
+		serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeInternal})
 	}
 }
 
@@ -560,16 +555,16 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 // forwarded verbatim.
 func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST required", Code: serve.CodeMethodNotAllowed})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST required", Code: serve.CodeMethodNotAllowed})
 		return
 	}
 	var req serve.EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.JobTimeout)
@@ -605,23 +600,23 @@ type jobStatusResponse struct {
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req serve.EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
 		return
 	}
 	select {
 	case <-g.closed:
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: ErrGatewayClosed.Error(), Code: serve.CodeShuttingDown})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: ErrGatewayClosed.Error(), Code: serve.CodeShuttingDown})
 		return
 	default:
 	}
 	if retryAfter, sat := g.fleetSaturated(); sat {
 		g.saturated.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: all shards saturated", Code: serve.CodeSaturated})
+		serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: all shards saturated", Code: serve.CodeSaturated})
 		return
 	}
 	seq := g.asyncSeq.Add(1)
@@ -629,7 +624,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job := &asyncJob{id: id, status: "pending"}
 	if !g.addJob(job) {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: job table full", Code: serve.CodeSaturated})
+		serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "fabric: job table full", Code: serve.CodeSaturated})
 		return
 	}
 	if g.wal != nil {
@@ -644,7 +639,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.runAsync(job, req)
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: "pending"})
+	serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: "pending"})
 }
 
 // fleetSaturated reports whether every routable backend's last health
@@ -776,11 +771,11 @@ func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job := g.getJob(id)
 	if job == nil {
-		writeJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown job " + id, Code: serve.CodeNotFound})
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorResponse{Error: "unknown job " + id, Code: serve.CodeNotFound})
 		return
 	}
 	status, result, errMsg := job.view()
-	writeJSON(w, http.StatusOK, jobStatusResponse{ID: id, Status: status, Result: result, Error: errMsg})
+	serve.WriteJSON(w, http.StatusOK, jobStatusResponse{ID: id, Status: status, Result: result, Error: errMsg})
 }
 
 // handleHealthz reports the fleet as the gateway sees it. A shut-down
@@ -811,7 +806,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			status, code = "no_backends", http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":     status,
 		"draining":   draining,
 		"ring_nodes": g.ring.Len(),

@@ -1,13 +1,14 @@
 package fabric
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"sync"
+
+	"roadtrojan/internal/obs"
 )
 
 // WALRecord is one line of the gateway's durable async-job log. Three
@@ -56,34 +57,32 @@ type WAL struct {
 }
 
 // OpenWAL opens (creating if absent) the journal at path and reads every
-// intact record. A torn final line — the expected artifact of a crash
-// mid-append — is cut off the file before it is reopened for append, so the
-// next record starts on a line of its own. Complete lines that do not
-// decode are skipped, not fatal; Skipped counts both.
+// intact record through obs.ScanJSONL, under the repository's one JSONL
+// policy: a line that does not decode is skipped, not fatal, and so is a
+// torn final line — the expected artifact of a crash mid-append — which is
+// also cut off the file before it is reopened for append, so the next
+// record starts on a line of its own. Skipped counts both.
 func OpenWAL(path string) (*WAL, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("fabric: read wal %s: %w", path, err)
 	}
 	w := &WAL{}
-	complete := bytes.LastIndexByte(data, '\n') + 1
+	complete, skipped := obs.ScanJSONL(data, func(_ int, text []byte) error {
+		var rec WALRecord
+		err := json.Unmarshal(text, &rec)
+		if err == nil {
+			w.records = append(w.records, rec)
+		}
+		return err
+	})
 	if complete < len(data) {
 		if err := os.Truncate(path, int64(complete)); err != nil {
 			return nil, fmt.Errorf("fabric: truncate torn wal tail %s: %w", path, err)
 		}
-		w.skipped++
 	}
-	for _, line := range bytes.Split(data[:complete], []byte{'\n'}) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var rec WALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			w.skipped++
-			continue
-		}
-		w.records = append(w.records, rec)
+	if skipped != nil {
+		w.skipped = skipped.Count()
 	}
 	if w.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, fmt.Errorf("fabric: open wal %s: %w", path, err)

@@ -106,3 +106,31 @@ func TestWALSkipsCorruptLine(t *testing.T) {
 		t.Errorf("gateway metrics missing fabric_gateway_wal_skipped_lines 1:\n%s", body.String())
 	}
 }
+
+// TestWALReadsLongLine: a record line longer than any scanner buffer (a
+// large stored result) replays whole and is not counted as skipped.
+func TestWALReadsLongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gw.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := `{"pad":"` + strings.Repeat("x", 3<<20) + `"}`
+	appendWAL(t, w, "a")
+	if err := w.Append(WALRecord{T: walResult, ID: "a", Status: "done", Result: []byte(big)}); err != nil {
+		t.Fatal(err)
+	}
+	appendWAL(t, w, "b")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs := w.Records()
+	if w.Skipped() != 0 || len(recs) != 3 || string(recs[1].Result) != big || recs[2].ID != "b" {
+		t.Fatalf("Skipped() = %d, %d records; want the long result read whole between a and b", w.Skipped(), len(recs))
+	}
+}

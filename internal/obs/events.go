@@ -161,12 +161,10 @@ func (s *Span) EvalScore(v EvalScoreStats) {
 	})
 }
 
-// KnownKinds returns the set of record kinds this schema version defines.
-// ReadJournal rejects records outside it.
-func KnownKinds() map[string]bool {
-	return map[string]bool{
-		"journal": true, "span_start": true, "span_end": true,
-		"iter": true, "eot": true, "verify": true, "gan_d": true,
-		"epoch": true, "eval_run": true, "eval_score": true,
-	}
+// knownKinds is the set of record kinds this schema version defines.
+// ReadJournal skips records outside it.
+var knownKinds = map[string]bool{
+	"journal": true, "span_start": true, "span_end": true,
+	"iter": true, "eot": true, "verify": true, "gan_d": true,
+	"epoch": true, "eval_run": true, "eval_score": true,
 }

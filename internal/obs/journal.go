@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -187,112 +188,59 @@ func (r *JournalRecord) Str(key string) string {
 	return v
 }
 
-// ReadJournal parses and validates a JSONL journal: the header must carry
-// the current schema version, every line must be a JSON object, and every
-// record kind must be known to this schema. The header record is not
-// returned.
+// ReadJournal reads a JSONL journal through ScanJSONL. The header is
+// fatal: empty input, or a first line that is not a journal record at the
+// current schema version, fails the read with no records. After it, a line
+// that is not a JSON object with a known kind and a tick, or is a second
+// header, is skipped and counted like a torn final line; the intact
+// records then come back with a *SkippedLinesError. The header record is
+// not returned.
 func ReadJournal(r io.Reader) ([]JournalRecord, error) {
-	recs, _, err := readJournal(r, false)
-	return recs, err
-}
-
-// ReadJournalLenient reads like ReadJournal but tolerates a torn trailing
-// line — the signature of a process killed mid-Emit or a copy of a live
-// journal — the same way fabric WAL replay does. When the final non-empty
-// line fails to decode, the records before it are returned along with a
-// non-empty warning describing what was dropped. Corruption anywhere else
-// (a bad line with valid lines after it) still fails hard: that is not a
-// torn tail, it is a damaged file.
-func ReadJournalLenient(r io.Reader) (recs []JournalRecord, warning string, err error) {
-	return readJournal(r, true)
-}
-
-func readJournal(r io.Reader, lenient bool) ([]JournalRecord, string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	known := KnownKinds()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("obs: reading journal: %w", err)
+	}
+	if len(data) == 0 {
+		return nil, errors.New("obs: empty journal (no header)")
+	}
 	var out []JournalRecord
-	line := 0
-	// In lenient mode a decode failure is held here while we look for any
-	// later non-empty line; only a failure on the final line is forgiven.
-	var tornLine int
-	var tornErr error
-	fail := func(err error) ([]JournalRecord, string, error) { return nil, "", err }
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
-		}
-		if tornErr != nil {
-			// The earlier bad line was not the tail after all.
-			return fail(tornErr)
-		}
-		hold := func(err error) bool {
-			if lenient && line > 1 {
-				tornLine, tornErr = line, err
-				return true
-			}
-			return false
+	var header bool
+	_, skipped := ScanJSONL(data, func(line int, text []byte) error {
+		if line > 1 && !header {
+			return nil // the read fails on its header below
 		}
 		var fields map[string]any
 		if err := json.Unmarshal(text, &fields); err != nil {
-			err = fmt.Errorf("obs: journal line %d: %w", line, err)
-			if hold(err) {
-				continue
-			}
-			return fail(err)
+			return err
 		}
 		kind, _ := fields["k"].(string)
-		if kind == "" {
-			err := fmt.Errorf("obs: journal line %d: missing record kind", line)
-			if hold(err) {
-				continue
-			}
-			return fail(err)
+		tick, hasTick := fields["t"].(float64)
+		switch schema, _ := fields["schema"].(float64); {
+		case line == 1 && (kind != "journal" || schema != SchemaVersion):
+			return fmt.Errorf("want header record at schema %d, got kind %q schema %v", SchemaVersion, kind, fields["schema"])
+		case line == 1:
+			header = true
+			return nil
+		case kind == "":
+			return errors.New("missing record kind")
+		case kind == "journal":
+			return errors.New("duplicate header")
+		case !knownKinds[kind]:
+			return fmt.Errorf("unknown record kind %q", kind)
+		case !hasTick:
+			return errors.New("missing tick")
 		}
-		if !known[kind] {
-			err := fmt.Errorf("obs: journal line %d: unknown record kind %q", line, kind)
-			if hold(err) {
-				continue
-			}
-			return fail(err)
-		}
-		if line == 1 {
-			if kind != "journal" {
-				return fail(fmt.Errorf("obs: journal line 1: want header record, got %q", kind))
-			}
-			schema, ok := fields["schema"].(float64)
-			if !ok || int(schema) != SchemaVersion {
-				return fail(fmt.Errorf("obs: journal schema %v, want %d", fields["schema"], SchemaVersion))
-			}
-			continue
-		}
-		if kind == "journal" {
-			return fail(fmt.Errorf("obs: journal line %d: duplicate header", line))
-		}
-		rec := JournalRecord{Kind: kind, Fields: fields}
-		rec.Span, _ = fields["sp"].(string)
-		if t, ok := fields["t"].(float64); ok {
-			rec.Tick = int64(t)
-		} else {
-			err := fmt.Errorf("obs: journal line %d: missing tick", line)
-			if hold(err) {
-				continue
-			}
-			return fail(err)
-		}
-		out = append(out, rec)
+		span, _ := fields["sp"].(string)
+		out = append(out, JournalRecord{Kind: kind, Span: span, Tick: int64(tick), Fields: fields})
+		return nil
+	})
+	switch {
+	case !header && skipped != nil && skipped.Lines[0] == 1:
+		return nil, fmt.Errorf("obs: journal line 1: %w", skipped.First)
+	case !header:
+		return nil, errors.New("obs: journal line 1: missing header")
+	case skipped != nil:
+		return out, skipped
 	}
-	if err := sc.Err(); err != nil {
-		return fail(fmt.Errorf("obs: reading journal: %w", err))
-	}
-	if line == 0 {
-		return fail(fmt.Errorf("obs: empty journal (no header)"))
-	}
-	var warning string
-	if tornErr != nil {
-		warning = fmt.Sprintf("dropped torn trailing line %d: %v", tornLine, tornErr)
-	}
-	return out, warning, nil
+	return out, nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -117,80 +118,129 @@ func TestJournalStringEscaping(t *testing.T) {
 	}
 }
 
+// TestReadJournalRejections: a damaged header fails the read with no
+// records; a damaged later line is skipped and counted with its line
+// number and reason, and the record after it is kept.
 func TestReadJournalRejections(t *testing.T) {
+	const hdr = "{\"k\":\"journal\",\"schema\":1}\n"
+	const next = "{\"k\":\"iter\",\"t\":7}\n"
 	cases := []struct {
 		name, in, wantErr string
+		fatal             bool
 	}{
-		{"empty", "", "empty journal"},
-		{"no header", `{"k":"iter","t":1}` + "\n", "want header"},
-		{"wrong schema", `{"k":"journal","schema":999}` + "\n", "schema"},
-		{"bad json", "{\"k\":\"journal\",\"schema\":1}\nnot json\n", "line 2"},
-		{"unknown kind", "{\"k\":\"journal\",\"schema\":1}\n{\"k\":\"mystery\",\"t\":1}\n", "unknown record kind"},
-		{"missing kind", "{\"k\":\"journal\",\"schema\":1}\n{\"t\":1}\n", "missing record kind"},
-		{"missing tick", "{\"k\":\"journal\",\"schema\":1}\n{\"k\":\"iter\"}\n", "missing tick"},
-		{"dup header", "{\"k\":\"journal\",\"schema\":1}\n{\"k\":\"journal\",\"schema\":1}\n", "duplicate header"},
+		{"empty", "", "empty journal", true},
+		{"no header", `{"k":"iter","t":1}` + "\n", "want header", true},
+		{"wrong schema", `{"k":"journal","schema":999}` + "\n", "schema", true},
+		{"bad header json", "not json\n" + next, "line 1: invalid character", true},
+		{"blank first line", "\n" + hdr + next, "line 1: missing header", true},
+		{"torn header", `{"k":"journal","schema":1}`, "line 1: torn trailing line", true},
+		{"bad json", hdr + "not json\n" + next, "invalid character", false},
+		{"unknown kind", hdr + "{\"k\":\"mystery\",\"t\":1}\n" + next, "unknown record kind \"mystery\"", false},
+		{"missing kind", hdr + "{\"t\":1}\n" + next, "missing record kind", false},
+		{"missing tick", hdr + "{\"k\":\"iter\"}\n" + next, "missing tick", false},
+		{"dup header", hdr + hdr + next, "duplicate header", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadJournal(strings.NewReader(tc.in))
+			recs, err := ReadJournal(strings.NewReader(tc.in))
 			if err == nil {
 				t.Fatalf("ReadJournal accepted %q", tc.in)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			var skipped *SkippedLinesError
+			if tc.fatal {
+				if errors.As(err, &skipped) || recs != nil {
+					t.Fatalf("damaged header: got %d records and %v, want a fatal error", len(recs), err)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+				}
+				return
+			}
+			if !errors.As(err, &skipped) {
+				t.Fatalf("error %v is not a *SkippedLinesError", err)
+			}
+			if fmt.Sprint(skipped.Lines) != "[2]" || skipped.Count() != 1 {
+				t.Fatalf("skipped lines %v, want [2]", skipped.Lines)
+			}
+			if !strings.Contains(skipped.First.Error(), tc.wantErr) {
+				t.Fatalf("reason %q does not mention %q", skipped.First, tc.wantErr)
+			}
+			if len(recs) != 1 || recs[0].Kind != "iter" || recs[0].Tick != 7 {
+				t.Fatalf("records %+v, want the line-3 iter alone", recs)
 			}
 		})
 	}
 }
 
-func TestReadJournalLenientTornTail(t *testing.T) {
+// TestReadJournalTornTail: a final line with no newline — a writer killed
+// mid-record — is skipped and counted like any other bad line, even when
+// the bytes before the missing newline are a whole record.
+func TestReadJournalTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJournal(&buf), NewLogicalClock())
 	emitFixture(tr)
-
-	strict, err := ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a writer killed mid-record: chop the final line in half.
 	whole := buf.Bytes()
-	cut := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
-	torn := append(append([]byte{}, whole[:cut]...), whole[cut:cut+5]...)
-
-	if _, err := ReadJournal(bytes.NewReader(torn)); err == nil {
-		t.Fatal("strict reader accepted a torn trailing line")
-	}
-	recs, warning, err := ReadJournalLenient(bytes.NewReader(torn))
+	intact, err := ReadJournal(bytes.NewReader(whole))
 	if err != nil {
-		t.Fatalf("lenient reader failed: %v", err)
+		t.Fatalf("intact journal: %v", err)
 	}
-	if warning == "" || !strings.Contains(warning, "torn trailing line") {
-		t.Fatalf("warning = %q, want torn-line mention", warning)
-	}
-	if len(recs) != len(strict)-1 {
-		t.Fatalf("lenient read kept %d records, want %d", len(recs), len(strict)-1)
-	}
+	lastLine := bytes.Count(whole, []byte("\n"))
+	cut := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
 
-	// An intact journal reads identically with no warning.
-	recs, warning, err = ReadJournalLenient(bytes.NewReader(whole))
-	if err != nil || warning != "" {
-		t.Fatalf("intact journal: err=%v warning=%q", err, warning)
-	}
-	if len(recs) != len(strict) {
-		t.Fatalf("intact lenient read dropped records: %d vs %d", len(recs), len(strict))
+	for name, torn := range map[string][]byte{
+		"half a record":      whole[:cut+5],
+		"record, no newline": whole[:len(whole)-1],
+	} {
+		recs, err := ReadJournal(bytes.NewReader(torn))
+		var skipped *SkippedLinesError
+		if !errors.As(err, &skipped) {
+			t.Fatalf("%s: error %v, want *SkippedLinesError", name, err)
+		}
+		if fmt.Sprint(skipped.Lines) != fmt.Sprint([]int{lastLine}) || skipped.First != errTornLine {
+			t.Fatalf("%s: skipped %v (%v), want line %d torn", name, skipped.Lines, skipped.First, lastLine)
+		}
+		if !strings.Contains(err.Error(), "torn trailing line") {
+			t.Fatalf("%s: error %q does not name the torn line", name, err)
+		}
+		if len(recs) != len(intact)-1 {
+			t.Fatalf("%s: kept %d records, want %d", name, len(recs), len(intact)-1)
+		}
 	}
 }
 
-func TestReadJournalLenientMidFileStillFatal(t *testing.T) {
-	// A bad line followed by a good one is corruption, not a torn tail.
-	in := "{\"k\":\"journal\",\"schema\":1}\nnot json\n{\"k\":\"iter\",\"t\":1}\n"
-	if _, _, err := ReadJournalLenient(strings.NewReader(in)); err == nil {
-		t.Fatal("lenient reader accepted mid-file corruption")
+// TestReadJournalSkipsMidFileCorruption: a bad line with good lines after
+// it is skipped and counted, not fatal; every damaged line is listed and
+// the first one's reason is kept.
+func TestReadJournalSkipsMidFileCorruption(t *testing.T) {
+	in := "{\"k\":\"journal\",\"schema\":1}\nnot json\n{\"k\":\"iter\",\"t\":1}\n\n{\"k\":\"iter\"}\n{\"k\":\"iter\",\"t\":2}\n"
+	recs, err := ReadJournal(strings.NewReader(in))
+	var skipped *SkippedLinesError
+	if !errors.As(err, &skipped) {
+		t.Fatalf("error %v, want *SkippedLinesError", err)
 	}
-	// A torn header is fatal too: there is nothing trustworthy to salvage.
-	if _, _, err := ReadJournalLenient(strings.NewReader(`{"k":"jour`)); err == nil {
-		t.Fatal("lenient reader accepted a torn header")
+	if skipped.Count() != 2 || fmt.Sprint(skipped.Lines) != "[2 5]" {
+		t.Fatalf("skipped %v, want lines [2 5]", skipped.Lines)
+	}
+	if want := "skipped 2 torn or undecodable line(s); first, line 2: invalid character"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q, want prefix %q", err, want)
+	}
+	if len(recs) != 2 || recs[0].Tick != 1 || recs[1].Tick != 2 {
+		t.Fatalf("records %+v, want ticks 1 and 2", recs)
+	}
+}
+
+// TestScanJSONLReadsLongLines: the scanner has no line-length cap. A line
+// far past the old 1 MiB scanner limit arrives whole, between its
+// neighbours.
+func TestScanJSONLReadsLongLines(t *testing.T) {
+	long := `{"k":"iter","t":2,"pad":"` + strings.Repeat("x", 3<<20) + `"}`
+	in := "{\"k\":\"journal\",\"schema\":1}\n" + long + "\n{\"k\":\"iter\",\"t\":3}\n"
+	recs, err := ReadJournal(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || len(recs[0].Str("pad")) != 3<<20 || recs[1].Tick != 3 {
+		t.Fatalf("long line not read whole: %d records", len(recs))
 	}
 }
 
@@ -217,4 +267,100 @@ func TestJournalFileLifecycle(t *testing.T) {
 	if len(recs) != 9 {
 		t.Fatalf("got %d records, want 9", len(recs))
 	}
+}
+
+// FuzzReadJournal pins the one JSONL policy on the run journal, the way
+// FuzzWALReplay pins it on the WAL: emit a journal, then either truncate
+// it at any offset (flip == 0) or flip one bit anywhere. Damage to the
+// header line or its newline fails the read with no records. Otherwise
+// the only error is a *SkippedLinesError, every record whose line and
+// newline the damage missed comes back in order, and every non-empty line
+// after the header is either returned or counted as skipped.
+func FuzzReadJournal(f *testing.F) {
+	for _, off := range []uint16{0, 1, 26, 27, 28, 60, 200, 500, 1000, 65535} {
+		for _, flip := range []uint8{0, 1, 4, 8} {
+			f.Add(off, flip)
+		}
+	}
+	var buf bytes.Buffer
+	emitFixture(New(NewJournal(&buf), NewLogicalClock()))
+	clean := buf.Bytes()
+	want, err := ReadJournal(bytes.NewReader(clean))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, offset uint16, flip uint8) {
+		data := append([]byte(nil), clean...)
+		// touched reports whether the damage reaches the line spanning
+		// [start,end), its newline included; a flipped newline before the
+		// line merges it into its predecessor.
+		var touched func(start, end int) bool
+		if flip == 0 {
+			cut := int(offset) % (len(data) + 1)
+			data = data[:cut]
+			touched = func(_, end int) bool { return end > cut }
+		} else {
+			p := int(offset) % len(data)
+			data[p] ^= 1 << ((flip - 1) % 8)
+			touched = func(start, end int) bool { return start-1 <= p && p < end }
+		}
+		lines := bytes.SplitAfter(clean, []byte("\n"))[:len(want)+1]
+		var intact []string
+		start := len(lines[0])
+		for i, rec := range want {
+			end := start + len(lines[i+1])
+			if !touched(start, end) {
+				intact = append(intact, recordString(rec))
+			}
+			start = end
+		}
+
+		recs, err := ReadJournal(bytes.NewReader(data))
+		if touched(0, len(lines[0])) {
+			if err == nil || recs != nil {
+				t.Fatalf("damaged header: got %d records, err %v", len(recs), err)
+			}
+			return
+		}
+		skipped := 0
+		var sk *SkippedLinesError
+		if errors.As(err, &sk) {
+			skipped = sk.Count()
+		} else if err != nil {
+			t.Fatalf("intact header, read failed: %v", err)
+		}
+		got := make([]string, len(recs))
+		for i, rec := range recs {
+			got[i] = recordString(rec)
+		}
+		if !isSubsequence(intact, got) {
+			t.Fatalf("read lost intact records:\n got %q\nwant %q in order", got, intact)
+		}
+		// Count the damaged file's lines after the header the way the
+		// scanner sees them: a terminated line unless blank, and any
+		// bytes after the last newline.
+		after := bytes.Split(data, []byte("\n"))[1:]
+		nonEmpty := 0
+		for i, line := range after {
+			if (i == len(after)-1 && len(line) > 0) || len(bytes.TrimSpace(line)) > 0 {
+				nonEmpty++
+			}
+		}
+		if len(recs)+skipped != nonEmpty {
+			t.Fatalf("%d records + %d skipped != %d non-empty lines after the header", len(recs), skipped, nonEmpty)
+		}
+	})
+}
+
+func recordString(r JournalRecord) string { return fmt.Sprint(r.Fields) }
+
+// isSubsequence reports whether want appears in got in order.
+func isSubsequence(want, got []string) bool {
+	i := 0
+	for _, g := range got {
+		if i < len(want) && g == want[i] {
+			i++
+		}
+	}
+	return i == len(want)
 }

@@ -92,14 +92,6 @@ func (t *Trace) SetProcess(name string) {
 	t.process = name
 }
 
-// Process returns the name set by SetProcess ("" on a nil or unnamed trace).
-func (t *Trace) Process() string {
-	if t == nil {
-		return ""
-	}
-	return t.process
-}
-
 // SpanInContext opens a top-level span that joins the causal tree described
 // by sc. The span_start record carries the trace attributes the merger
 // needs: "trace" always, and — when sc names a remote parent — "parent",

@@ -139,10 +139,11 @@ func (s *Server) Executor() *Executor { return s.exec }
 
 // Handler returns the service mux (for embedding or tests).
 func (s *Server) Handler() http.Handler {
+	edge := Instrument(s.reg, s.cfg.Trace, "serve_request_seconds", "serve_requests_total", "request")
 	mux := http.NewServeMux()
-	mux.Handle("/v1/detect", s.instrument("detect", s.handleDetect))
-	mux.Handle("/v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
-	mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
+	mux.Handle("/v1/detect", edge("detect", s.handleDetect))
+	mux.Handle("/v1/evaluate", edge("evaluate", s.handleEvaluate))
+	mux.Handle("/healthz", edge("healthz", s.handleHealthz))
 	mux.Handle("/metrics", s.reg.Handler())
 	if s.cfg.EnablePprof {
 		obs.RegisterPprof(mux)
@@ -187,28 +188,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return httpErr
 }
 
-// instrument wraps a handler with request counting, latency observation,
-// and trace-context handling: an incoming X-Roadtrojan-Trace header joins
-// the request span to the caller's trace (a bad header is ignored — tracing
-// must never fail a request), and the span rides the request context so the
-// executor can parent its stage spans.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	hist := s.reg.Histogram("serve_request_seconds", "request latency by endpoint",
-		telemetry.Labels{"endpoint": endpoint}, nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-		sp := s.cfg.Trace.SpanInContext(sc, "request", obs.S("endpoint", endpoint), obs.S("method", r.Method))
-		if sp != nil {
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		sp.End(obs.I("code", sw.code))
-		hist.Observe(time.Since(start).Seconds())
-		s.reg.Counter("serve_requests_total", "requests by endpoint and status code",
-			telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
-	})
+// Instrument returns the HTTP edge servd and the fabric gateway share: it
+// wraps an endpoint's handler with request counting (counter, by endpoint
+// and status code), latency observation (histogram, by endpoint) and one
+// span per request named span. An incoming X-Roadtrojan-Trace header
+// makes the span a child in the caller's trace (a bad header is ignored —
+// tracing must never fail a request); otherwise it roots a fresh trace.
+// The span rides the request context so later stages can parent theirs.
+func Instrument(reg *telemetry.Registry, tr *obs.Trace, histogram, counter, span string) func(endpoint string, h http.HandlerFunc) http.Handler {
+	return func(endpoint string, h http.HandlerFunc) http.Handler {
+		hist := reg.Histogram(histogram, "request latency by endpoint",
+			telemetry.Labels{"endpoint": endpoint}, nil)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
+			sp := tr.SpanInContext(sc, span, obs.S("endpoint", endpoint), obs.S("method", r.Method))
+			if sp != nil {
+				r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
+			}
+			sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+			h(sw, r)
+			sp.End(obs.I("code", sw.code))
+			hist.Observe(time.Since(start).Seconds())
+			reg.Counter(counter, "requests by endpoint and status code",
+				telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
+		})
+	}
 }
 
 type statusWriter struct {
@@ -221,7 +226,8 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
@@ -234,28 +240,28 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) writeExecError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBadRequest):
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: CodeBadRequest})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: CodeBadRequest})
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.exec.RetryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error(), Code: CodeQueueFull})
+		WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error(), Code: CodeQueueFull})
 	case errors.Is(err, ErrShuttingDown):
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error(), Code: CodeShuttingDown})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error(), Code: CodeShuttingDown})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: err.Error(), Code: CodeTimeout})
+		WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: err.Error(), Code: CodeTimeout})
 	default:
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error(), Code: CodeInternal})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error(), Code: CodeInternal})
 	}
 }
 
 // handleDetect runs one frame through a worker's detector replica.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
 		return
 	}
 	var req DetectRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
 		return
 	}
 	resp, err := s.exec.Detect(r.Context(), req)
@@ -263,19 +269,19 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleEvaluate runs a full scenario evaluation, serving repeats from the
 // LRU cache.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
 		return
 	}
 	var req EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
 		return
 	}
 	resp, err := s.exec.Evaluate(r.Context(), req)
@@ -283,7 +289,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func detailToResponse(d eval.Detail) EvalResponse {
@@ -305,7 +311,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.exec.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"draining":       s.exec.Draining(),
 		"workers":        s.exec.Workers(),

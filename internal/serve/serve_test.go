@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,6 +371,35 @@ func TestBadRequests(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET evaluate: status %d, want 405", getResp.StatusCode)
+	}
+}
+
+// TestDetectRejectsOversizedFrame: a frame whose declared size would wrap
+// 3*Height*Width to the image length must be a 400, not a worker panic,
+// both through Executor.Detect and through /v1/detect.
+func TestDetectRejectsOversizedFrame(t *testing.T) {
+	s, ts := startServer(t, testDetector(t), Config{Workers: 1})
+	for _, req := range []DetectRequest{
+		{Height: 1 << 32, Width: 1 << 32},
+		{Height: 1 << 31, Width: 1 << 33},
+		{Image: make([]float64, 3*(maxFrameSide+1)), Height: 1, Width: maxFrameSide + 1},
+	} {
+		_, err := s.Executor().Detect(context.Background(), req)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Detect %dx%d: err %v, want ErrBadRequest", req.Height, req.Width, err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/detect", req)
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+			t.Errorf("/v1/detect %dx%d: status %d (%s), want 400 %s", req.Height, req.Width, resp.StatusCode, body, CodeBadRequest)
+		}
+	}
+	var metrics strings.Builder
+	if err := s.Metrics().WriteText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "\nserve_job_panics_total 0\n") {
+		t.Errorf("serve_job_panics_total moved:\n%s", metrics.String())
 	}
 }
 

@@ -20,9 +20,15 @@ type DetectRequest struct {
 	Width  int       `json:"width"`
 }
 
+// maxFrameSide bounds a detect frame's height and width. The camera
+// renders 64×64; the bound leaves room for larger frames while keeping
+// 3*Height*Width far from overflowing int, so a huge declared size cannot
+// wrap the length check below and panic a worker.
+const maxFrameSide = 1024
+
 func (r *DetectRequest) validate() error {
-	if r.Height <= 0 || r.Width <= 0 {
-		return fmt.Errorf("height and width must be positive, got %dx%d", r.Height, r.Width)
+	if r.Height <= 0 || r.Width <= 0 || r.Height > maxFrameSide || r.Width > maxFrameSide {
+		return fmt.Errorf("height and width must be in [1,%d], got %dx%d", maxFrameSide, r.Height, r.Width)
 	}
 	if want := 3 * r.Height * r.Width; len(r.Image) != want {
 		return fmt.Errorf("image has %d values, want 3*%d*%d = %d", len(r.Image), r.Height, r.Width, want)

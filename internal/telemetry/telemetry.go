@@ -489,17 +489,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	return nil
 }
 
-// WriteSnapshot renders a standalone histogram snapshot as one full text
-// family (HELP/TYPE, buckets, sum, count). The gateway's fleet aggregator
-// uses it to expose merged per-backend histograms that no local *Histogram
-// backs.
-func WriteSnapshot(w io.Writer, name, help string, labels Labels, snap HistSnapshot) error {
-	if err := WriteFamilyHeader(w, name, help); err != nil {
-		return err
-	}
-	return WriteSnapshotSeries(w, name, labels, snap)
-}
-
 // WriteFamilyHeader emits the HELP/TYPE preamble for a standalone histogram
 // family. Callers rendering several label sets under one name (one series
 // per stage, say) write the header once and then WriteSnapshotSeries per

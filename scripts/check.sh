@@ -70,6 +70,15 @@ go test -race -count 1 -run 'TestTraceGoldenCrossProcess' ./internal/fabric
 echo "== chaos suite (deterministic fault injection)"
 go test -race -count 1 -run 'TestChaos' ./internal/chaos ./internal/fabric
 
+# JSONL policy gate: the one reader's skip-and-count policy, pinned on the
+# run journal and the gateway WAL (committed fuzz seeds included), and the
+# warnings runreport and tracetool print for a damaged journal, so a
+# policy regression fails here under a readable name.
+echo "== one JSONL reader (journal + WAL + CLI warnings)"
+go test -count 1 -run 'TestReadJournal|FuzzReadJournal|TestWAL|FuzzWALReplay' ./internal/obs ./internal/fabric
+go test -count 1 -run 'TestRunWarnsOnMidFileCorruption' ./cmd/runreport
+go test -count 1 -run 'TestTracetoolMidFileCorruptionWarnsAndMerges|TestTracetoolTornJournalWarnsAndMerges' ./cmd/tracetool
+
 echo "== go test -race ./..."
 go test -race ./...
 
