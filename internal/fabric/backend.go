@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"roadtrojan/internal/serve"
 	"roadtrojan/internal/telemetry"
 )
 
@@ -351,30 +350,17 @@ func (b *backend) remove() {
 	}
 }
 
-// roundTrip sends one job and blocks for its reply. When ctx carries a
-// deadline, or trace carries an encoded obs.SpanContext, they ride along in
-// a JobPayload envelope — the remaining budget lets the node cancel work the
-// gateway has abandoned, and the trace context parents the node's fabric_job
-// span under the gateway's attempt span. Bare requests still go out when
-// neither is present, exercising the compatibility path.
-func (b *backend) roundTrip(ctx context.Context, req serve.EvalRequest, trace string) ([]byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encode job: %v", serve.ErrBadRequest, err)
-	}
+// roundTrip sends one job and blocks for its reply. req is the request JSON
+// as the client sent it; it travels in a JobPayload envelope with the
+// remaining budget of ctx, which lets the node cancel work the gateway has
+// abandoned, and with trace, an encoded obs.SpanContext that parents the
+// node's fabric_job span under the gateway's attempt span.
+func (b *backend) roundTrip(ctx context.Context, req []byte, trace string) ([]byte, error) {
 	var ms int64
 	if dl, ok := ctx.Deadline(); ok {
-		ms = time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1 // expired budgets still travel: the node rejects instantly
-		}
+		ms = max(time.Until(dl).Milliseconds(), 1) // expired budgets still travel: the node rejects them
 	}
-	if ms > 0 || trace != "" {
-		payload, err = json.Marshal(JobPayload{TimeoutMs: ms, Trace: trace, Req: payload})
-		if err != nil {
-			return nil, fmt.Errorf("%w: encode job envelope: %v", serve.ErrBadRequest, err)
-		}
-	}
+	payload := appendJobPayload(make([]byte, 0, len(req)+len(trace)+64), ms, trace, req)
 	id := b.g.jobSeq.Add(1)
 	pj := &pendingJob{done: make(chan jobReply, 1)}
 
@@ -388,7 +374,7 @@ func (b *backend) roundTrip(ctx context.Context, req serve.EvalRequest, trace st
 	b.mu.Unlock()
 
 	b.writeMu.Lock()
-	err = WriteFrame(conn, Frame{Type: FrameJob, JobID: id, Payload: payload})
+	err := WriteFrame(conn, Frame{Type: FrameJob, JobID: id, Payload: payload})
 	b.writeMu.Unlock()
 	if err != nil {
 		b.forget(id)

@@ -66,7 +66,7 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 	}
 
 	in.Partition(primary)
-	payload, err := g.dispatch(context.Background(), req)
+	payload, err := g.dispatch(context.Background(), jobOf(t, req))
 	if err != nil {
 		t.Fatalf("dispatch across partition: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitRoutable(t, g, primary)
-	if _, err := g.dispatch(context.Background(), req); err != nil {
+	if _, err := g.dispatch(context.Background(), jobOf(t, req)); err != nil {
 		t.Fatalf("dispatch after heal: %v", err)
 	}
 	if n := execs(primary); n != 1 {
@@ -163,7 +163,7 @@ func TestChaosCorruptFrameTripsBadFrameAndBreaker(t *testing.T) {
 		if st := b.breaker.stateValue(); st != breakerClosed {
 			t.Errorf("breaker state after clean probe = %v, want closed", st)
 		}
-		if _, err := g.dispatch(context.Background(), evalReq(t, 311)); err != nil {
+		if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 311))); err != nil {
 			t.Fatalf("dispatch after breaker recovery: %v", err)
 		}
 
@@ -210,19 +210,23 @@ func TestChaosSlowLorisHelloTimeout(t *testing.T) {
 	if g.decodeErrors.Value() == 0 {
 		t.Error("timed-out Hello did not surface as a decode error")
 	}
-	if _, err := g.dispatch(context.Background(), evalReq(t, 321)); err != nil {
+	if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 321))); err != nil {
 		t.Fatalf("dispatch after slow-loris recovery: %v", err)
 	}
 }
 
 // TestChaosDeadlinePropagation: a job the gateway has already abandoned
 // must not burn a worker slot on the node. The node's only worker is
-// pinned; a second job queues behind it carrying the gateway's ~300ms
-// budget in its Job frame. By the time the worker frees up the budget is
-// long gone, and the propagated deadline makes the pool skip the job. The
-// node runs at BatchSize 0 (a batch of one per request) and at BatchSize 2,
-// the shape the ledger and the README recommend: the request's deadline must
-// reach the pool either way.
+// pinned; a second job is dispatched with a deadline that has already
+// passed. The gateway gives up on it at once, but its Job frame still
+// carries the expired budget (the 1 ms minimum), so the node answers it
+// expired and the pool skips it when the worker frees up. No step waits
+// out a wall-clock budget: the test waits for the node's expired reply and
+// for the job to reach the queue, then releases the worker, as
+// TestGroupContextFollowsWaiters does for the executor. The node runs at
+// BatchSize 0 (a batch of one per request) and at BatchSize 2, the shape
+// the ledger and the README recommend: the request's deadline must reach
+// the pool either way.
 func TestChaosDeadlinePropagation(t *testing.T) {
 	for _, batch := range []int{0, 2} {
 		t.Run("batch="+strconv.Itoa(batch), func(t *testing.T) { chaosDeadlinePropagation(t, batch) })
@@ -242,49 +246,44 @@ func chaosDeadlinePropagation(t *testing.T, batch int) {
 		}
 	}
 	nodes := startNodes(t, det, 1, serve.Config{Workers: 1, QueueSize: 2, BatchSize: batch}, jobFor)
+	node := nodes[0]
 	var releaseOnce sync.Once
 	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	defer releaseAll()
 	g := newTestGateway(t, newFakeClock(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
 		cfg.MaxAttempts = 1
 	})
-	waitRoutable(t, g, nodes[0].addr)
+	waitRoutable(t, g, node.addr)
 
 	// Pin the worker with job A (no deadline: background context).
 	resA := make(chan error, 1)
+	jobA := jobOf(t, evalReq(t, 331))
 	go func() {
-		_, err := g.dispatch(context.Background(), evalReq(t, 331))
+		_, err := g.dispatch(context.Background(), jobA)
 		resA <- err
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].exec.Inflight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("pinned job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the pinned job to start", func() bool { return node.exec.Inflight() == 1 })
 
-	// Job B queues behind A with a 300ms budget and times out client-side.
-	ctxB, cancelB := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	// Job B's deadline passed before its dispatch.
+	ctxB, cancelB := context.WithDeadline(context.Background(), time.Now())
 	defer cancelB()
-	if _, err := g.dispatch(ctxB, evalReq(t, 332)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := g.dispatch(ctxB, jobOf(t, evalReq(t, 332))); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned dispatch returned %v, want context.DeadlineExceeded", err)
 	}
 
-	// Let the node-side budget expire too, then free the worker. The pool
-	// checks the job context before running, so B is skipped, not executed.
-	time.Sleep(50 * time.Millisecond)
+	// The node answers B expired while B waits in the queue; then the
+	// worker is freed. The pool checks the job context before running, so
+	// B is skipped, not executed.
+	waitUntil(t, "the node's expired reply to the queued job", func() bool {
+		return node.node.jobErrors.Value() == 1 && node.exec.QueueDepth() == 1
+	})
 	releaseAll()
 	if err := <-resA; err != nil {
 		t.Fatalf("pinned job failed: %v", err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for nodes[0].exec.QueueDepth() > 0 || nodes[0].exec.Inflight() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("node queue never drained")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(t, "the node queue to drain", func() bool {
+		return node.exec.QueueDepth() == 0 && node.exec.Inflight() == 0
+	})
 	if n := calls.Load(); n != 1 {
 		t.Errorf("stub executed %d times, want 1: the abandoned job burned a worker slot", n)
 	}
@@ -326,7 +325,7 @@ func TestChaosExpiredReplyIsDeadline(t *testing.T) {
 	})
 	waitRoutable(t, g, "scripted:1")
 
-	_, err := g.dispatch(context.Background(), evalReq(t, 333))
+	_, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 333)))
 	var jf *jobFailedError
 	if !errors.As(err, &jf) || jf.code != CodeExpired {
 		t.Fatalf("dispatch returned %v, want the node's expired reply", err)
@@ -539,7 +538,7 @@ func TestChaosMembershipChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := g.dispatch(context.Background(), evalReq(t, 400+i%8)); err != nil {
+			if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 400+i%8))); err != nil {
 				failed.Add(1)
 			} else {
 				ok.Add(1)
@@ -561,7 +560,7 @@ func TestChaosMembershipChurn(t *testing.T) {
 		t.Fatalf("ring has %d nodes after churn settled, want 2", n)
 	}
 	waitRoutable(t, g, nodeAddrs(core)...)
-	if _, err := g.dispatch(context.Background(), evalReq(t, 451)); err != nil {
+	if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 451))); err != nil {
 		t.Fatalf("dispatch after churn settled: %v", err)
 	}
 	t.Logf("churn: %d dispatches succeeded, %d transiently failed", ok.Load(), failed.Load())
@@ -593,7 +592,7 @@ func TestAsyncSubmitSaturationRetryAfter(t *testing.T) {
 	for i := int64(0); i < 2; i++ {
 		req := evalReq(t, 500+i)
 		go func(req serve.EvalRequest) {
-			_, err := g.dispatch(context.Background(), req)
+			_, err := g.dispatch(context.Background(), jobOf(t, req))
 			errs <- err
 		}(req)
 	}

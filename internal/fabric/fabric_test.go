@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,6 +173,18 @@ func newTestGateway(t *testing.T, clock Clock, addrs []string, mutate func(*Gate
 	return g
 }
 
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // waitRoutable blocks until every listed backend is dial-connected and
 // routable from the gateway's point of view.
 func waitRoutable(t *testing.T, g *Gateway, addrs ...string) {
@@ -223,6 +236,17 @@ func evalReq(t *testing.T, patchSeed int64) serve.EvalRequest {
 		t.Fatal(err)
 	}
 	return req
+}
+
+// jobOf is the job the gateway's edge builds for req: its patch digest and
+// its JSON as a client sends it.
+func jobOf(t *testing.T, req serve.EvalRequest) evalJob {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evalJob{digest: req.Digest(), req: body}
 }
 
 func stubDetail(pwc float64) eval.Detail {
@@ -319,7 +343,7 @@ func TestGatewayAffinityAndCaching(t *testing.T) {
 		req := evalReq(t, seed)
 		owner := g.Ring().Lookup(req.Digest())
 		for round := 0; round < 2; round++ {
-			payload, err := g.dispatch(ctx, req)
+			payload, err := g.dispatch(ctx, jobOf(t, req))
 			if err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
@@ -379,7 +403,7 @@ func TestNodeDeathMidJobRetries(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		payload, err := g.dispatch(context.Background(), req)
+		payload, err := g.dispatch(context.Background(), jobOf(t, req))
 		resCh <- result{payload, err}
 	}()
 
@@ -429,7 +453,7 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = evalReq(t, 100+int64(i))
 		before[reqs[i].Digest()] = g.Ring().Lookup(reqs[i].Digest())
-		if _, err := g.dispatch(ctx, reqs[i]); err != nil {
+		if _, err := g.dispatch(ctx, jobOf(t, reqs[i])); err != nil {
 			t.Fatalf("warm dispatch %d: %v", i, err)
 		}
 	}
@@ -443,7 +467,7 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 		if owner != before[key] && owner != joiner.addr {
 			t.Fatalf("key %s moved between pre-existing nodes on join: %s -> %s", key, before[key], owner)
 		}
-		payload, err := g.dispatch(ctx, req)
+		payload, err := g.dispatch(ctx, jobOf(t, req))
 		if err != nil {
 			t.Fatalf("dispatch after join: %v", err)
 		}
@@ -464,7 +488,7 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 		if owner == initial[0].addr {
 			t.Fatalf("key %s still routed to removed node", req.Digest())
 		}
-		if _, err := g.dispatch(ctx, req); err != nil {
+		if _, err := g.dispatch(ctx, jobOf(t, req)); err != nil {
 			t.Fatalf("dispatch after leave: %v", err)
 		}
 	}
@@ -509,7 +533,7 @@ func TestSaturationBackpressure(t *testing.T) {
 	errs := make(chan error, len(fillerReqs))
 	for _, req := range fillerReqs {
 		go func(req serve.EvalRequest) {
-			_, err := g.dispatch(context.Background(), req)
+			_, err := g.dispatch(context.Background(), jobOf(t, req))
 			errs <- err
 		}(req)
 	}
@@ -591,7 +615,7 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		payload, err := g.dispatch(context.Background(), req)
+		payload, err := g.dispatch(context.Background(), jobOf(t, req))
 		resCh <- result{payload, err}
 	}()
 	select {
@@ -616,7 +640,7 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// ...so the same key now routes to the survivor and completes there.
-	payload, err := g.dispatch(context.Background(), req)
+	payload, err := g.dispatch(context.Background(), jobOf(t, req))
 	if err != nil {
 		t.Fatalf("dispatch during drain: %v", err)
 	}
@@ -773,6 +797,42 @@ func TestGatewayValidatesAtEdge(t *testing.T) {
 	}
 	if n := calls.Load(); n != 0 {
 		t.Errorf("%d node executions for edge-rejected requests, want 0", n)
+	}
+}
+
+// TestGatewayRequestBodyLimits: an evaluate or job body over
+// serve.MaxEvalBody is a 413 too_large at the edge, whether its length is
+// declared up front or found only while reading; a body exactly at the
+// limit is read and judged on its content.
+func TestGatewayRequestBodyLimits(t *testing.T) {
+	h := newTestGateway(t, newFakeClock(), nil, nil).Handler()
+	padded := func(n int) []byte { // a JSON body of exactly n bytes
+		return []byte(`{"patch":"` + strings.Repeat("A", n-len(`{"patch":""}`)) + `"}`)
+	}
+	over, atLimit := padded(serve.MaxEvalBody+1), padded(serve.MaxEvalBody)
+	for _, path := range []string{"/v1/evaluate", "/v1/jobs"} {
+		for _, tc := range []struct {
+			name   string
+			body   []byte
+			length int64
+			want   int
+		}{
+			{"declared", over, int64(len(over)), http.StatusRequestEntityTooLarge},
+			{"streamed", over, -1, http.StatusRequestEntityTooLarge},
+			{"at limit", atLimit, -1, http.StatusBadRequest},
+		} {
+			r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(tc.body))
+			r.ContentLength = tc.length
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			var e serve.ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != tc.want {
+				t.Errorf("%s %s: status %d (%.200s), want %d", path, tc.name, w.Code, w.Body.Bytes(), tc.want)
+			}
+			if tc.want == http.StatusRequestEntityTooLarge && e.Code != serve.CodeTooLarge {
+				t.Errorf("%s %s: code %q, want %q", path, tc.name, e.Code, serve.CodeTooLarge)
+			}
+		}
 	}
 }
 

@@ -14,13 +14,14 @@
 //	16      4     payload length (little-endian uint32, ≤ MaxPayload)
 //	20      n     payload
 //
-// Payloads are JSON: jobs carry serve.EvalRequest, results carry the
-// node-encoded serve.EvalResponse bytes verbatim (the gateway forwards
-// them untouched, which is what makes gateway results byte-identical to
-// single-box serve), health frames carry Health, and error frames carry
-// JobError. Decoding is strict — wrong magic, unknown version or type,
-// nonzero flags, or an oversized payload fail with ErrBadFrame and never
-// panic; FuzzReadFrame pins that.
+// Payloads are JSON: jobs carry a JobPayload envelope around the client's
+// serve.EvalRequest bytes, results carry the node-encoded
+// serve.EvalResponse bytes verbatim (the gateway forwards them untouched,
+// which is what makes gateway results byte-identical to single-box serve),
+// health frames carry Health, and error frames carry JobError. Decoding is
+// strict — wrong magic, unknown version or type, nonzero flags, or an
+// oversized payload fail with ErrBadFrame and never panic; FuzzReadFrame
+// pins that.
 package fabric
 
 import (
@@ -29,7 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
+	"roadtrojan/internal/serve"
 	"roadtrojan/internal/telemetry"
 )
 
@@ -53,7 +56,7 @@ const (
 	// FrameHello is the node's first frame on a new connection: a Health
 	// payload introducing the node (id, capacity).
 	FrameHello = uint8(iota + 1)
-	// FrameJob is a gateway→node evaluation job: a serve.EvalRequest.
+	// FrameJob is a gateway→node evaluation job: a JobPayload.
 	FrameJob
 	// FrameAck acknowledges a job was accepted into the node's queue.
 	FrameAck
@@ -155,8 +158,12 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // dequeuing) work the gateway has already abandoned instead of burning a
 // worker slot on an answer nobody is waiting for. The budget is relative
 // (milliseconds), not an absolute time — gateway and node clocks are not
-// assumed synchronized. Nodes also accept a bare serve.EvalRequest payload
-// for compatibility with pre-envelope gateways.
+// assumed synchronized.
+//
+// The gateway never marshals this struct: appendJobPayload splices the
+// client's request JSON into the envelope verbatim. The node decodes it
+// with one Unmarshal, which also accepts the bare serve.EvalRequest payload
+// of pre-envelope gateways through the embedded request's promoted fields.
 type JobPayload struct {
 	// TimeoutMs is the remaining job budget in milliseconds; 0 means no
 	// deadline.
@@ -166,8 +173,24 @@ type JobPayload struct {
 	// and ignored by pre-tracing nodes (unknown JSON keys are skipped);
 	// bare-request payloads simply carry no context.
 	Trace string `json:"trace,omitempty"`
-	// Req is the serve.EvalRequest JSON.
-	Req json.RawMessage `json:"req"`
+	// Req is the enveloped request; nil for a bare-request payload.
+	Req *serve.EvalRequest `json:"req,omitempty"`
+	// EvalRequest holds a bare-request payload's fields.
+	serve.EvalRequest
+}
+
+// appendJobPayload appends the JobPayload envelope for one job to dst. req
+// is one JSON value, the request exactly as the client sent it; it is
+// copied in as is, not re-encoded.
+func appendJobPayload(dst []byte, timeoutMs int64, trace string, req []byte) []byte {
+	quoted, _ := json.Marshal(trace) // a string always marshals
+	dst = append(dst, `{"timeoutMs":`...)
+	dst = strconv.AppendInt(dst, timeoutMs, 10)
+	dst = append(dst, `,"trace":`...)
+	dst = append(dst, quoted...)
+	dst = append(dst, `,"req":`...)
+	dst = append(dst, req...)
+	return append(dst, '}')
 }
 
 // StatsPayload is the FrameStats payload: one node's stage-histogram

@@ -7,10 +7,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
+	"unicode/utf8"
+
+	"roadtrojan/internal/serve"
 )
 
 // FuzzReadFrame pins the strict-decode contract: whatever bytes arrive,
@@ -212,4 +218,90 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("fresh record is not the last replayed: %q", got)
 		}
 	})
+}
+
+// FuzzJobEnvelope pins the gateway→node request path: for any body the
+// gateway's edge decode accepts, the Job payload it builds is valid JSON,
+// carries the request bytes but nothing the client sent after them, and
+// decodes on the node, in one Unmarshal, to the request the gateway
+// decoded, along with the budget and trace context it was given.
+func FuzzJobEnvelope(f *testing.F) {
+	for _, body := range []string{
+		`{"patch":"QUJD","scene":"road","challenge":"fix","mode":"digital","runs":1,"seed":5}`,
+		`{"scene":"sim","challenge":"slow","seed":-3,"target":2}`,
+		`  {"challenge":"fix"}  {"challenge":"slow"} trailing`,
+		`{"Challenge":"fix","SEED":1,"seed":2,"unknown":[1,{"a":null}]}`,
+		`{"patch":"é\ud800x\n","req":{"seed":9},"timeoutMs":7,"trace":"t"}`,
+		"{\"patch\":\"\xff\xfe\",\"runs\":2}",
+		`null`, `{}`, `[]`, `"x"`, `12`, `{"seed":1e400}`, `{"runs":"3"}`, ``,
+	} {
+		f.Add([]byte(body), int64(250), "0af3;gateway;1c;4")
+	}
+	f.Add([]byte(`{"challenge":"fix"}`), int64(0), "")
+	f.Add([]byte(`{"challenge":"fix"}`), int64(-1), "a\"b\\c\x00 ")
+
+	f.Fuzz(func(t *testing.T, body []byte, timeoutMs int64, trace string) {
+		edge := func(body []byte) (serve.EvalRequest, []byte, bool) {
+			var req serve.EvalRequest
+			var raw []byte
+			r := httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body))
+			ok := serve.ReadJSON(httptest.NewRecorder(), r, serve.MaxEvalBody, &req, &raw)
+			return req, raw, ok
+		}
+		gw, raw, ok := edge(body)
+		if !ok {
+			return
+		}
+		if !bytes.HasPrefix(body, raw) || !json.Valid(raw) {
+			t.Fatalf("edge forwards %q, not one JSON value at the start of the body %q", raw, body)
+		}
+		payload := appendJobPayload(nil, timeoutMs, trace, raw)
+		if !json.Valid(payload) {
+			t.Fatalf("job payload is not valid JSON: %q", payload)
+		}
+		// Whatever follows the value never reaches the node: more trailing
+		// bytes leave the payload unchanged.
+		if _, raw2, ok := edge(append(append([]byte(nil), body...), `}{"seed":1} x`...)); !ok ||
+			!bytes.Equal(appendJobPayload(nil, timeoutMs, trace, raw2), payload) {
+			t.Fatalf("trailing bytes changed the job payload of %q", body)
+		}
+
+		node, timeout, gotTrace, err := decodeJob(payload)
+		if err != nil {
+			t.Fatalf("node rejects the gateway's payload %q: %v", payload, err)
+		}
+		if node != gw {
+			t.Fatalf("node decoded %+v, gateway decoded %+v", node, gw)
+		}
+		if want := time.Duration(max(timeoutMs, 0)) * time.Millisecond; timeout != want {
+			t.Fatalf("budget %v, want %v", timeout, want)
+		}
+		if utf8.ValidString(trace) && gotTrace != trace {
+			t.Fatalf("trace %q, want %q", gotTrace, trace)
+		}
+	})
+}
+
+// TestDecodeJobBareAndMalformed keeps the pre-envelope path: a bare
+// serve.EvalRequest payload still decodes, with no budget and no trace,
+// and a payload that is not JSON is an error (a bad_request frame).
+func TestDecodeJobBareAndMalformed(t *testing.T) {
+	want := serve.EvalRequest{Patch: "QUJD", Scene: "sim", Challenge: "fix", Mode: "digital", Runs: 2, Seed: 7, Target: 3}
+	bare, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, timeout, trace, err := decodeJob(bare)
+	if err != nil || got != want || timeout != 0 || trace != "" {
+		t.Fatalf("bare payload decoded to %+v, %v, %q, %v; want %+v, 0, \"\", nil", got, timeout, trace, err, want)
+	}
+	got, timeout, trace, err = decodeJob(appendJobPayload(nil, 40, "tc", bare))
+	if err != nil || got != want || timeout != 40*time.Millisecond || trace != "tc" {
+		t.Fatalf("envelope decoded to %+v, %v, %q, %v", got, timeout, trace, err)
+	}
+	for _, bad := range []string{``, `{"req":`, `{"req":{"seed":"x"}}`, `[1]`, `{"scene":"road"} x`} {
+		if _, _, _, err := decodeJob([]byte(bad)); err == nil {
+			t.Errorf("payload %q decoded without error", bad)
+		}
+	}
 }

@@ -264,6 +264,14 @@ func (g *Gateway) backendUp(addr string, up bool) {
 		telemetry.Labels{"node": addr}).Set(v)
 }
 
+// evalJob is one evaluate request as the gateway routes and forwards it:
+// the patch digest the ring hashes on and the request JSON the node
+// decodes, never re-encoded on the way.
+type evalJob struct {
+	digest string
+	req    []byte
+}
+
 // dispatch routes one job: consistent-hash sequence for the patch digest,
 // immediate failover across the ring on node failure, bounded backoff
 // between full passes, and a saturation verdict when every routable shard
@@ -275,8 +283,8 @@ func (g *Gateway) backendUp(addr string, up bool) {
 // envelope, so in the merged tree exactly the winning attempt carries the
 // node's fabric_job subtree while failed attempts sit beside it as siblings
 // recording their outcome.
-func (g *Gateway) dispatch(ctx context.Context, req serve.EvalRequest) (payload []byte, err error) {
-	key := req.Digest()
+func (g *Gateway) dispatch(ctx context.Context, job evalJob) (payload []byte, err error) {
+	key := job.digest
 	dsp := g.spanUnder(ctx, "dispatch", obs.S("key", key))
 	outcome := "error"
 	start := g.clock.Now()
@@ -318,7 +326,7 @@ func (g *Gateway) dispatch(ctx context.Context, req serve.EvalRequest) (payload 
 				attemptCtx, cancel = context.WithTimeout(ctx, g.cfg.AttemptTimeout)
 			}
 			asp := dsp.Child("attempt", obs.S("node", addr), obs.I("pass", attempt))
-			payload, err := b.roundTrip(attemptCtx, req, asp.Context().Encode())
+			payload, err := b.roundTrip(attemptCtx, job.req, asp.Context().Encode())
 			if cancel != nil {
 				cancel()
 			}
@@ -550,26 +558,38 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 	}
 }
 
+// readEvalJob reads and validates an evaluate body at the edge, so a
+// malformed job never costs a node round-trip. The job carries the client's
+// bytes; req is the decoded request, normalized by Validate. On failure the
+// 400 or 413 reply is already written.
+func readEvalJob(w http.ResponseWriter, r *http.Request) (serve.EvalRequest, evalJob, bool) {
+	var req serve.EvalRequest
+	var raw []byte
+	if !serve.ReadJSON(w, r, serve.MaxEvalBody, &req, &raw) {
+		return req, evalJob{}, false
+	}
+	if err := req.Validate(); err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+		return req, evalJob{}, false
+	}
+	return req, evalJob{digest: req.Digest(), req: raw}, true
+}
+
 // handleEvaluate is the synchronous compatibility path: same request and
-// response shape as single-box serve, with the node's response bytes
-// forwarded verbatim.
+// response shape as single-box serve, with the client's request bytes
+// forwarded to the node and the node's response bytes forwarded back.
 func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST required", Code: serve.CodeMethodNotAllowed})
 		return
 	}
-	var req serve.EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
-		return
-	}
-	if err := req.Validate(); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+	_, job, ok := readEvalJob(w, r)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.JobTimeout)
 	defer cancel()
-	payload, err := g.dispatch(ctx, req)
+	payload, err := g.dispatch(ctx, job)
 	if err != nil {
 		writeDispatchError(w, err)
 		return
@@ -598,13 +618,8 @@ type jobStatusResponse struct {
 // as the sync path), journal it, park it in the bounded table, dispatch in
 // the background, return the poll handle.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req serve.EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad JSON: " + err.Error(), Code: serve.CodeBadRequest})
-		return
-	}
-	if err := req.Validate(); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: serve.CodeBadRequest})
+	req, ej, ok := readEvalJob(w, r)
+	if !ok {
 		return
 	}
 	select {
@@ -620,7 +635,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seq := g.asyncSeq.Add(1)
-	id := fmt.Sprintf("j%06d-%.8s", seq, req.Digest())
+	id := fmt.Sprintf("j%06d-%.8s", seq, ej.digest)
 	job := &asyncJob{id: id, status: "pending"}
 	if !g.addJob(job) {
 		w.Header().Set("Retry-After", "1")
@@ -629,16 +644,18 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if g.wal != nil {
 		// Validate normalized the request in place, so the journaled JSON
-		// re-validates and routes identically on replay.
+		// re-validates and routes identically on replay. The job dispatches
+		// the journaled bytes, here and on replay.
 		reqJSON, err := json.Marshal(req)
 		if err == nil {
-			err = g.wal.Append(WALRecord{T: walSubmit, ID: id, Seq: seq, Digest: req.Digest(), Req: reqJSON})
+			ej.req = reqJSON
+			err = g.wal.Append(WALRecord{T: walSubmit, ID: id, Seq: seq, Digest: ej.digest, Req: reqJSON})
 		}
 		if err != nil {
 			g.walErrors.Inc()
 		}
 	}
-	g.runAsync(job, req)
+	g.runAsync(job, ej)
 	serve.WriteJSON(w, http.StatusAccepted, submitResponse{ID: id, Status: "pending"})
 }
 
@@ -669,7 +686,7 @@ func (g *Gateway) fleetSaturated() (retryAfter int, saturated bool) {
 // runAsync drives one async job to a terminal state in the background,
 // journaling the dispatch and outcome. Shared by handleSubmit and WAL
 // replay.
-func (g *Gateway) runAsync(job *asyncJob, req serve.EvalRequest) {
+func (g *Gateway) runAsync(job *asyncJob, ej evalJob) {
 	g.asyncWG.Add(1)
 	go func() {
 		defer g.asyncWG.Done()
@@ -677,7 +694,7 @@ func (g *Gateway) runAsync(job *asyncJob, req serve.EvalRequest) {
 		g.walAppend(WALRecord{T: walDispatch, ID: job.id})
 		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.JobTimeout)
 		defer cancel()
-		payload, err := g.dispatch(ctx, req)
+		payload, err := g.dispatch(ctx, ej)
 		if err != nil {
 			g.reg.Counter("fabric_gateway_jobs_total", "async jobs by final status",
 				telemetry.Labels{"status": "failed"}).Inc()
@@ -761,7 +778,7 @@ func (g *Gateway) replayWAL(records []WALRecord) {
 				continue
 			}
 			replayed.Inc()
-			g.runAsync(job, req)
+			g.runAsync(job, evalJob{digest: req.Digest(), req: e.req})
 		}
 	}
 }

@@ -267,24 +267,10 @@ func (n *Node) writeStats(c *nodeConn) error {
 
 // startJob validates and dispatches one Job frame. The executor's bounded
 // queue applies backpressure: a full queue answers immediately with a
-// queue_full error frame instead of parking the connection. Payloads may
-// be a JobPayload envelope (request + remaining deadline budget) or a bare
-// serve.EvalRequest from a pre-envelope gateway.
+// queue_full error frame instead of parking the connection.
 func (n *Node) startJob(c *nodeConn, f Frame) {
-	var req serve.EvalRequest
-	var timeout time.Duration
-	var trace string
-	var env JobPayload
-	if err := json.Unmarshal(f.Payload, &env); err == nil && len(env.Req) > 0 {
-		if err := json.Unmarshal(env.Req, &req); err != nil {
-			n.writeJobError(c, f.JobID, JobError{Code: CodeBadRequest, Error: "bad job payload: " + err.Error()})
-			return
-		}
-		if env.TimeoutMs > 0 {
-			timeout = time.Duration(env.TimeoutMs) * time.Millisecond
-		}
-		trace = env.Trace
-	} else if err := json.Unmarshal(f.Payload, &req); err != nil {
+	req, timeout, trace, err := decodeJob(f.Payload)
+	if err != nil {
 		n.writeJobError(c, f.JobID, JobError{Code: CodeBadRequest, Error: "bad job payload: " + err.Error()})
 		return
 	}
@@ -359,6 +345,25 @@ func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout tim
 	}
 	_ = c.write(Frame{Type: FrameResult, JobID: id, Payload: buf.Bytes()})
 	sp.End(obs.S("code", "ok"), obs.I("bytes", buf.Len()))
+}
+
+// decodeJob decodes a Job frame's payload with one Unmarshal: a JobPayload
+// envelope (request, remaining budget, trace context) or the bare
+// serve.EvalRequest of a pre-envelope gateway.
+func decodeJob(payload []byte) (serve.EvalRequest, time.Duration, string, error) {
+	var env JobPayload
+	if err := json.Unmarshal(payload, &env); err != nil {
+		return serve.EvalRequest{}, 0, "", err
+	}
+	req := env.EvalRequest
+	if env.Req != nil {
+		req = *env.Req
+	}
+	var timeout time.Duration
+	if env.TimeoutMs > 0 {
+		timeout = time.Duration(env.TimeoutMs) * time.Millisecond
+	}
+	return req, timeout, env.Trace, nil
 }
 
 func (n *Node) writeJobError(c *nodeConn, id uint64, je JobError) {

@@ -77,6 +77,38 @@ func batchEvalReq(seed int64) EvalRequest {
 	return EvalRequest{Scene: "road", Challenge: "fix", Mode: "digital", Runs: 1, Seed: seed, Target: 2}
 }
 
+// TestCacheHitSkipsPatchDecode bounds what an Evaluate cache hit allocates.
+// A hit answers from the key alone (7 allocations); decoding the patch
+// again (base64 plus attack.DecodePatch) adds 47 and fails the bound.
+func TestCacheHitSkipsPatchDecode(t *testing.T) {
+	var ran atomic.Int64
+	e := batchExecutor(t, Config{Workers: 1}, &ran)
+	req := batchEvalReq(1)
+	req.Patch, req.Target = encodePatchB64(t, testPatch(t)), 0
+	ctx := context.Background()
+	if _, err := e.Evaluate(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		var resp EvalResponse
+		if resp, err = e.Evaluate(ctx, req); err == nil && !resp.Cached {
+			err = errors.New("repeat was not a cache hit")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 1 {
+		t.Fatalf("job ran %d times, want 1", ran.Load())
+	}
+	const bound = 16
+	if allocs > bound {
+		t.Errorf("cache hit allocates %.0f times, want at most %d: the patch decode is back on the hit path", allocs, bound)
+	}
+	t.Logf("cache hit: %.0f allocations", allocs)
+}
+
 // evaluateConcurrently fires one goroutine per request and collects responses
 // in request order.
 func evaluateConcurrently(t *testing.T, e *Executor, reqs []EvalRequest) []EvalResponse {

@@ -221,20 +221,22 @@ func (e *Executor) Evaluate(ctx context.Context, req EvalRequest) (EvalResponse,
 	defer func() {
 		e.observeStage(StageTotal, e.cfg.Clock.Now().Sub(start), reqSpan.TraceID())
 	}()
-	p, target, err := req.normalize()
-	if err != nil {
-		return EvalResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 
-	// Cache short-circuit happens before any batching: a request whose
-	// digest is already resolved answers immediately instead of re-entering
-	// the coalescer and occupying a batch slot.
+	// Cache short-circuit happens before validation and batching: only a
+	// request that passed validation and ran is ever cached, and the key
+	// covers every field, so a hit needs neither the patch decode nor a
+	// batch slot.
+	req.applyDefaults()
 	key := req.cacheKey()
 	if d, ok := e.cache.get(key); ok {
 		e.cacheHits.Inc()
 		resp := detailToResponse(d.(eval.Detail))
 		resp.Cached = true
 		return resp, nil
+	}
+	p, target, err := req.normalize()
+	if err != nil {
+		return EvalResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
 	cond := eval.DefaultCondition()

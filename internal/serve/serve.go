@@ -19,10 +19,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -226,6 +228,41 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// ReadJSON decodes the first JSON value of r's body into v, reading at most
+// limit bytes; whatever follows the value is ignored. When raw is non-nil
+// it receives the exact bytes of that value, captured as the decoder reads
+// them. On failure the reply is already written: 413 when the body exceeds
+// limit, 400 when it does not decode.
+func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, raw *[]byte) bool {
+	tooLarge := func() bool {
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", limit), Code: CodeTooLarge})
+		return false
+	}
+	if r.ContentLength > limit {
+		return tooLarge()
+	}
+	var body io.Reader = http.MaxBytesReader(w, r.Body, limit)
+	var seen bytes.Buffer
+	if raw != nil {
+		seen.Grow(int(max(r.ContentLength, 0)))
+		body = io.TeeReader(body, &seen)
+	}
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return tooLarge()
+		}
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+		return false
+	}
+	if raw != nil {
+		*raw = seen.Bytes()[:dec.InputOffset()]
+	}
+	return true
+}
+
 // WriteJSON writes v as a JSON response body with status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -260,8 +297,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DetectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+	if !ReadJSON(w, r, maxDetectBody, &req, nil) {
 		return
 	}
 	resp, err := s.exec.Detect(r.Context(), req)
@@ -280,8 +316,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+	if !ReadJSON(w, r, MaxEvalBody, &req, nil) {
 		return
 	}
 	resp, err := s.exec.Evaluate(r.Context(), req)

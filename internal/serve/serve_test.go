@@ -374,6 +374,46 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// paddedBody returns a JSON evaluate body of exactly n bytes.
+func paddedBody(n int) []byte {
+	return []byte(`{"patch":"` + strings.Repeat("A", n-len(`{"patch":""}`)) + `"}`)
+}
+
+// TestRequestBodyLimits: a body over its route's limit is a 413 too_large,
+// whether its length is declared up front or found only while reading
+// (length -1, as for a chunked upload); a body exactly at the limit is read
+// and judged on its content. The detect limit is ~96 MiB, so only its
+// declared-length refusal is exercised.
+func TestRequestBodyLimits(t *testing.T) {
+	s := New(testDetector(t), Config{Workers: 1})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	h := s.Handler()
+	cases := []struct {
+		name, path string
+		body       []byte
+		length     int64
+		want       int
+	}{
+		{"evaluate declared", "/v1/evaluate", paddedBody(MaxEvalBody + 1), MaxEvalBody + 1, http.StatusRequestEntityTooLarge},
+		{"evaluate streamed", "/v1/evaluate", paddedBody(MaxEvalBody + 1), -1, http.StatusRequestEntityTooLarge},
+		{"evaluate at limit", "/v1/evaluate", paddedBody(MaxEvalBody), -1, http.StatusBadRequest},
+		{"detect declared", "/v1/detect", []byte(`{}`), maxDetectBody + 1, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		r := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body))
+		r.ContentLength = tc.length
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		var e ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body.Bytes(), tc.want)
+		}
+		if tc.want == http.StatusRequestEntityTooLarge && e.Code != CodeTooLarge {
+			t.Errorf("%s: code %q, want %q", tc.name, e.Code, CodeTooLarge)
+		}
+	}
+}
+
 // TestDetectRejectsOversizedFrame: a frame whose declared size would wrap
 // 3*Height*Width to the image length must be a 400, not a worker panic,
 // both through Executor.Detect and through /v1/detect.

@@ -26,6 +26,17 @@ type DetectRequest struct {
 // wrap the length check below and panic a worker.
 const maxFrameSide = 1024
 
+// Request body limits, one per route. An evaluate or async-job body is a
+// few scalars and one base64 patch, about 26 KB for the default 32×32
+// patch, so MaxEvalBody leaves ample room. A detect body is 3·H·W JSON
+// numbers; maxDetectBody admits the largest frame validate accepts at
+// maxNumberText bytes per number, plus room for the other fields.
+const (
+	MaxEvalBody   = 1 << 20
+	maxNumberText = 32 // a float64 as encoding/json writes it (≤ 25 bytes), a comma and spare
+	maxDetectBody = 3*maxFrameSide*maxFrameSide*maxNumberText + 1<<10
+)
+
 func (r *DetectRequest) validate() error {
 	if r.Height <= 0 || r.Width <= 0 || r.Height > maxFrameSide || r.Width > maxFrameSide {
 		return fmt.Errorf("height and width must be in [1,%d], got %dx%d", maxFrameSide, r.Height, r.Width)
@@ -95,23 +106,15 @@ const maxRuns = 16
 // normalize validates the request and decodes the patch payload. It returns
 // the patch (nil for no-attack) and the resolved target class.
 func (r *EvalRequest) normalize() (*attack.Patch, scene.Class, error) {
-	if r.Scene == "" {
-		r.Scene = "road"
-	}
+	r.applyDefaults()
 	if r.Scene != "road" && r.Scene != "sim" {
 		return nil, 0, fmt.Errorf("unknown scene %q (want road or sim)", r.Scene)
 	}
 	if !validChallenge(r.Challenge) {
 		return nil, 0, fmt.Errorf("unknown challenge %q (want one of %v)", r.Challenge, scene.AllChallengeNames)
 	}
-	if r.Mode == "" {
-		r.Mode = "physical"
-	}
 	if r.Mode != "physical" && r.Mode != "digital" {
 		return nil, 0, fmt.Errorf("unknown mode %q (want physical or digital)", r.Mode)
-	}
-	if r.Runs == 0 {
-		r.Runs = 3
 	}
 	if r.Runs < 0 || r.Runs > maxRuns {
 		return nil, 0, fmt.Errorf("runs %d out of range [1,%d]", r.Runs, maxRuns)
@@ -135,6 +138,21 @@ func (r *EvalRequest) normalize() (*attack.Patch, scene.Class, error) {
 		return nil, 0, fmt.Errorf("target class %d out of range 1..%d (required when no patch is sent)", r.Target, scene.NumClasses)
 	}
 	return p, target, nil
+}
+
+// applyDefaults fills the scene, mode and runs defaults in place. They are
+// the only fields normalize rewrites, so after applyDefaults the request
+// has the cache key its normalized form has.
+func (r *EvalRequest) applyDefaults() {
+	if r.Scene == "" {
+		r.Scene = "road"
+	}
+	if r.Mode == "" {
+		r.Mode = "physical"
+	}
+	if r.Runs == 0 {
+		r.Runs = 3
+	}
 }
 
 func validChallenge(name string) bool {
@@ -165,7 +183,8 @@ func (r *EvalRequest) Digest() string {
 }
 
 // cacheKey identifies an evaluation result: patch content hash plus every
-// input that changes the outcome.
+// input that changes the outcome. It covers all seven fields, and a valid
+// request's strings hold no '|', so equal keys mean equal requests.
 func (r *EvalRequest) cacheKey() string {
 	sum := sha256.Sum256([]byte(r.Patch))
 	return fmt.Sprintf("%x|%s|%s|%s|%d|%d|%d", sum[:8], r.Scene, r.Challenge, r.Mode, r.Runs, r.Seed, r.Target)
@@ -221,6 +240,7 @@ const (
 	CodeShuttingDown     = "shutting_down"      // the service is draining
 	CodeNotFound         = "not_found"          // unknown resource (e.g. async job id)
 	CodeMethodNotAllowed = "method_not_allowed" // wrong HTTP verb
+	CodeTooLarge         = "too_large"          // the request body exceeds the route's limit
 	CodeInternal         = "internal"           // the job ran and failed
 )
 

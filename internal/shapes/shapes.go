@@ -101,18 +101,28 @@ func (s Shape) polygon() []point {
 
 type point struct{ x, y float64 }
 
+// outline is a shape posed at one scale and rotation: the inverse rotation
+// and the polygon, computed once for every point a mask tests.
+type outline struct {
+	circle       bool
+	c, sn, scale float64
+	poly         []point
+}
+
+func (s Shape) outline(scale, rot float64) outline {
+	return outline{circle: s == Circle, c: math.Cos(-rot), sn: math.Sin(-rot), scale: scale, poly: s.polygon()}
+}
+
 // inside reports whether the normalized point (unit-disk coordinates) lies
-// inside the shape, with scale and rotation applied.
-func (s Shape) inside(x, y, scale, rot float64) bool {
+// inside the posed shape.
+func (o *outline) inside(x, y float64) bool {
 	// Undo rotation.
-	c, sn := math.Cos(-rot), math.Sin(-rot)
-	rx := (x*c - y*sn) / scale
-	ry := (x*sn + y*c) / scale
-	if s == Circle {
+	rx := (x*o.c - y*o.sn) / o.scale
+	ry := (x*o.sn + y*o.c) / o.scale
+	if o.circle {
 		return rx*rx+ry*ry <= 0.81 // radius 0.9 keeps area comparable
 	}
-	poly := s.polygon()
-	return pointInPolygon(rx, ry, poly)
+	return pointInPolygon(rx, ry, o.poly)
 }
 
 // pointInPolygon uses the even-odd ray-casting rule.
@@ -136,6 +146,7 @@ func pointInPolygon(x, y float64, poly []point) bool {
 // inside the tile; rot rotates it (radians).
 func Mask(s Shape, k int, scale, rot float64) *tensor.Tensor {
 	out := tensor.New(1, k, k)
+	o := s.outline(scale, rot)
 	half := float64(k) / 2
 	for y := 0; y < k; y++ {
 		for x := 0; x < k; x++ {
@@ -144,7 +155,7 @@ func Mask(s Shape, k int, scale, rot float64) *tensor.Tensor {
 				for sx := 0; sx < 2; sx++ {
 					px := (float64(x) + 0.25 + 0.5*float64(sx) - half) / half
 					py := (float64(y) + 0.25 + 0.5*float64(sy) - half) / half
-					if s.inside(px, py, scale, rot) {
+					if o.inside(px, py) {
 						hits++
 					}
 				}

@@ -167,13 +167,15 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 // it returns dInput [N,C,H,W] and accumulates into dWeight [OC,C,KH,KW] and
 // dBias [OC] (either may be nil to skip).
 //
-// The reduction is lock-free and deterministic: samples are assigned to
-// workers in fixed contiguous chunks, each worker sums its samples' dW/dB
-// terms into private arena accumulators in ascending sample order, and the
-// per-worker partials are merged into dWeight/dBias in ascending slot order
-// after the join. For a fixed GOMAXPROCS the floating-point summation tree
-// is therefore identical on every run (and with one worker it matches the
-// sequential pre-optimization kernel bit for bit).
+// The reduction is lock-free and deterministic on every host: when dW or
+// dB is wanted, samples are split into min(n, gradLanes) fixed contiguous
+// lanes whatever GOMAXPROCS is, each lane sums its samples' dW/dB terms
+// into private arena accumulators in ascending sample order, and the lane
+// partials are merged into dWeight/dBias in ascending lane order after the
+// join. The floating-point summation tree therefore depends only on n (and
+// for n = 1 it matches the sequential pre-optimization kernel bit for
+// bit). An input-gradient-only call has nothing to reduce and spreads its
+// samples over Workers(n).
 func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias *Tensor) *Tensor {
 	if refKernels {
 		return conv2DBackwardRef(input, weight, dOut, stride, pad, dWeight, dBias)
@@ -192,6 +194,9 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 	needB := dBias != nil
 
 	workers := Workers(n)
+	if needW || needB {
+		workers = min(n, gradLanes)
+	}
 	ss := AcquireScratch(workers)
 
 	// W^T [k, oc], written once here and read by every worker.
@@ -250,7 +255,7 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 		}
 	})
 
-	// Fixed-order merge: ascending slot, each slot's partial covering an
+	// Fixed-order merge: ascending lane, each lane's partial covering an
 	// ascending contiguous sample range.
 	if !single {
 		for slot := 0; slot < workers; slot++ {
@@ -303,6 +308,12 @@ func transposeInto(dst, src []float64, rows, cols int) {
 		}
 	}
 }
+
+// gradLanes is the fixed lane count of Conv2DBackward's weight and bias
+// reduction. It does not follow GOMAXPROCS, so trained weights and patches
+// come out bit-identical on every host; it caps that reduction's
+// parallelism at two.
+const gradLanes = 2
 
 // Workers returns the worker count the parallel loops in this package use
 // for n items: GOMAXPROCS capped at n, at least 1. Callers acquiring

@@ -140,10 +140,37 @@ func TestConv2DForwardParityBitExact(t *testing.T) {
 	}
 }
 
+// laneOracle accumulates the documented dW/dB reduction into dW and dB with
+// the reference kernel: per-lane partial sums from zero over
+// min(n, gradLanes) fixed contiguous lanes, in ascending sample order,
+// merged in lane order.
+func laneOracle(in, wt, dOut *Tensor, stride, pad int, dW, dB *Tensor) {
+	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
+	oc, od := dOut.shape[1], dOut.shape[2]*dOut.shape[3]
+	lanes := min(n, gradLanes)
+	for lane := 0; lane < lanes; lane++ {
+		lo, hi := chunkRange(n, lanes, lane)
+		partW := make([]float64, wt.Len())
+		partB := make([]float64, oc)
+		for s := lo; s < hi; s++ {
+			sampleIn := FromSlice(in.Data()[s*c*h*w:(s+1)*c*h*w], 1, c, h, w)
+			sampleD := FromSlice(dOut.Data()[s*oc*od:(s+1)*oc*od], 1, oc, dOut.shape[2], dOut.shape[3])
+			conv2DBackwardRef(sampleIn, wt, sampleD, stride, pad,
+				FromSlice(partW, wt.Shape()...), FromSlice(partB, oc))
+		}
+		for i, v := range partW {
+			dW.Data()[i] += v
+		}
+		for i, v := range partB {
+			dB.Data()[i] += v
+		}
+	}
+}
+
 // TestConv2DBackwardSequentialParityBitExact pins the backward pass to the
-// pre-optimization kernel in its only deterministic configuration: one
-// worker. The new chunked reduction must then follow the identical
-// ascending-sample summation order, including nonzero initial gradients.
+// pre-optimization kernel at one worker: dIn matches it bit for bit, and
+// dW/dB match it run lane by lane (laneOracle), including nonzero initial
+// gradients. With one sample that is the sequential kernel itself.
 func TestConv2DBackwardSequentialParityBitExact(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -164,7 +191,8 @@ func TestConv2DBackwardSequentialParityBitExact(t *testing.T) {
 		dBRef := FromSlice(append([]float64(nil), initB...), cc.oc)
 
 		dIn := Conv2DBackward(in, wt, dOut, cc.stride, cc.pad, dW, dB)
-		dInRef := conv2DBackwardRef(in, wt, dOut, cc.stride, cc.pad, dWRef, dBRef)
+		dInRef := conv2DBackwardRef(in, wt, dOut, cc.stride, cc.pad, nil, nil)
+		laneOracle(in, wt, dOut, cc.stride, cc.pad, dWRef, dBRef)
 
 		name := "conv backward " + cc.String()
 		bitEqual(t, name+" dIn", dIn.Data(), dInRef.Data())
@@ -237,9 +265,10 @@ func TestConv2DBackwardDeterministicParallel(t *testing.T) {
 	}
 }
 
-// TestConv2DBackwardChunkOracle pins the documented multi-worker summation
-// semantics: per-slot partial sums over fixed contiguous chunks, merged in
-// slot order, each starting from zero.
+// TestConv2DBackwardChunkOracle pins the documented summation semantics
+// away from the lane count: at GOMAXPROCS 3 the reduction still runs in
+// gradLanes lanes, per-lane partial sums over fixed contiguous chunks,
+// merged in lane order, each starting from zero.
 func TestConv2DBackwardChunkOracle(t *testing.T) {
 	prev := runtime.GOMAXPROCS(3)
 	defer runtime.GOMAXPROCS(prev)
@@ -252,28 +281,10 @@ func TestConv2DBackwardChunkOracle(t *testing.T) {
 	dW, dB := New(wt.Shape()...), New(cc.oc)
 	Conv2DBackward(in, wt, dOut, cc.stride, cc.pad, dW, dB)
 
-	workers := Workers(cc.n)
-	wantW := make([]float64, wt.Len())
-	wantB := make([]float64, cc.oc)
-	for slot := 0; slot < workers; slot++ {
-		lo, hi := chunkRange(cc.n, workers, slot)
-		partW := make([]float64, wt.Len())
-		partB := make([]float64, cc.oc)
-		for s := lo; s < hi; s++ {
-			sampleIn := FromSlice(in.Data()[s*cc.c*cc.h*cc.w:(s+1)*cc.c*cc.h*cc.w], 1, cc.c, cc.h, cc.w)
-			sampleD := FromSlice(dOut.Data()[s*cc.oc*oh*oh:(s+1)*cc.oc*oh*oh], 1, cc.oc, oh, oh)
-			conv2DBackwardRef(sampleIn, wt, sampleD, cc.stride, cc.pad,
-				FromSlice(partW, wt.Shape()...), FromSlice(partB, cc.oc))
-		}
-		for i, v := range partW {
-			wantW[i] += v
-		}
-		for i, v := range partB {
-			wantB[i] += v
-		}
-	}
-	bitEqual(t, "chunk oracle dW", dW.Data(), wantW)
-	bitEqual(t, "chunk oracle dB", dB.Data(), wantB)
+	wantW, wantB := New(wt.Shape()...), New(cc.oc)
+	laneOracle(in, wt, dOut, cc.stride, cc.pad, wantW, wantB)
+	bitEqual(t, "chunk oracle dW", dW.Data(), wantW.Data())
+	bitEqual(t, "chunk oracle dB", dB.Data(), wantB.Data())
 }
 
 // TestConv2DBackwardNumericGradientBatchedParallel extends the numeric

@@ -79,6 +79,15 @@ go test -count 1 -run 'TestReadJournal|FuzzReadJournal|TestWAL|FuzzWALReplay' ./
 go test -count 1 -run 'TestRunWarnsOnMidFileCorruption' ./cmd/runreport
 go test -count 1 -run 'TestTracetoolMidFileCorruptionWarnsAndMerges|TestTracetoolTornJournalWarnsAndMerges' ./cmd/tracetool
 
+# Request-path and host-independence gate: the gateway→node job envelope
+# (FuzzJobEnvelope's seeds, the bare-request payload), the allocation bound
+# on an executor cache hit, the per-route body limits, and the trained
+# bytes at GOMAXPROCS 1, which must match the golden recorded at 2.
+echo "== one encoding per hop + GOMAXPROCS=1 training golden"
+go test -count 1 -run 'FuzzJobEnvelope|TestDecodeJob|TestGatewayRequestBodyLimits' ./internal/fabric
+go test -count 1 -run 'TestCacheHitSkipsPatchDecode|TestRequestBodyLimits' ./internal/serve
+GOMAXPROCS=1 go test -count 1 -run TestTrainGolden ./internal/attack
+
 echo "== go test -race ./..."
 go test -race ./...
 
