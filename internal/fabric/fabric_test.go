@@ -22,6 +22,7 @@ import (
 	"roadtrojan/internal/metrics"
 	"roadtrojan/internal/serve"
 	"roadtrojan/internal/shapes"
+	"roadtrojan/internal/telemetry"
 	"roadtrojan/internal/tensor"
 	"roadtrojan/internal/yolo"
 )
@@ -362,6 +363,100 @@ func TestGatewayAffinityAndCaching(t *testing.T) {
 	counts.Range(func(_, v any) bool { total += v.(*atomic.Int64).Load(); return true })
 	if total != 2 {
 		t.Errorf("stub executions = %d, want 2 (one per patch, second round cached)", total)
+	}
+}
+
+// TestGatewayEscapedBodySharesPlainEntry: a body whose patch escapes '/'
+// as `\/`, as some client encoders write it, gets the plain body's Digest,
+// node, cache entry and response bytes, in either order: whichever comes
+// second is answered from the first's entry with "cached":true. The
+// gateway forwards the escaped bytes as they came, so each escaped body is
+// one counted encoding/json fallback at the gateway and one at the node.
+func TestGatewayEscapedBodySharesPlainEntry(t *testing.T) {
+	var ran sync.Map // addr -> *atomic.Int64
+	jobFor := func(addr string) eval.JobFunc {
+		n := &atomic.Int64{}
+		ran.Store(addr, n)
+		return func(eval.Job) (eval.Detail, error) {
+			n.Add(1)
+			return stubDetail(0.25), nil
+		}
+	}
+	nodes := startNodes(t, fabricDetector(), 2, serve.Config{Workers: 1, QueueSize: 4}, jobFor)
+	g := newTestGateway(t, newFakeClock(), nodeAddrs(nodes), nil)
+	waitRoutable(t, g, nodeAddrs(nodes)...)
+	gwSrv := httptest.NewServer(g.Handler())
+	defer gwSrv.Close()
+	post := func(body []byte) []byte {
+		resp, err := http.Post(gwSrv.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (%s), err %v", resp.StatusCode, buf.Bytes(), err)
+		}
+		return buf.Bytes()
+	}
+
+	for i, escapedFirst := range []bool{false, true} {
+		plain, err := json.Marshal(evalReq(t, 61+int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		escaped := bytes.ReplaceAll(plain, []byte("/"), []byte(`\/`))
+		if bytes.Equal(escaped, plain) {
+			t.Fatal("test patch has no '/' to escape")
+		}
+		p, _, errP := serve.DecodeEvalRequest(plain, nil)
+		e, _, errE := serve.DecodeEvalRequest(escaped, nil)
+		if errP != nil || errE != nil || p != e || p.Digest() != e.Digest() {
+			t.Fatalf("edge decodes differ: %v %v, digests %s %s", errP, errE, p.Digest(), e.Digest())
+		}
+		first, second := plain, escaped
+		if escapedFirst {
+			first, second = escaped, plain
+		}
+		n, _ := ran.Load(g.Ring().Lookup(p.Digest()))
+		ownerRan := n.(*atomic.Int64).Load()
+		miss, hit := post(first), post(second)
+		if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); bytes.Equal(want, miss) || !bytes.Equal(hit, want) {
+			t.Fatalf("escapedFirst=%v: second body answered %s after %s", escapedFirst, hit, miss)
+		}
+		if got := n.(*atomic.Int64).Load() - ownerRan; got != 1 {
+			t.Errorf("escapedFirst=%v: the digest's ring owner ran %d jobs, want 1", escapedFirst, got)
+		}
+	}
+	entries, jobs := 0, int64(0)
+	for _, fn := range nodes {
+		entries += fn.exec.CachedResults()
+		n, _ := ran.Load(fn.addr)
+		jobs += n.(*atomic.Int64).Load()
+	}
+	if entries != 2 || jobs != 2 {
+		t.Errorf("%d cache entries and %d jobs across the fleet, want 2 and 2", entries, jobs)
+	}
+	fallbacks := func(reg *telemetry.Registry) int {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "eval_decode_fallback_total "); ok {
+				n, _ := strconv.Atoi(v)
+				return n
+			}
+		}
+		t.Fatalf("no eval_decode_fallback_total in:\n%s", buf.Bytes())
+		return 0
+	}
+	nodeFallbacks := 0
+	for _, fn := range nodes {
+		nodeFallbacks += fallbacks(fn.exec.Metrics())
+	}
+	if gw := fallbacks(g.Metrics()); gw != 2 || nodeFallbacks != 2 {
+		t.Errorf("fallbacks: gateway %d, nodes %d; want 2 each", gw, nodeFallbacks)
 	}
 }
 

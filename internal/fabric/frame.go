@@ -161,9 +161,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // assumed synchronized.
 //
 // The gateway never marshals this struct: appendJobPayload splices the
-// client's request JSON into the envelope verbatim. The node decodes it
-// with one Unmarshal, which also accepts the bare serve.EvalRequest payload
-// of pre-envelope gateways through the embedded request's promoted fields.
+// client's request JSON into the envelope verbatim. The node reads that
+// envelope in one pass (scanJob) and decodes anything else with one
+// Unmarshal, which also accepts the bare serve.EvalRequest payload of
+// pre-envelope gateways through the embedded request's promoted fields.
 type JobPayload struct {
 	// TimeoutMs is the remaining job budget in milliseconds; 0 means no
 	// deadline.
@@ -177,6 +178,15 @@ type JobPayload struct {
 	Req *serve.EvalRequest `json:"req,omitempty"`
 	// EvalRequest holds a bare-request payload's fields.
 	serve.EvalRequest
+}
+
+// request returns the enveloped request, or the bare-request payload's
+// fields when there is none.
+func (p *JobPayload) request() serve.EvalRequest {
+	if p.Req != nil {
+		return *p.Req
+	}
+	return p.EvalRequest
 }
 
 // appendJobPayload appends the JobPayload envelope for one job to dst. req

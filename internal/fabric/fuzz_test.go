@@ -17,6 +17,7 @@ import (
 	"unicode/utf8"
 
 	"roadtrojan/internal/serve"
+	"roadtrojan/internal/telemetry"
 )
 
 // FuzzReadFrame pins the strict-decode contract: whatever bytes arrive,
@@ -223,8 +224,10 @@ func FuzzWALReplay(f *testing.F) {
 // FuzzJobEnvelope pins the gateway→node request path: for any body the
 // gateway's edge decode accepts, the Job payload it builds is valid JSON,
 // carries the request bytes but nothing the client sent after them, and
-// decodes on the node, in one Unmarshal, to the request the gateway
-// decoded, along with the budget and trace context it was given.
+// decodes on the node to the request the gateway decoded, along with the
+// budget and trace context it was given. decodeJob's single pass agrees
+// with json.Unmarshal on that payload and on the body itself as a bare
+// payload.
 func FuzzJobEnvelope(f *testing.F) {
 	for _, body := range []string{
 		`{"patch":"QUJD","scene":"road","challenge":"fix","mode":"digital","runs":1,"seed":5}`,
@@ -242,12 +245,10 @@ func FuzzJobEnvelope(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte, timeoutMs int64, trace string) {
 		edge := func(body []byte) (serve.EvalRequest, []byte, bool) {
-			var req serve.EvalRequest
-			var raw []byte
 			r := httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body))
-			ok := serve.ReadJSON(httptest.NewRecorder(), r, serve.MaxEvalBody, &req, &raw)
-			return req, raw, ok
+			return serve.ReadEvalRequest(httptest.NewRecorder(), r, nil)
 		}
+		checkScanJob(t, body)
 		gw, raw, ok := edge(body)
 		if !ok {
 			return
@@ -266,7 +267,8 @@ func FuzzJobEnvelope(f *testing.F) {
 			t.Fatalf("trailing bytes changed the job payload of %q", body)
 		}
 
-		node, timeout, gotTrace, err := decodeJob(payload)
+		checkScanJob(t, payload)
+		node, timeout, gotTrace, err := decodeJob(payload, new(telemetry.Counter))
 		if err != nil {
 			t.Fatalf("node rejects the gateway's payload %q: %v", payload, err)
 		}
@@ -282,25 +284,53 @@ func FuzzJobEnvelope(f *testing.F) {
 	})
 }
 
+// checkScanJob: when decodeJob's single pass takes payload, json.Unmarshal
+// (the path it falls back to) accepts it too and decodes the same request,
+// budget and trace.
+func checkScanJob(t *testing.T, payload []byte) {
+	t.Helper()
+	fast, ok := scanJob(payload)
+	if !ok {
+		return
+	}
+	var slow JobPayload
+	if err := json.Unmarshal(payload, &slow); err != nil {
+		t.Fatalf("scanJob took %q, which json.Unmarshal rejects: %v", payload, err)
+	}
+	if fast.request() != slow.request() || fast.TimeoutMs != slow.TimeoutMs || fast.Trace != slow.Trace {
+		t.Fatalf("payload %q: scanJob read %+v, json.Unmarshal %+v", payload, fast, slow)
+	}
+}
+
 // TestDecodeJobBareAndMalformed keeps the pre-envelope path: a bare
 // serve.EvalRequest payload still decodes, with no budget and no trace,
-// and a payload that is not JSON is an error (a bad_request frame).
+// through the counted json.Unmarshal fallback, while the gateway's
+// envelope takes the single pass; a payload that is not JSON is an error
+// (a bad_request frame).
 func TestDecodeJobBareAndMalformed(t *testing.T) {
 	want := serve.EvalRequest{Patch: "QUJD", Scene: "sim", Challenge: "fix", Mode: "digital", Runs: 2, Seed: 7, Target: 3}
 	bare, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, timeout, trace, err := decodeJob(bare)
-	if err != nil || got != want || timeout != 0 || trace != "" {
-		t.Fatalf("bare payload decoded to %+v, %v, %q, %v; want %+v, 0, \"\", nil", got, timeout, trace, err, want)
+	fallbacks := new(telemetry.Counter)
+	got, timeout, trace, err := decodeJob(bare, fallbacks)
+	if err != nil || got != want || timeout != 0 || trace != "" || fallbacks.Value() != 1 {
+		t.Fatalf("bare payload decoded to %+v, %v, %q, %v with %d fallbacks; want %+v, 0, \"\", nil with 1",
+			got, timeout, trace, err, fallbacks.Value(), want)
 	}
-	got, timeout, trace, err = decodeJob(appendJobPayload(nil, 40, "tc", bare))
-	if err != nil || got != want || timeout != 40*time.Millisecond || trace != "tc" {
-		t.Fatalf("envelope decoded to %+v, %v, %q, %v", got, timeout, trace, err)
+	got, timeout, trace, err = decodeJob(appendJobPayload(nil, 40, "tc", bare), fallbacks)
+	if err != nil || got != want || timeout != 40*time.Millisecond || trace != "tc" || fallbacks.Value() != 1 {
+		t.Fatalf("envelope decoded to %+v, %v, %q, %v with %d fallbacks", got, timeout, trace, err, fallbacks.Value())
 	}
-	for _, bad := range []string{``, `{"req":`, `{"req":{"seed":"x"}}`, `[1]`, `{"scene":"road"} x`} {
-		if _, _, _, err := decodeJob([]byte(bad)); err == nil {
+	dup := []byte(`{"req":{"seed":1,"runs":3},"timeoutMs":5,"req":{"runs":2},"timeoutMs":6}`)
+	checkScanJob(t, dup)
+	if _, ok := scanJob(dup); !ok {
+		t.Errorf("scanJob gave up on repeated keys in %s", dup)
+	}
+	for _, bad := range []string{``, `{"req":`, `{"req":{"seed":"x"}}`, `[1]`, `{"scene":"road"} x`,
+		`{"trace":"t","req":{}} x`, `{"req":{"runs":1.5}}`} {
+		if _, _, _, err := decodeJob([]byte(bad), fallbacks); err == nil {
 			t.Errorf("payload %q decoded without error", bad)
 		}
 	}

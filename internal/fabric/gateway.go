@@ -148,6 +148,7 @@ type Gateway struct {
 	saturated    *telemetry.Counter
 	decodeErrors *telemetry.Counter
 	walErrors    *telemetry.Counter
+	evalFallback *telemetry.Counter
 	dispatchHist *telemetry.Histogram
 }
 
@@ -170,6 +171,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		saturated:    reg.Counter("fabric_gateway_saturated_total", "jobs rejected because every shard's queue was full", nil),
 		decodeErrors: reg.Counter("fabric_gateway_frame_decode_errors_total", "malformed frames received from nodes", nil),
 		walErrors:    reg.Counter("fabric_gateway_wal_errors_total", "failed WAL appends (jobs proceed, durability degraded)", nil),
+		evalFallback: serve.EvalDecodeFallbacks(reg),
 	}
 	g.dispatchHist = reg.Histogram("fabric_gateway_stage_seconds", "gateway-side stage latency (exemplars carry trace ids)",
 		telemetry.Labels{"stage": "dispatch"}, nil)
@@ -562,10 +564,9 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 // malformed job never costs a node round-trip. The job carries the client's
 // bytes; req is the decoded request, normalized by Validate. On failure the
 // 400 or 413 reply is already written.
-func readEvalJob(w http.ResponseWriter, r *http.Request) (serve.EvalRequest, evalJob, bool) {
-	var req serve.EvalRequest
-	var raw []byte
-	if !serve.ReadJSON(w, r, serve.MaxEvalBody, &req, &raw) {
+func (g *Gateway) readEvalJob(w http.ResponseWriter, r *http.Request) (serve.EvalRequest, evalJob, bool) {
+	req, raw, ok := serve.ReadEvalRequest(w, r, g.evalFallback)
+	if !ok {
 		return req, evalJob{}, false
 	}
 	if err := req.Validate(); err != nil {
@@ -583,7 +584,7 @@ func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST required", Code: serve.CodeMethodNotAllowed})
 		return
 	}
-	_, job, ok := readEvalJob(w, r)
+	_, job, ok := g.readEvalJob(w, r)
 	if !ok {
 		return
 	}
@@ -618,7 +619,7 @@ type jobStatusResponse struct {
 // as the sync path), journal it, park it in the bounded table, dispatch in
 // the background, return the poll handle.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ej, ok := readEvalJob(w, r)
+	req, ej, ok := g.readEvalJob(w, r)
 	if !ok {
 		return
 	}

@@ -50,6 +50,7 @@ type Node struct {
 	jobsTotal    *telemetry.Counter
 	jobErrors    *telemetry.Counter
 	decodeErrors *telemetry.Counter
+	evalFallback *telemetry.Counter
 	connsGauge   *telemetry.Gauge
 }
 
@@ -67,6 +68,7 @@ func NewNode(exec *serve.Executor, cfg NodeConfig) *Node {
 		jobsTotal:    reg.Counter("fabric_node_jobs_total", "fabric jobs accepted by this node", nil),
 		jobErrors:    reg.Counter("fabric_node_job_errors_total", "fabric jobs answered with an error frame", nil),
 		decodeErrors: reg.Counter("fabric_node_frame_decode_errors_total", "malformed frames received", nil),
+		evalFallback: serve.EvalDecodeFallbacks(reg),
 		connsGauge:   reg.Gauge("fabric_node_connections", "open gateway connections", nil),
 	}
 }
@@ -269,7 +271,7 @@ func (n *Node) writeStats(c *nodeConn) error {
 // queue applies backpressure: a full queue answers immediately with a
 // queue_full error frame instead of parking the connection.
 func (n *Node) startJob(c *nodeConn, f Frame) {
-	req, timeout, trace, err := decodeJob(f.Payload)
+	req, timeout, trace, err := decodeJob(f.Payload, n.evalFallback)
 	if err != nil {
 		n.writeJobError(c, f.JobID, JobError{Code: CodeBadRequest, Error: "bad job payload: " + err.Error()})
 		return
@@ -347,23 +349,49 @@ func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout tim
 	sp.End(obs.S("code", "ok"), obs.I("bytes", buf.Len()))
 }
 
-// decodeJob decodes a Job frame's payload with one Unmarshal: a JobPayload
-// envelope (request, remaining budget, trace context) or the bare
-// serve.EvalRequest of a pre-envelope gateway.
-func decodeJob(payload []byte) (serve.EvalRequest, time.Duration, string, error) {
-	var env JobPayload
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return serve.EvalRequest{}, 0, "", err
-	}
-	req := env.EvalRequest
-	if env.Req != nil {
-		req = *env.Req
+// decodeJob decodes a Job frame's payload: a JobPayload envelope (request,
+// remaining budget, trace context) or the bare serve.EvalRequest of a
+// pre-envelope gateway. scanJob reads the envelope the gateway writes in
+// one pass; any other payload is counted on fallbacks and decoded with one
+// json.Unmarshal.
+func decodeJob(payload []byte, fallbacks *telemetry.Counter) (serve.EvalRequest, time.Duration, string, error) {
+	env, ok := scanJob(payload)
+	if !ok {
+		fallbacks.Inc()
+		env = JobPayload{}
+		if err := json.Unmarshal(payload, &env); err != nil {
+			return serve.EvalRequest{}, 0, "", err
+		}
 	}
 	var timeout time.Duration
 	if env.TimeoutMs > 0 {
 		timeout = time.Duration(env.TimeoutMs) * time.Millisecond
 	}
-	return req, timeout, env.Trace, nil
+	return env.request(), timeout, env.Trace, nil
+}
+
+// scanJob reads the envelope appendJobPayload writes with
+// serve.ObjectReader: the keys timeoutMs, trace and req, and nothing after
+// the object. ok is false for anything else, so the result is always what
+// json.Unmarshal would make of the payload; a repeated req merges into the
+// same request, as Unmarshal's reuse of the Req pointer does.
+func scanJob(payload []byte) (env JobPayload, ok bool) {
+	var req serve.EvalRequest
+	o := serve.NewObjectReader(payload)
+	ok = o.Object(func(key string) bool {
+		switch key {
+		case "timeoutMs":
+			env.TimeoutMs, ok = o.Int(64)
+		case "trace":
+			env.Trace, ok = o.String()
+		case "req":
+			env.Req, ok = &req, o.EvalRequest(&req)
+		default:
+			ok = false
+		}
+		return ok
+	}) && o.AtEnd()
+	return env, ok
 }
 
 func (n *Node) writeJobError(c *nodeConn, id uint64, je JobError) {

@@ -114,6 +114,8 @@ type Server struct {
 	reg     *telemetry.Registry
 	ownExec bool
 	httpSrv *http.Server
+
+	evalFallbacks *telemetry.Counter
 }
 
 // New builds the service around a trained detector, cloning one replica per
@@ -133,7 +135,8 @@ func New(det *yolo.Model, cfg Config) *Server {
 // pool.
 func NewWith(exec *Executor, cfg Config) *Server {
 	cfg.fillDefaults()
-	return &Server{cfg: cfg, exec: exec, reg: exec.Metrics()}
+	reg := exec.Metrics()
+	return &Server{cfg: cfg, exec: exec, reg: reg, evalFallbacks: EvalDecodeFallbacks(reg)}
 }
 
 // Executor exposes the execution core (for embedding a second transport).
@@ -228,39 +231,71 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// ReadJSON decodes the first JSON value of r's body into v, reading at most
-// limit bytes; whatever follows the value is ignored. When raw is non-nil
-// it receives the exact bytes of that value, captured as the decoder reads
-// them. On failure the reply is already written: 413 when the body exceeds
-// limit, 400 when it does not decode.
-func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, raw *[]byte) bool {
-	tooLarge := func() bool {
-		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
-			Error: fmt.Sprintf("request body exceeds %d bytes", limit), Code: CodeTooLarge})
-		return false
-	}
+// limitBody bounds r's body at limit bytes. When the declared length
+// already exceeds it, the 413 is written and ok is false.
+func limitBody(w http.ResponseWriter, r *http.Request, limit int64) (body io.Reader, ok bool) {
 	if r.ContentLength > limit {
-		return tooLarge()
+		writeTooLarge(w, limit)
+		return nil, false
 	}
-	var body io.Reader = http.MaxBytesReader(w, r.Body, limit)
-	var seen bytes.Buffer
-	if raw != nil {
-		seen.Grow(int(max(r.ContentLength, 0)))
-		body = io.TeeReader(body, &seen)
+	return http.MaxBytesReader(w, r.Body, limit), true
+}
+
+func writeTooLarge(w http.ResponseWriter, limit int64) {
+	WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+		Error: fmt.Sprintf("request body exceeds %d bytes", limit), Code: CodeTooLarge})
+}
+
+// writeBodyError answers a body that failed to read or decode: 413 when it
+// ran past limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error, limit int64) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeTooLarge(w, limit)
+		return
 	}
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return tooLarge()
-		}
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+	WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
+}
+
+// readJSON decodes the first JSON value of r's body into v, reading at most
+// limit bytes; whatever follows the value is ignored. On failure the reply
+// is already written: 413 when the body exceeds limit, 400 when it does not
+// decode.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, ok := limitBody(w, r, limit)
+	if !ok {
 		return false
 	}
-	if raw != nil {
-		*raw = seen.Bytes()[:dec.InputOffset()]
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		writeBodyError(w, err, limit)
+		return false
 	}
 	return true
+}
+
+// ReadEvalRequest reads an evaluate body of at most MaxEvalBody bytes and
+// decodes its first JSON value with DecodeEvalRequest, counting fallbacks
+// on fallbacks; whatever follows the value is ignored. It returns the
+// request and the exact bytes of the value. On failure the reply is
+// already written: 413 when the body exceeds the limit, 400 when it does
+// not decode.
+func ReadEvalRequest(w http.ResponseWriter, r *http.Request, fallbacks *telemetry.Counter) (EvalRequest, []byte, bool) {
+	body, ok := limitBody(w, r, MaxEvalBody)
+	if !ok {
+		return EvalRequest{}, nil, false
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(body); err != nil {
+		writeBodyError(w, err, MaxEvalBody)
+		return EvalRequest{}, nil, false
+	}
+	req, n, err := DecodeEvalRequest(buf.Bytes(), fallbacks)
+	if err != nil {
+		writeBodyError(w, err, MaxEvalBody)
+		return EvalRequest{}, nil, false
+	}
+	return req, buf.Bytes()[:n], true
 }
 
 // WriteJSON writes v as a JSON response body with status code.
@@ -297,7 +332,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DetectRequest
-	if !ReadJSON(w, r, maxDetectBody, &req, nil) {
+	if !readJSON(w, r, maxDetectBody, &req) {
 		return
 	}
 	resp, err := s.exec.Detect(r.Context(), req)
@@ -315,8 +350,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
 		return
 	}
-	var req EvalRequest
-	if !ReadJSON(w, r, MaxEvalBody, &req, nil) {
+	req, _, ok := ReadEvalRequest(w, r, s.evalFallbacks)
+	if !ok {
 		return
 	}
 	resp, err := s.exec.Evaluate(r.Context(), req)

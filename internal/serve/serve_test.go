@@ -36,7 +36,7 @@ func testDetector(t *testing.T) *yolo.Model {
 }
 
 // testPatch crafts an untrained monochrome patch with the base config.
-func testPatch(t *testing.T) *attack.Patch {
+func testPatch(t testing.TB) *attack.Patch {
 	t.Helper()
 	rng := rand.New(rand.NewSource(12))
 	gray := tensor.New(1, 32, 32)
@@ -47,7 +47,7 @@ func testPatch(t *testing.T) *attack.Patch {
 	return &attack.Patch{Gray: gray, Mask: shapes.Mask(cfg.Shape, 32, cfg.ShapeScale(), 0), Cfg: cfg}
 }
 
-func encodePatchB64(t *testing.T, p *attack.Patch) string {
+func encodePatchB64(t testing.TB, p *attack.Patch) string {
 	t.Helper()
 	raw, err := attack.EncodePatch(p)
 	if err != nil {

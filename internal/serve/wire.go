@@ -164,11 +164,12 @@ func validChallenge(name string) bool {
 	return false
 }
 
-// Validate reports whether the request would pass normalization, without
-// decoding side effects the caller wants. The fabric gateway uses it to
-// reject malformed jobs at the edge instead of spending a node round-trip.
-// Note it mutates the receiver the same way normalization does (defaults
-// are filled in), so a validated request hashes and routes consistently.
+// Validate reports whether the request would pass normalization. It runs
+// the whole of it, base64-decoding and parsing the patch, and discards the
+// decoded patch. The fabric gateway uses it to reject malformed jobs at
+// the edge instead of spending a node round-trip. Note it mutates the
+// receiver the same way normalization does (defaults are filled in), so a
+// validated request hashes and routes consistently.
 func (r *EvalRequest) Validate() error {
 	_, _, err := r.normalize()
 	return err

@@ -79,13 +79,21 @@ go test -count 1 -run 'TestReadJournal|FuzzReadJournal|TestWAL|FuzzWALReplay' ./
 go test -count 1 -run 'TestRunWarnsOnMidFileCorruption' ./cmd/runreport
 go test -count 1 -run 'TestTracetoolMidFileCorruptionWarnsAndMerges|TestTracetoolTornJournalWarnsAndMerges' ./cmd/tracetool
 
-# Request-path and host-independence gate: the gateway→node job envelope
-# (FuzzJobEnvelope's seeds, the bare-request payload), the allocation bound
-# on an executor cache hit, the per-route body limits, and the trained
-# bytes at GOMAXPROCS 1, which must match the golden recorded at 2.
-echo "== one encoding per hop + GOMAXPROCS=1 training golden"
-go test -count 1 -run 'FuzzJobEnvelope|TestDecodeJob|TestGatewayRequestBodyLimits' ./internal/fabric
-go test -count 1 -run 'TestCacheHitSkipsPatchDecode|TestRequestBodyLimits' ./internal/serve
+# Request-reader gate: the single-pass evaluate reader agrees with
+# encoding/json on every committed seed (one per fallback trigger), the
+# node's envelope pass agrees with json.Unmarshal (bare-request payloads
+# included), the per-route body limits hold at servd and the gateway, and
+# a body whose patch escapes '/' shares the plain body's digest, node and
+# cache entry, with each fallback counted.
+echo "== one evaluate-request reader (fuzz seeds + envelope + limits + escaped body)"
+go test -count 1 -run 'FuzzDecodeEvalRequest|TestDecodeEvalRequestFallbacks|TestPlainASCIIEveryByteEveryLane|TestEvalDecodeFallbackMetric|TestRequestBodyLimits' ./internal/serve
+go test -count 1 -run 'FuzzJobEnvelope|TestDecodeJobBareAndMalformed|TestGatewayRequestBodyLimits|TestGatewayEscapedBodySharesPlainEntry' ./internal/fabric
+
+# Hit-path and host-independence gate: the allocation bound on an executor
+# cache hit, and the trained bytes at GOMAXPROCS 1, which must match the
+# golden recorded at 2.
+echo "== cache-hit allocations + GOMAXPROCS=1 training golden"
+go test -count 1 -run 'TestCacheHitSkipsPatchDecode' ./internal/serve
 GOMAXPROCS=1 go test -count 1 -run TestTrainGolden ./internal/attack
 
 echo "== go test -race ./..."
