@@ -48,7 +48,7 @@ func run() error {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 
 		attemptTO = flag.Duration("attempt-timeout", 30*time.Second, "per-node round-trip bound; on expiry the job fails over to the next ring owner (0 disables)")
-		helloTO   = flag.Duration("hello-timeout", 3*time.Second, "Hello handshake bound after a dial; cuts off slow-loris peers")
+		helloTO   = flag.Duration("hello-timeout", 3*time.Second, "bound on the wait for a node's first Health frame after a dial; cuts off slow-loris peers")
 		brkThresh = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a backend's circuit breaker")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker wait before a half-open probe")
 		walPath   = flag.String("wal", "", "async-job journal path; replayed on restart (empty = no durability)")

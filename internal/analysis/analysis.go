@@ -62,8 +62,8 @@ type Config struct {
 	DeterministicPkgs map[string]bool
 	// RandAllowlist names packages exempt from globalrand even if listed
 	// as deterministic (serve, telemetry, obs, and fabric own wall-clock
-	// concerns; obs confines time.Now behind its Clock interface and
-	// fabric behind fabric.Clock, so importers stay deterministic).
+	// concerns; obs confines time.Now behind its Clock interface, and serve
+	// and fabric behind serve.Clock, so importers stay deterministic).
 	RandAllowlist map[string]bool
 	// FloatEqApproved names functions whose bodies may compare floats with
 	// == / != (the designated epsilon helpers themselves).

@@ -1,6 +1,6 @@
 // Package fabric exercises the globalrand allowlist for the distributed
 // eval tier: heartbeat staleness, dial backoff, and request latency are
-// inherently wall-clock concerns, confined behind fabric.Clock so the
+// inherently wall-clock concerns, confined behind serve.Clock so the
 // evaluation math underneath stays deterministic.
 package fabric
 

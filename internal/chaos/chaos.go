@@ -33,8 +33,8 @@ import (
 	"time"
 )
 
-// Clock is the subset of fabric.Clock chaos needs; fabric's clocks satisfy
-// it without an import in either direction.
+// Clock is the subset of serve.Clock chaos needs; the serving clocks
+// satisfy it without chaos importing fabric or serve.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time

@@ -45,21 +45,15 @@ type backend struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	writeMu  sync.Mutex
-	pending  map[uint64]*pendingJob
+	pending  map[uint64]chan jobReply // each buffered 1
 	up       bool
-	draining bool // node announced Drain
+	draining bool // node reported Draining
 	removed  bool // RemoveNode called: stop redialing
 	health   Health
-	stats    map[string]telemetry.HistSnapshot // latest FrameStats payload
 	lastSeen time.Time
 
 	removedCh chan struct{} // closed on remove, wakes the redial wait
 	done      chan struct{} // closed when runLoop exits
-}
-
-type pendingJob struct {
-	acked bool
-	done  chan jobReply // buffered 1
 }
 
 type jobReply struct {
@@ -75,7 +69,7 @@ func newBackend(g *Gateway, addr string) *backend {
 		breaker: newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown, g.clock,
 			g.reg.Counter("fabric_gateway_breaker_opens_total", "breaker closed→open transitions per backend",
 				telemetry.Labels{"node": addr})),
-		pending:   map[uint64]*pendingJob{},
+		pending:   map[uint64]chan jobReply{},
 		removedCh: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -89,9 +83,9 @@ func newBackend(g *Gateway, addr string) *backend {
 	return b
 }
 
-// runLoop dials the node, completes the Hello handshake, pumps frames
-// until the connection dies, and redials with bounded backoff — gated by
-// the circuit breaker, so a persistently failing peer costs one probe per
+// runLoop dials the node, reads its first Health frame, pumps frames until
+// the connection dies, and redials with bounded backoff — gated by the
+// circuit breaker, so a persistently failing peer costs one probe per
 // cooldown instead of a dial every backoff tick.
 func (b *backend) runLoop() {
 	defer close(b.done)
@@ -146,11 +140,11 @@ func (b *backend) runLoop() {
 	}
 }
 
-// awaitHello reads the node's mandatory Hello frame, bounded by
-// HelloTimeout so a peer that accepts the dial but never speaks (or
-// trickles bytes slow-loris style) cannot hold the slot indefinitely. The
-// bound is a real read deadline on the socket — wall time by necessity —
-// which also keeps it effective under the virtual test clock.
+// awaitHello reads the node's mandatory first frame, a Health report,
+// bounded by HelloTimeout so a peer that accepts the dial but never speaks
+// (or trickles bytes slow-loris style) cannot hold the slot indefinitely.
+// The bound is a real read deadline on the socket — wall time by
+// necessity — which also keeps it effective under the virtual test clock.
 func (b *backend) awaitHello(conn net.Conn) (Health, error) {
 	if d := b.g.cfg.HelloTimeout; d > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(d))
@@ -163,7 +157,7 @@ func (b *backend) awaitHello(conn net.Conn) (Health, error) {
 		}
 		return Health{}, fmt.Errorf("fabric: hello from %s: %w", b.addr, err)
 	}
-	if f.Type != FrameHello {
+	if f.Type != FrameHealth {
 		return Health{}, fmt.Errorf("fabric: hello from %s: unexpected frame type %d", b.addr, f.Type)
 	}
 	var h Health
@@ -185,7 +179,7 @@ func (b *backend) isGone() bool {
 	}
 }
 
-// attach marks the backend routable. The Hello health report h was already
+// attach marks the backend routable. The first health report h was already
 // consumed by the handshake, so it is recorded here.
 func (b *backend) attach(conn net.Conn, h Health) {
 	b.mu.Lock()
@@ -210,15 +204,15 @@ func (b *backend) detach(conn net.Conn) {
 		b.conn = nil
 		b.up = false
 	}
-	orphans := make([]*pendingJob, 0, len(b.pending))
-	for id, pj := range b.pending {
-		orphans = append(orphans, pj)
+	orphans := make([]chan jobReply, 0, len(b.pending))
+	for id, done := range b.pending {
+		orphans = append(orphans, done)
 		delete(b.pending, id)
 	}
 	b.mu.Unlock()
 	b.g.backendUp(b.addr, false)
-	for _, pj := range orphans {
-		pj.done <- jobReply{err: errBackendDown}
+	for _, done := range orphans {
+		done <- jobReply{err: errBackendDown}
 	}
 }
 
@@ -236,7 +230,7 @@ func (b *backend) readLoop(conn net.Conn) {
 		b.lastSeen = b.g.clock.Now()
 		b.mu.Unlock()
 		switch f.Type {
-		case FrameHello, FrameHealth:
+		case FrameHealth:
 			var h Health
 			if err := json.Unmarshal(f.Payload, &h); err != nil {
 				b.g.decodeErrors.Inc()
@@ -248,12 +242,6 @@ func (b *backend) readLoop(conn net.Conn) {
 			if h.Draining {
 				b.markDraining()
 			}
-		case FrameAck:
-			b.mu.Lock()
-			if pj := b.pending[f.JobID]; pj != nil {
-				pj.acked = true
-			}
-			b.mu.Unlock()
 		case FrameResult:
 			b.deliver(f.JobID, jobReply{payload: f.Payload})
 		case FrameError:
@@ -263,27 +251,15 @@ func (b *backend) readLoop(conn net.Conn) {
 				je = JobError{Code: CodeInternal, Error: "undecodable error frame"}
 			}
 			b.deliver(f.JobID, jobReply{jerr: &je})
-		case FrameDrain:
-			b.markDraining()
-		case FrameStats:
-			var sp StatsPayload
-			if err := json.Unmarshal(f.Payload, &sp); err != nil {
-				b.g.decodeErrors.Inc()
-				continue
-			}
-			b.mu.Lock()
-			b.stats = sp.Stages
-			b.mu.Unlock()
 		}
 	}
 }
 
-// stageStats returns the node's last pushed stage snapshots (nil before the
-// first Stats frame).
+// stageStats returns the stage snapshots of the node's last health report.
 func (b *backend) stageStats() map[string]telemetry.HistSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stats
+	return b.health.Stages
 }
 
 // markDraining takes the node out of routing; the gateway keeps the
@@ -298,15 +274,20 @@ func (b *backend) markDraining() {
 	}
 }
 
+// deliver hands a job's reply to its waiting roundTrip. A reply for a job
+// the gateway already gave up on (attempt timeout, cancel, failover) has
+// no waiter; it is dropped and counted as late.
 func (b *backend) deliver(id uint64, r jobReply) {
 	b.mu.Lock()
-	pj := b.pending[id]
+	done := b.pending[id]
 	delete(b.pending, id)
 	closeIdle := b.removed && len(b.pending) == 0
 	conn := b.conn
 	b.mu.Unlock()
-	if pj != nil {
-		pj.done <- r
+	if done != nil {
+		done <- r
+	} else {
+		b.g.lateReplies.Inc()
 	}
 	// A removed backend lingers only for its in-flight jobs; the last
 	// result closes the connection (graceful leave with in-flight drain).
@@ -362,7 +343,7 @@ func (b *backend) roundTrip(ctx context.Context, req []byte, trace string) ([]by
 	}
 	payload := appendJobPayload(make([]byte, 0, len(req)+len(trace)+64), ms, trace, req)
 	id := b.g.jobSeq.Add(1)
-	pj := &pendingJob{done: make(chan jobReply, 1)}
+	done := make(chan jobReply, 1)
 
 	b.mu.Lock()
 	if !b.up || b.conn == nil {
@@ -370,7 +351,7 @@ func (b *backend) roundTrip(ctx context.Context, req []byte, trace string) ([]by
 		return nil, errBackendDown
 	}
 	conn := b.conn
-	b.pending[id] = pj
+	b.pending[id] = done
 	b.mu.Unlock()
 
 	b.writeMu.Lock()
@@ -383,7 +364,7 @@ func (b *backend) roundTrip(ctx context.Context, req []byte, trace string) ([]by
 	}
 
 	select {
-	case r := <-pj.done:
+	case r := <-done:
 		switch {
 		case r.err != nil:
 			return nil, r.err

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"roadtrojan/internal/serve"
 	"roadtrojan/internal/telemetry"
 )
 
@@ -17,16 +18,16 @@ const (
 
 // breaker is a per-backend circuit breaker guarding the gateway's dial and
 // handshake path. It replaces blind redial: after Threshold consecutive
-// transport failures (dial refused, Hello never completed, connection
-// death) the breaker opens and the backend stops burning dial attempts on
-// a peer that is clearly down. Once Cooldown elapses — measured on the
-// injected fabric.Clock so chaos tests can fast-forward it — a single
-// half-open probe is allowed; a completed Hello handshake closes the
+// transport failures (dial refused, first Health frame never arrived,
+// connection death) the breaker opens and the backend stops burning dial
+// attempts on a peer that is clearly down. Once Cooldown elapses — measured
+// on the injected serve.Clock so chaos tests can fast-forward it — a
+// single half-open probe is allowed; a completed handshake closes the
 // breaker again, any failure snaps it back open for a fresh cooldown.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	clock     Clock
+	clock     serve.Clock
 	opens     *telemetry.Counter
 
 	mu       sync.Mutex
@@ -35,7 +36,7 @@ type breaker struct {
 	openedAt time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock Clock, opens *telemetry.Counter) *breaker {
+func newBreaker(threshold int, cooldown time.Duration, clock serve.Clock, opens *telemetry.Counter) *breaker {
 	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock, opens: opens}
 }
 
@@ -56,8 +57,9 @@ func (br *breaker) ready() (bool, time.Duration) {
 	return false, remaining
 }
 
-// success records a completed Hello handshake: the probe (or a regular
-// attempt) proved the peer healthy, so the breaker closes fully.
+// success records a completed handshake (the node's first Health frame
+// arrived): the probe (or a regular attempt) proved the peer healthy, so
+// the breaker closes fully.
 func (br *breaker) success() {
 	br.mu.Lock()
 	br.state = breakerClosed

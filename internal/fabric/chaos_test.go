@@ -111,8 +111,8 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptFrameTripsBadFrameAndBreaker corrupts the Hello frame's
-// version byte on the first three connections: each trips ErrBadFrame,
+// TestChaosCorruptFrameTripsBadFrameAndBreaker corrupts the first Health
+// frame's version byte on the first three connections: each trips ErrBadFrame,
 // three consecutive failures open the circuit breaker, and only after the
 // cooldown elapses (on the virtual clock) does a clean half-open probe
 // close it again. The whole scenario runs twice with the same seed and the
@@ -144,7 +144,7 @@ func TestChaosCorruptFrameTripsBadFrameAndBreaker(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for b.breaker.stateValue() != breakerOpen {
 			if time.Now().After(deadline) {
-				t.Fatal("breaker never opened on corrupt Hello frames")
+				t.Fatal("breaker never opened on corrupt first Health frames")
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -183,10 +183,10 @@ func TestChaosCorruptFrameTripsBadFrameAndBreaker(t *testing.T) {
 	}
 }
 
-// TestChaosSlowLorisHelloTimeout trickles the Hello frame one byte every
-// 30ms on the first connection: the handshake deadline (150ms) cuts it off
-// instead of letting the peer hold the slot for the full 20-byte header
-// (600ms). The retry connection is clean and the backend comes up.
+// TestChaosSlowLorisHelloTimeout trickles the first Health frame one byte
+// every 30ms on the first connection: the handshake deadline (150ms) cuts
+// it off instead of letting the peer hold the slot for the full 20-byte
+// header (600ms). The retry connection is clean and the backend comes up.
 func TestChaosSlowLorisHelloTimeout(t *testing.T) {
 	det := fabricDetector()
 	jobFor := func(string) eval.JobFunc {
@@ -199,16 +199,16 @@ func TestChaosSlowLorisHelloTimeout(t *testing.T) {
 		chaos.On(addr, 0, chaos.Fault{Kind: chaos.KindSlowLoris, Dir: chaos.Inbound, Chunk: 1, Delay: 30 * time.Millisecond}),
 	}}, nil)
 	start := time.Now()
-	g := newTestGateway(t, WallClock(), []string{addr}, func(cfg *GatewayConfig) {
+	g := newTestGateway(t, serve.WallClock(), []string{addr}, func(cfg *GatewayConfig) {
 		cfg.Dial = in.Dial(tcpDial)
 		cfg.HelloTimeout = 150 * time.Millisecond
 	})
 	waitRoutable(t, g, addr)
 	if elapsed := time.Since(start); elapsed >= 600*time.Millisecond {
-		t.Errorf("backend took %v to come up; the slow-loris Hello was not cut off by the handshake timeout", elapsed)
+		t.Errorf("backend took %v to come up; the slow-loris handshake was not cut off by the handshake timeout", elapsed)
 	}
 	if g.decodeErrors.Value() == 0 {
-		t.Error("timed-out Hello did not surface as a decode error")
+		t.Error("timed-out handshake did not surface as a decode error")
 	}
 	if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 321))); err != nil {
 		t.Fatalf("dispatch after slow-loris recovery: %v", err)
@@ -289,24 +289,103 @@ func chaosDeadlinePropagation(t *testing.T, batch int) {
 	}
 }
 
-// scriptedExpiredNode speaks the node side of the protocol on conn: a Hello,
-// then an "expired" error for every job, as a node does once the propagated
-// deadline has passed.
-func scriptedExpiredNode(conn net.Conn) {
+// scriptedNode speaks the node side of the protocol on conn: a Health
+// frame, then answer's reply to every Job frame.
+func scriptedNode(conn net.Conn, answer func(job Frame) Frame) {
 	defer conn.Close()
 	hello, _ := json.Marshal(Health{ID: "scripted", Workers: 1, QueueCapacity: 1})
-	if WriteFrame(conn, Frame{Type: FrameHello, Payload: hello}) != nil {
+	if WriteFrame(conn, Frame{Type: FrameHealth, Payload: hello}) != nil {
 		return
 	}
-	reply, _ := json.Marshal(JobError{Code: CodeExpired, Error: "job deadline passed"})
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
 			return
 		}
-		if f.Type == FrameJob && WriteFrame(conn, Frame{Type: FrameError, JobID: f.JobID, Payload: reply}) != nil {
+		if f.Type == FrameJob && WriteFrame(conn, answer(f)) != nil {
 			return
 		}
+	}
+}
+
+// scriptedExpiredNode answers every job with an "expired" error, as a node
+// does once the propagated deadline has passed.
+func scriptedExpiredNode(conn net.Conn) {
+	reply, _ := json.Marshal(JobError{Code: CodeExpired, Error: "job deadline passed"})
+	scriptedNode(conn, func(f Frame) Frame { return Frame{Type: FrameError, JobID: f.JobID, Payload: reply} })
+}
+
+// TestLateReplyIsCounted: a Result for a job the gateway already gave up on
+// (here, its caller canceled) has no waiter; the gateway drops it and
+// counts it in fabric_gateway_late_replies_total.
+func TestLateReplyIsCounted(t *testing.T) {
+	got, release := make(chan struct{}), make(chan struct{})
+	g := newTestGateway(t, newFakeClock(), []string{"scripted:1"}, func(cfg *GatewayConfig) {
+		cfg.MaxAttempts = 1
+		cfg.Dial = func(string) (net.Conn, error) {
+			gw, node := net.Pipe()
+			go scriptedNode(node, func(f Frame) Frame {
+				close(got)
+				<-release
+				return Frame{Type: FrameResult, JobID: f.JobID, Payload: []byte(`{}`)}
+			})
+			return gw, nil
+		}
+	})
+	waitRoutable(t, g, "scripted:1")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.dispatch(ctx, jobOf(t, evalReq(t, 334)))
+		done <- err
+	}()
+	<-got
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("dispatch returned %v, want context.Canceled", err)
+	}
+	if n := g.lateReplies.Value(); n != 0 {
+		t.Fatalf("%d late replies before the node answered", n)
+	}
+	close(release)
+	waitUntil(t, "the late reply to be counted", func() bool { return g.lateReplies.Value() == 1 })
+}
+
+// TestGatewayEdgeLatencyFollowsInjectedClock: the gateway's HTTP edge
+// times requests on GatewayConfig.Clock, so a node reply that moves the
+// virtual clock by 2.5 s lands in fabric_gateway_request_seconds as
+// exactly 2.5 s.
+func TestGatewayEdgeLatencyFollowsInjectedClock(t *testing.T) {
+	clock := newFakeClock()
+	g := newTestGateway(t, clock, []string{"scripted:1"}, func(cfg *GatewayConfig) {
+		cfg.Dial = func(string) (net.Conn, error) {
+			gw, node := net.Pipe()
+			go scriptedNode(node, func(f Frame) Frame {
+				clock.advance(2500 * time.Millisecond)
+				return Frame{Type: FrameResult, JobID: f.JobID, Payload: []byte(`{}`)}
+			})
+			return gw, nil
+		}
+	})
+	waitRoutable(t, g, "scripted:1")
+	gwSrv := httptest.NewServer(g.Handler())
+	defer gwSrv.Close()
+	body, _ := json.Marshal(evalReq(t, 335))
+	resp, err := http.Post(gwSrv.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate: status %d", resp.StatusCode)
+	}
+	var scrape bytes.Buffer
+	if err := g.reg.WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if want := `fabric_gateway_request_seconds_sum{endpoint="evaluate"} 2.5` + "\n"; !strings.Contains(scrape.String(), want) {
+		t.Fatalf("gateway registry lacks %q:\n%s", want, scrape.String())
 	}
 }
 
@@ -460,7 +539,7 @@ func TestChaosWALReplayAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := newTestGateway(t, WallClock(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
+	g2 := newTestGateway(t, serve.WallClock(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
 		cfg.WAL = wal2
 		cfg.RetryBackoff = 20 * time.Millisecond
 		cfg.MaxAttempts = 10 // replay races the first backend dial; be patient

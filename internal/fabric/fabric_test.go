@@ -152,7 +152,7 @@ func nodeByAddr(t *testing.T, nodes []*fabricNode, addr string) *fabricNode {
 	return nil
 }
 
-func newTestGateway(t *testing.T, clock Clock, addrs []string, mutate func(*GatewayConfig)) *Gateway {
+func newTestGateway(t *testing.T, clock serve.Clock, addrs []string, mutate func(*GatewayConfig)) *Gateway {
 	t.Helper()
 	cfg := GatewayConfig{
 		Nodes:            addrs,
@@ -461,7 +461,7 @@ func TestGatewayEscapedBodySharesPlainEntry(t *testing.T) {
 }
 
 // TestNodeDeathMidJobRetries kills the primary owner while it holds an
-// acked in-flight job. The gateway must fail over along the ring sequence
+// accepted in-flight job. The gateway must fail over along the ring sequence
 // and return exactly one result — nothing lost, nothing duplicated.
 func TestNodeDeathMidJobRetries(t *testing.T) {
 	det := fabricDetector()
@@ -726,11 +726,11 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 		closeErr <- leaverNode.node.Close(ctx)
 	}()
 
-	// The Drain frame must take the leaver off the ring...
+	// The draining Health frame must take the leaver off the ring...
 	deadline := time.Now().Add(10 * time.Second)
 	for g.Ring().Len() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("ring still has %d nodes after Drain", g.Ring().Len())
+			t.Fatalf("ring still has %d nodes after the draining Health frame", g.Ring().Len())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -7,7 +7,7 @@
 //
 //	offset  size  field
 //	0       4     magic "RTFB"
-//	4       1     protocol version (1)
+//	4       1     protocol version (2)
 //	5       1     frame type
 //	6       2     flags (reserved, must be zero)
 //	8       8     job id (little-endian uint64; 0 for non-job frames)
@@ -37,8 +37,9 @@ import (
 )
 
 // ProtocolVersion is the fabric wire-format version. Both ends refuse
-// frames from any other version rather than guessing.
-const ProtocolVersion = 1
+// frames from any other version rather than guessing: a version-1 peer is
+// cut off at its first frame header.
+const ProtocolVersion = 2
 
 // frameMagic is "RTFB" — RoadTrojan FaBric.
 var frameMagic = [4]byte{'R', 'T', 'F', 'B'}
@@ -51,36 +52,25 @@ const MaxPayload = 32 << 20
 // headerSize is the fixed frame header length in bytes.
 const headerSize = 20
 
-// Frame types.
+// Frame types. Version 2 carries only work and health: the gateway sends
+// jobs, and a node answers each job with exactly one Result or Error frame
+// and reports everything else — its introduction, load, stage telemetry and
+// leaving — in Health frames.
 const (
-	// FrameHello is the node's first frame on a new connection: a Health
-	// payload introducing the node (id, capacity).
-	FrameHello = uint8(iota + 1)
 	// FrameJob is a gateway→node evaluation job: a JobPayload.
-	FrameJob
-	// FrameAck acknowledges a job was accepted into the node's queue.
-	FrameAck
+	FrameJob = uint8(iota + 1)
 	// FrameResult carries a completed job's serve.EvalResponse JSON.
 	FrameResult
 	// FrameError carries a JobError for a failed or refused job.
 	FrameError
-	// FrameHealth is the node's periodic heartbeat: a Health payload.
+	// FrameHealth is a node's Health report: its first frame on a new
+	// connection, every heartbeat after that, and its goodbye (Draining set)
+	// on Close.
 	FrameHealth
-	// FrameDrain announces the node is leaving: no new jobs will be
-	// accepted, in-flight jobs will still complete.
-	FrameDrain
-	// FrameStats is the node's periodic telemetry push: a StatsPayload of
-	// stage-histogram snapshots, from which the gateway aggregates its
-	// fleet-wide /metrics view. Additive frame types like this one stay
-	// within ProtocolVersion 1: receivers ignore valid-but-unhandled types
-	// (see handleConn/readLoop), so a new frame only requires upgrading the
-	// end that wants to consume it. Older binaries' strict decoders reject
-	// type 8 outright, so a mixed fleet must upgrade receivers first.
-	FrameStats
 )
 
 // frameTypeValid reports whether t is a known frame type.
-func frameTypeValid(t uint8) bool { return t >= FrameHello && t <= FrameStats }
+func frameTypeValid(t uint8) bool { return t >= FrameJob && t <= FrameHealth }
 
 // ErrBadFrame is the strict-decode failure: anything on the wire that is
 // not a well-formed current-version frame.
@@ -163,30 +153,16 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // The gateway never marshals this struct: appendJobPayload splices the
 // client's request JSON into the envelope verbatim. The node reads that
 // envelope in one pass (scanJob) and decodes anything else with one
-// Unmarshal, which also accepts the bare serve.EvalRequest payload of
-// pre-envelope gateways through the embedded request's promoted fields.
+// Unmarshal; a payload without a request is refused.
 type JobPayload struct {
 	// TimeoutMs is the remaining job budget in milliseconds; 0 means no
 	// deadline.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Trace is an encoded obs.SpanContext: the gateway's attempt span, so
-	// the node's fabric_job span joins the request's causal tree. Optional
-	// and ignored by pre-tracing nodes (unknown JSON keys are skipped);
-	// bare-request payloads simply carry no context.
+	// the node's fabric_job span joins the request's causal tree. Optional.
 	Trace string `json:"trace,omitempty"`
-	// Req is the enveloped request; nil for a bare-request payload.
+	// Req is the enveloped request; nil when the payload carries none.
 	Req *serve.EvalRequest `json:"req,omitempty"`
-	// EvalRequest holds a bare-request payload's fields.
-	serve.EvalRequest
-}
-
-// request returns the enveloped request, or the bare-request payload's
-// fields when there is none.
-func (p *JobPayload) request() serve.EvalRequest {
-	if p.Req != nil {
-		return *p.Req
-	}
-	return p.EvalRequest
 }
 
 // appendJobPayload appends the JobPayload envelope for one job to dst. req
@@ -203,16 +179,9 @@ func appendJobPayload(dst []byte, timeoutMs int64, trace string, req []byte) []b
 	return append(dst, '}')
 }
 
-// StatsPayload is the FrameStats payload: one node's stage-histogram
-// snapshots (serve.StageNames keys), which the gateway merges into its
-// fleet-wide stage view.
-type StatsPayload struct {
-	ID     string                            `json:"id"`
-	Stages map[string]telemetry.HistSnapshot `json:"stages"`
-}
-
-// Health is the Hello/Health frame payload: one node's identity and
-// capacity snapshot. The gateway routes and sheds load on it.
+// Health is the FrameHealth payload: one node's identity, capacity and
+// stage-telemetry snapshot. The gateway routes and sheds load on it and
+// merges Stages into its fleet-wide /metrics view.
 type Health struct {
 	ID            string `json:"id"`
 	Workers       int    `json:"workers"`
@@ -225,6 +194,9 @@ type Health struct {
 	// queue is full. The gateway's saturation replies surface the largest
 	// hint across the fleet.
 	RetryAfter int `json:"retryAfter,omitempty"`
+	// Stages holds the node's stage-histogram snapshots, keyed by
+	// serve.StageNames.
+	Stages map[string]telemetry.HistSnapshot `json:"stages,omitempty"`
 }
 
 // Job-error codes carried by FrameError payloads.

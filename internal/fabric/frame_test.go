@@ -2,21 +2,29 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"net"
+	"os"
 	"testing"
+	"time"
+
+	"roadtrojan/internal/eval"
+	"roadtrojan/internal/serve"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
-		{Type: FrameHello, Payload: []byte(`{"id":"n1"}`)},
-		{Type: FrameJob, JobID: 42, Payload: []byte(`{"scene":"road"}`)},
-		{Type: FrameAck, JobID: 42},
+		{Type: FrameHealth, Payload: []byte(`{"id":"n1"}`)},
+		{Type: FrameJob, JobID: 42, Payload: []byte(`{"req":{"scene":"road"}}`)},
 		{Type: FrameResult, JobID: 42, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 		{Type: FrameError, JobID: 7, Payload: []byte(`{"code":"queue_full","error":"x","retryAfter":2}`)},
 		{Type: FrameHealth, Payload: []byte(`{}`)},
-		{Type: FrameDrain},
+		{Type: FrameResult, JobID: 8},
+		{Type: FrameHealth, Payload: []byte(`{"draining":true}`)},
 	}
 	var buf bytes.Buffer
 	for _, f := range cases {
@@ -52,8 +60,10 @@ func TestReadFrameStrict(t *testing.T) {
 		{"empty mid-header", valid[:10]},
 		{"bad magic", corrupt(func(b []byte) { b[0] = 'X' })},
 		{"bad version", corrupt(func(b []byte) { b[4] = 99 })},
+		{"version 1", corrupt(func(b []byte) { b[4] = 1 })},
 		{"zero type", corrupt(func(b []byte) { b[5] = 0 })},
 		{"unknown type", corrupt(func(b []byte) { b[5] = 200 })},
+		{"type past health", corrupt(func(b []byte) { b[5] = FrameHealth + 1 })},
 		{"nonzero flags", corrupt(func(b []byte) { b[6] = 1 })},
 		{"oversize length", corrupt(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[16:20], MaxPayload+1)
@@ -75,5 +85,87 @@ func TestWriteFrameRejectsInvalid(t *testing.T) {
 	}
 	if err := WriteFrame(&buf, Frame{Type: FrameJob, Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversize payload: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestNodeAnswersEachJobWithOneFrame pins the node side of the protocol
+// from a scripted gateway: the first frame is a Health report, one Job gets
+// exactly one Result and nothing else, and Close sends one draining Health
+// before the connection ends. The heartbeat is an hour, so every frame the
+// test sees is one the protocol owes it.
+func TestNodeAnswersEachJobWithOneFrame(t *testing.T) {
+	exec := serve.NewExecutor(fabricDetector(), serve.Config{Workers: 1, QueueSize: 2,
+		Job: func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }}, nil)
+	node := NewNode(exec, NodeConfig{ID: "n1", Heartbeat: time.Hour})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = node.Close(ctx)
+		_ = exec.Close(ctx)
+	})
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	read := func(within time.Duration) (Frame, error) {
+		_ = conn.SetReadDeadline(time.Now().Add(within))
+		return ReadFrame(conn)
+	}
+	health := func(what string) Health {
+		t.Helper()
+		f, err := read(10 * time.Second)
+		if err != nil || f.Type != FrameHealth {
+			t.Fatalf("%s: frame type %d, err %v; want a Health frame", what, f.Type, err)
+		}
+		var h Health
+		if err := json.Unmarshal(f.Payload, &h); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return h
+	}
+
+	if h := health("first frame"); h.ID != "n1" || h.Draining {
+		t.Fatalf("first Health = %+v, want id n1, not draining", h)
+	}
+	req, err := json.Marshal(evalReq(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, Frame{Type: FrameJob, JobID: 7, Payload: appendJobPayload(nil, 0, "", req)}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := read(10 * time.Second); err != nil || f.Type != FrameResult || f.JobID != 7 {
+		t.Fatalf("reply to job 7: frame type %d id %d, err %v; want one Result for job 7", f.Type, f.JobID, err)
+	}
+	var one [1]byte
+	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if n, err := conn.Read(one[:]); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after the Result: read %d byte(s), err %v; want no further frame within 100ms", n, err)
+	}
+
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		closed <- node.Close(ctx)
+	}()
+	if h := health("on Close"); !h.Draining {
+		t.Fatalf("Close sent %+v, want draining", h)
+	}
+	if f, err := read(10 * time.Second); err != io.EOF {
+		t.Fatalf("after the draining Health: frame type %d, err %v; want EOF", f.Type, err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("node close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("node serve loop: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -25,10 +26,10 @@ import (
 // error — it never panics, and every frame it does accept re-encodes to a
 // byte-identical wire image.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Type: FrameHello, Payload: []byte(`{"id":"n1","workers":4}`)}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameJob, JobID: 7, Payload: []byte(`{"scene":"road","seed":3}`)}))
-	f.Add(AppendFrame(nil, Frame{Type: FrameDrain}))
-	two := AppendFrame(nil, Frame{Type: FrameAck, JobID: 1})
+	f.Add(AppendFrame(nil, Frame{Type: FrameHealth, Payload: []byte(`{"id":"n1","workers":4}`)}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameJob, JobID: 7, Payload: []byte(`{"req":{"scene":"road","seed":3}}`)}))
+	f.Add(AppendFrame(nil, Frame{Type: FrameHealth, Payload: []byte(`{"draining":true}`)}))
+	two := AppendFrame(nil, Frame{Type: FrameJob, JobID: 1})
 	f.Add(AppendFrame(two, Frame{Type: FrameResult, JobID: 1, Payload: []byte(`{"pwc":0.5}`)}))
 	valid := AppendFrame(nil, Frame{Type: FrameHealth, Payload: []byte(`{}`)})
 	f.Add(valid[:len(valid)-1]) // truncated payload
@@ -45,7 +46,7 @@ func FuzzReadFrame(f *testing.F) {
 	// (mid-header, mid-payload, and at frame boundaries), and a single-bit
 	// flip at every position of a small valid frame — the wire images the
 	// fault injector's truncate and corrupt faults actually produce.
-	stream := AppendFrame(AppendFrame(nil, Frame{Type: FrameAck, JobID: 9}),
+	stream := AppendFrame(AppendFrame(nil, Frame{Type: FrameJob, JobID: 9}),
 		Frame{Type: FrameResult, JobID: 9, Payload: []byte(`{"pwc":0.5,"cached":false}`)})
 	for i := range stream {
 		f.Add(append([]byte(nil), stream[:i]...))
@@ -227,7 +228,7 @@ func FuzzWALReplay(f *testing.F) {
 // decodes on the node to the request the gateway decoded, along with the
 // budget and trace context it was given. decodeJob's single pass agrees
 // with json.Unmarshal on that payload and on the body itself as a bare
-// payload.
+// payload, which the node refuses unless it carries a "req" of its own.
 func FuzzJobEnvelope(f *testing.F) {
 	for _, body := range []string{
 		`{"patch":"QUJD","scene":"road","challenge":"fix","mode":"digital","runs":1,"seed":5}`,
@@ -249,6 +250,11 @@ func FuzzJobEnvelope(f *testing.F) {
 			return serve.ReadEvalRequest(httptest.NewRecorder(), r, nil)
 		}
 		checkScanJob(t, body)
+		if bare := new(JobPayload); json.Unmarshal(body, bare) != nil || bare.Req == nil {
+			if _, _, _, err := decodeJob(body, new(telemetry.Counter)); err == nil {
+				t.Fatalf("node accepts the bare payload %q", body)
+			}
+		}
 		gw, raw, ok := edge(body)
 		if !ok {
 			return
@@ -269,6 +275,14 @@ func FuzzJobEnvelope(f *testing.F) {
 
 		checkScanJob(t, payload)
 		node, timeout, gotTrace, err := decodeJob(payload, new(telemetry.Counter))
+		if string(bytes.TrimSpace(raw)) == "null" {
+			// A null request is no request: the edge's Validate refuses it
+			// before dispatch, and the node refuses it as well.
+			if err == nil {
+				t.Fatalf("node accepts the request-less payload %q", payload)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("node rejects the gateway's payload %q: %v", payload, err)
 		}
@@ -297,16 +311,16 @@ func checkScanJob(t *testing.T, payload []byte) {
 	if err := json.Unmarshal(payload, &slow); err != nil {
 		t.Fatalf("scanJob took %q, which json.Unmarshal rejects: %v", payload, err)
 	}
-	if fast.request() != slow.request() || fast.TimeoutMs != slow.TimeoutMs || fast.Trace != slow.Trace {
+	if !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("payload %q: scanJob read %+v, json.Unmarshal %+v", payload, fast, slow)
 	}
 }
 
-// TestDecodeJobBareAndMalformed keeps the pre-envelope path: a bare
-// serve.EvalRequest payload still decodes, with no budget and no trace,
-// through the counted json.Unmarshal fallback, while the gateway's
-// envelope takes the single pass; a payload that is not JSON is an error
-// (a bad_request frame).
+// TestDecodeJobBareAndMalformed: a bare serve.EvalRequest payload, the
+// pre-envelope form, is refused after the counted json.Unmarshal fallback,
+// while the gateway's envelope takes the single pass; an envelope without
+// a request and a payload that is not JSON are errors too (each a
+// bad_request frame).
 func TestDecodeJobBareAndMalformed(t *testing.T) {
 	want := serve.EvalRequest{Patch: "QUJD", Scene: "sim", Challenge: "fix", Mode: "digital", Runs: 2, Seed: 7, Target: 3}
 	bare, err := json.Marshal(want)
@@ -314,12 +328,11 @@ func TestDecodeJobBareAndMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	fallbacks := new(telemetry.Counter)
-	got, timeout, trace, err := decodeJob(bare, fallbacks)
-	if err != nil || got != want || timeout != 0 || trace != "" || fallbacks.Value() != 1 {
-		t.Fatalf("bare payload decoded to %+v, %v, %q, %v with %d fallbacks; want %+v, 0, \"\", nil with 1",
-			got, timeout, trace, err, fallbacks.Value(), want)
+	checkScanJob(t, bare)
+	if _, _, _, err := decodeJob(bare, fallbacks); err == nil || fallbacks.Value() != 1 {
+		t.Fatalf("bare payload: err %v with %d fallbacks; want an error with 1", err, fallbacks.Value())
 	}
-	got, timeout, trace, err = decodeJob(appendJobPayload(nil, 40, "tc", bare), fallbacks)
+	got, timeout, trace, err := decodeJob(appendJobPayload(nil, 40, "tc", bare), fallbacks)
 	if err != nil || got != want || timeout != 40*time.Millisecond || trace != "tc" || fallbacks.Value() != 1 {
 		t.Fatalf("envelope decoded to %+v, %v, %q, %v with %d fallbacks", got, timeout, trace, err, fallbacks.Value())
 	}
@@ -329,7 +342,7 @@ func TestDecodeJobBareAndMalformed(t *testing.T) {
 		t.Errorf("scanJob gave up on repeated keys in %s", dup)
 	}
 	for _, bad := range []string{``, `{"req":`, `{"req":{"seed":"x"}}`, `[1]`, `{"scene":"road"} x`,
-		`{"trace":"t","req":{}} x`, `{"req":{"runs":1.5}}`} {
+		`{"trace":"t","req":{}} x`, `{"req":{"runs":1.5}}`, `{}`, `{"timeoutMs":5,"trace":"t"}`, `{"req":null}`} {
 		if _, _, _, err := decodeJob([]byte(bad), fallbacks); err == nil {
 			t.Errorf("payload %q decoded without error", bad)
 		}

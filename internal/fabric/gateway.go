@@ -42,9 +42,9 @@ type GatewayConfig struct {
 	// whole JobTimeout on one hung backend. 0 disables the per-attempt
 	// bound (cmd/gatewayd defaults it to 30s).
 	AttemptTimeout time.Duration
-	// HelloTimeout bounds the Hello handshake after a dial: a peer that
-	// accepts the connection but never introduces itself is cut off.
-	// 0 means 3s.
+	// HelloTimeout bounds the handshake after a dial, the wait for the
+	// node's first Health frame: a peer that accepts the connection but
+	// never introduces itself is cut off. 0 means 3s.
 	HelloTimeout time.Duration
 	// BreakerThreshold is the consecutive transport failures that open a
 	// backend's circuit breaker; 0 means 3.
@@ -63,8 +63,10 @@ type GatewayConfig struct {
 	// Dial opens a connection to a node address; nil means TCP with a 5s
 	// timeout. Tests inject loopback or in-memory dialers.
 	Dial func(addr string) (net.Conn, error)
-	// Clock drives staleness checks and backoff; nil means WallClock.
-	Clock Clock
+	// Clock drives staleness checks, backoff, breaker cooldown and edge
+	// latency; nil means serve.WallClock. The deterministic tests inject a
+	// fake whose After fires at once and whose Now is advanced by hand.
+	Clock serve.Clock
 	// Trace receives one span per HTTP request (nil = no tracing).
 	Trace *obs.Trace
 }
@@ -103,7 +105,7 @@ func (c *GatewayConfig) fillDefaults() {
 		}
 	}
 	if c.Clock == nil {
-		c.Clock = WallClock()
+		c.Clock = serve.WallClock()
 	}
 }
 
@@ -127,7 +129,7 @@ var ErrGatewayClosed = errors.New("fabric: gateway shut down")
 type Gateway struct {
 	cfg    GatewayConfig
 	reg    *telemetry.Registry
-	clock  Clock
+	clock  serve.Clock
 	ring   *Ring
 	closed chan struct{}
 
@@ -147,6 +149,7 @@ type Gateway struct {
 	retries      *telemetry.Counter
 	saturated    *telemetry.Counter
 	decodeErrors *telemetry.Counter
+	lateReplies  *telemetry.Counter
 	walErrors    *telemetry.Counter
 	evalFallback *telemetry.Counter
 	dispatchHist *telemetry.Histogram
@@ -170,6 +173,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		retries:      reg.Counter("fabric_gateway_retries_total", "jobs re-dispatched after a node failure", nil),
 		saturated:    reg.Counter("fabric_gateway_saturated_total", "jobs rejected because every shard's queue was full", nil),
 		decodeErrors: reg.Counter("fabric_gateway_frame_decode_errors_total", "malformed frames received from nodes", nil),
+		lateReplies:  reg.Counter("fabric_gateway_late_replies_total", "job replies that arrived after the gateway gave up on the job", nil),
 		walErrors:    reg.Counter("fabric_gateway_wal_errors_total", "failed WAL appends (jobs proceed, durability degraded)", nil),
 		evalFallback: serve.EvalDecodeFallbacks(reg),
 	}
@@ -249,9 +253,9 @@ func (g *Gateway) RemoveNode(addr string) {
 	}
 }
 
-// nodeDraining handles a node-initiated leave (Drain frame or a draining
-// health report): take it off the ring so new jobs route around it while
-// its in-flight jobs finish.
+// nodeDraining handles a node-initiated leave (a draining health report):
+// take it off the ring so new jobs route around it while its in-flight
+// jobs finish.
 func (g *Gateway) nodeDraining(addr string) {
 	g.ring.Remove(addr)
 }
@@ -530,7 +534,7 @@ func (g *Gateway) getJob(id string) *asyncJob {
 
 // Handler returns the gateway mux.
 func (g *Gateway) Handler() http.Handler {
-	edge := serve.Instrument(g.reg, g.cfg.Trace, "fabric_gateway_request_seconds", "fabric_gateway_requests_total", "gateway_request")
+	edge := serve.Instrument(g.reg, g.cfg.Trace, g.clock, "fabric_gateway_request_seconds", "fabric_gateway_requests_total", "gateway_request")
 	mux := http.NewServeMux()
 	mux.Handle("/v1/evaluate", edge("evaluate", g.handleEvaluate))
 	mux.Handle("POST /v1/jobs", edge("jobs_submit", g.handleSubmit))
@@ -833,8 +837,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the gateway registry plus the fleet-aggregated stage
-// histograms: each node pushes its stage snapshots over Stats frames, and
-// the gateway merges them (bucket-wise sums, latest exemplar wins) into one
+// histograms: each node sends its stage snapshots in every Health frame,
+// and the gateway merges them (bucket-wise sums, latest exemplar wins) into one
 // fabric_fleet_stage_seconds family labelled by stage. Exemplar trace ids
 // survive the merge, so a high fleet bucket links straight to a traceable
 // request.
@@ -856,7 +860,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// fleetStageStats merges every backend's last pushed stage snapshots into
+// fleetStageStats merges every backend's last reported stage snapshots into
 // one per-stage view. Backends are visited in address order so exemplar
 // tie-breaking is deterministic; stages whose snapshots disagree on bucket
 // bounds (mid-upgrade fleets) are dropped rather than summed wrongly.

@@ -17,7 +17,7 @@ import (
 
 // NodeConfig tunes the fabric listener side.
 type NodeConfig struct {
-	// ID names this node in Hello/Health frames; "" means the listener
+	// ID names this node in Health frames; "" means the listener
 	// address at Serve time.
 	ID string
 	// Heartbeat is the Health frame interval; 0 means 1 second.
@@ -33,9 +33,10 @@ func (c *NodeConfig) fillDefaults() {
 }
 
 // Node serves the fabric protocol over a serve.Executor: the gateway dials
-// it, streams Job frames, and receives Ack/Result/Error frames back plus
-// periodic Health heartbeats. One Node handles any number of gateway
-// connections; the executor's bounded queue is the shared capacity limit.
+// it, streams Job frames, and receives one Result or Error frame per job
+// back plus Health frames (first, on every heartbeat, and on Close). One
+// Node handles any number of gateway connections; the executor's bounded
+// queue is the shared capacity limit.
 type Node struct {
 	exec *serve.Executor
 	cfg  NodeConfig
@@ -86,7 +87,8 @@ func (c *nodeConn) write(f Frame) error {
 	return WriteFrame(c.conn, f)
 }
 
-// health snapshots the executor state for Hello/Health payloads.
+// health snapshots the executor state, stage histograms included, for a
+// Health payload.
 func (n *Node) health() Health {
 	n.mu.Lock()
 	draining := n.draining
@@ -99,6 +101,7 @@ func (n *Node) health() Health {
 		Inflight:      n.exec.Inflight(),
 		CachedResults: n.exec.CachedResults(),
 		Draining:      draining || n.exec.Draining(),
+		Stages:        n.exec.StageStats(),
 	}
 	if h.QueueCapacity > 0 && h.QueueDepth >= h.QueueCapacity {
 		h.RetryAfter = n.exec.RetryAfterSeconds()
@@ -152,9 +155,9 @@ func (n *Node) Serve(l net.Listener) error {
 	}
 }
 
-// Close drains gracefully: stop accepting, announce Drain on every open
-// connection, let in-flight jobs finish (bounded by ctx), then close the
-// connections. The executor stays up — it belongs to the caller.
+// Close drains gracefully: stop accepting, send a draining Health on every
+// open connection, let in-flight jobs finish (bounded by ctx), then close
+// the connections. The executor stays up — it belongs to the caller.
 func (n *Node) Close(ctx context.Context) error {
 	n.mu.Lock()
 	if n.draining {
@@ -173,7 +176,7 @@ func (n *Node) Close(ctx context.Context) error {
 		l.Close()
 	}
 	for _, c := range conns {
-		_ = c.write(Frame{Type: FrameDrain})
+		_ = n.writeHealth(c)
 	}
 
 	done := make(chan struct{})
@@ -190,8 +193,8 @@ func (n *Node) Close(ctx context.Context) error {
 	return err
 }
 
-// handleConn speaks the protocol on one gateway connection: Hello first,
-// then heartbeats and job dispatch until the peer hangs up.
+// handleConn speaks the protocol on one gateway connection: a Health frame
+// first, then heartbeats and job dispatch until the peer hangs up.
 func (n *Node) handleConn(c *nodeConn) {
 	defer func() {
 		n.mu.Lock()
@@ -201,7 +204,7 @@ func (n *Node) handleConn(c *nodeConn) {
 		c.conn.Close()
 	}()
 
-	if err := n.writeHealth(c, FrameHello); err != nil {
+	if err := n.writeHealth(c); err != nil {
 		return
 	}
 
@@ -217,14 +220,10 @@ func (n *Node) handleConn(c *nodeConn) {
 			}
 			return
 		}
-		switch f.Type {
-		case FrameJob:
+		// Job is the only frame a gateway sends; any other valid type is
+		// ignored.
+		if f.Type == FrameJob {
 			n.startJob(c, f)
-		case FrameDrain:
-			// Gateway-side goodbye: it will stop sending jobs; nothing to do.
-		default:
-			// Tolerate unexpected-but-valid frame types for forward
-			// compatibility within a version.
 		}
 	}
 }
@@ -238,33 +237,19 @@ func (n *Node) heartbeat(c *nodeConn, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			if n.writeHealth(c, FrameHealth) != nil {
-				return
-			}
-			if n.writeStats(c) != nil {
+			if n.writeHealth(c) != nil {
 				return
 			}
 		}
 	}
 }
 
-func (n *Node) writeHealth(c *nodeConn, typ uint8) error {
+func (n *Node) writeHealth(c *nodeConn) error {
 	payload, err := json.Marshal(n.health())
 	if err != nil {
 		return err
 	}
-	return c.write(Frame{Type: typ, Payload: payload})
-}
-
-// writeStats pushes the node's stage-histogram snapshots. Sent after every
-// job and with every heartbeat; the gateway keeps only the latest snapshot
-// per node, so resends are idempotent.
-func (n *Node) writeStats(c *nodeConn) error {
-	payload, err := json.Marshal(StatsPayload{ID: n.cfg.ID, Stages: n.exec.StageStats()})
-	if err != nil {
-		return err
-	}
-	return c.write(Frame{Type: FrameStats, Payload: payload})
+	return c.write(Frame{Type: FrameHealth, Payload: payload})
 }
 
 // startJob validates and dispatches one Job frame. The executor's bounded
@@ -283,7 +268,6 @@ func (n *Node) startJob(c *nodeConn, f Frame) {
 		n.writeJobError(c, f.JobID, JobError{Code: CodeDraining, Error: "node is draining"})
 		return
 	}
-	_ = c.write(Frame{Type: FrameAck, JobID: f.JobID})
 	n.jobsTotal.Inc()
 	n.jobs.Add(1)
 	go func() {
@@ -298,9 +282,7 @@ func (n *Node) startJob(c *nodeConn, f Frame) {
 // and stay bit-identical with single-box serve. A trace context from the
 // envelope parents this node's fabric_job span under the gateway's attempt
 // span; the span rides the context so the executor's stage spans (queue,
-// batch, per-replica forward/decode) nest beneath it. After each job the
-// node pushes a Stats frame so the gateway's fleet view reflects the work
-// promptly rather than on the next heartbeat.
+// batch, per-replica forward/decode) nest beneath it.
 func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout time.Duration, trace string) {
 	sc, ok := obs.ParseSpanContext(trace)
 	if !ok {
@@ -318,7 +300,6 @@ func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout tim
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	defer func() { _ = n.writeStats(c) }()
 	resp, err := n.exec.Evaluate(ctx, req)
 	if err != nil {
 		n.jobErrors.Inc()
@@ -350,10 +331,10 @@ func (n *Node) runJob(c *nodeConn, id uint64, req serve.EvalRequest, timeout tim
 }
 
 // decodeJob decodes a Job frame's payload: a JobPayload envelope (request,
-// remaining budget, trace context) or the bare serve.EvalRequest of a
-// pre-envelope gateway. scanJob reads the envelope the gateway writes in
-// one pass; any other payload is counted on fallbacks and decoded with one
-// json.Unmarshal.
+// remaining budget, trace context). scanJob reads the envelope the gateway
+// writes in one pass; any other payload is counted on fallbacks and
+// decoded with one json.Unmarshal. A payload without a request is an
+// error.
 func decodeJob(payload []byte, fallbacks *telemetry.Counter) (serve.EvalRequest, time.Duration, string, error) {
 	env, ok := scanJob(payload)
 	if !ok {
@@ -363,11 +344,14 @@ func decodeJob(payload []byte, fallbacks *telemetry.Counter) (serve.EvalRequest,
 			return serve.EvalRequest{}, 0, "", err
 		}
 	}
+	if env.Req == nil {
+		return serve.EvalRequest{}, 0, "", errors.New(`no "req" in job envelope`)
+	}
 	var timeout time.Duration
 	if env.TimeoutMs > 0 {
 		timeout = time.Duration(env.TimeoutMs) * time.Millisecond
 	}
-	return env.request(), timeout, env.Trace, nil
+	return *env.Req, timeout, env.Trace, nil
 }
 
 // scanJob reads the envelope appendJobPayload writes with

@@ -49,8 +49,8 @@ func TestFabricSmoke(t *testing.T) {
 		t.Errorf("evaluate returned %d frames, want > 0", eresp.Frames)
 	}
 
-	// Clean drain: nodes first (they announce Drain to the gateway), then
-	// the gateway, then the executors.
+	// Clean drain: nodes first (each sends the gateway a draining Health
+	// frame), then the gateway, then the executors.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, fn := range nodes {

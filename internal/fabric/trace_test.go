@@ -273,8 +273,8 @@ func TestTraceGoldenCrossProcess(t *testing.T) {
 
 // TestTraceFleetMetricsExemplars: after a traced job, the gateway /metrics
 // exposes both its own dispatch-stage histogram and the fleet-aggregated
-// per-stage histograms pushed by nodes over Stats frames, with at least one
-// exemplar carrying the request's trace id.
+// per-stage histograms nodes report in their Health frames, with at least
+// one exemplar carrying the request's trace id.
 func TestTraceFleetMetricsExemplars(t *testing.T) {
 	tf := startTracedFabric(t, 3, nil, nil)
 	postEvaluate(t, tf.gwSrv.URL, evalReq(t, 78))

@@ -2,11 +2,12 @@ package serve
 
 import "time"
 
-// Clock abstracts time for the micro-batching coalescer so its deadline
-// flush is testable with injected time, mirroring internal/fabric's Clock
-// (serve cannot import fabric — fabric fronts serve). Production uses
-// WallClock; the coalescer hammer tests inject a fake whose After channel
-// fires on demand.
+// Clock abstracts time for the serving tier: the micro-batching
+// coalescer's deadline flush, stage and edge-request latency, and the
+// fabric gateway's heartbeat staleness, backoff and breaker cooldown, so
+// all of them are testable with injected time. Production uses WallClock;
+// the coalescer hammer tests inject a fake whose After channel fires on
+// demand.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time

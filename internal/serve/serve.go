@@ -60,8 +60,8 @@ type Config struct {
 	// BatchDeadline is the longest the first parked request waits for its
 	// batch to fill; 0 means 2ms. Unused when BatchSize ≤ 1.
 	BatchDeadline time.Duration
-	// Clock injects time for the coalescer deadline (tests); nil means the
-	// wall clock.
+	// Clock injects time for the coalescer deadline and for stage and
+	// request latency (tests); nil means the wall clock.
 	Clock Clock
 	// JobTimeout is the per-job context deadline; 0 means 2 minutes.
 	JobTimeout time.Duration
@@ -144,7 +144,7 @@ func (s *Server) Executor() *Executor { return s.exec }
 
 // Handler returns the service mux (for embedding or tests).
 func (s *Server) Handler() http.Handler {
-	edge := Instrument(s.reg, s.cfg.Trace, "serve_request_seconds", "serve_requests_total", "request")
+	edge := Instrument(s.reg, s.cfg.Trace, s.cfg.Clock, "serve_request_seconds", "serve_requests_total", "request")
 	mux := http.NewServeMux()
 	mux.Handle("/v1/detect", edge("detect", s.handleDetect))
 	mux.Handle("/v1/evaluate", edge("evaluate", s.handleEvaluate))
@@ -195,17 +195,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Instrument returns the HTTP edge servd and the fabric gateway share: it
 // wraps an endpoint's handler with request counting (counter, by endpoint
-// and status code), latency observation (histogram, by endpoint) and one
-// span per request named span. An incoming X-Roadtrojan-Trace header
-// makes the span a child in the caller's trace (a bad header is ignored —
-// tracing must never fail a request); otherwise it roots a fresh trace.
+// and status code), latency observation (histogram, by endpoint, timed on
+// clock) and one span per request named span. An incoming
+// X-Roadtrojan-Trace header makes the span a child in the caller's trace (a
+// bad header is ignored — tracing must never fail a request); otherwise it
+// roots a fresh trace.
 // The span rides the request context so later stages can parent theirs.
-func Instrument(reg *telemetry.Registry, tr *obs.Trace, histogram, counter, span string) func(endpoint string, h http.HandlerFunc) http.Handler {
+func Instrument(reg *telemetry.Registry, tr *obs.Trace, clock Clock, histogram, counter, span string) func(endpoint string, h http.HandlerFunc) http.Handler {
 	return func(endpoint string, h http.HandlerFunc) http.Handler {
 		hist := reg.Histogram(histogram, "request latency by endpoint",
 			telemetry.Labels{"endpoint": endpoint}, nil)
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
+			start := clock.Now()
 			sc, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
 			sp := tr.SpanInContext(sc, span, obs.S("endpoint", endpoint), obs.S("method", r.Method))
 			if sp != nil {
@@ -214,7 +215,7 @@ func Instrument(reg *telemetry.Registry, tr *obs.Trace, histogram, counter, span
 			sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 			h(sw, r)
 			sp.End(obs.I("code", sw.code))
-			hist.Observe(time.Since(start).Seconds())
+			hist.Observe(clock.Now().Sub(start).Seconds())
 			reg.Counter(counter, "requests by endpoint and status code",
 				telemetry.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
 		})

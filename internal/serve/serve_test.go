@@ -670,6 +670,36 @@ func TestRetryAfterFollowsInjectedClock(t *testing.T) {
 	}
 }
 
+// TestEdgeLatencyFollowsInjectedClock: the HTTP edge times requests on
+// cfg.Clock like every other serving stage, so a request whose job moves the
+// injected clock by 1.5 s lands in serve_request_seconds as exactly 1.5 s,
+// whatever the wall clock did.
+func TestEdgeLatencyFollowsInjectedClock(t *testing.T) {
+	clk := &jobClock{now: time.Unix(1000, 0)}
+	_, ts := startServer(t, testDetector(t), Config{Workers: 1, Clock: clk,
+		Job: func(eval.Job) (eval.Detail, error) {
+			clk.advance(1500 * time.Millisecond)
+			return eval.Detail{}, nil
+		}})
+	resp, body := postJSON(t, ts.URL+"/v1/evaluate", EvalRequest{Scene: "road", Challenge: "fix",
+		Mode: "digital", Runs: 1, Seed: 3, Target: int(scene.Car)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate: %d %s", resp.StatusCode, body)
+	}
+	m, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(m.Body); err != nil {
+		t.Fatal(err)
+	}
+	if want := `serve_request_seconds_sum{endpoint="evaluate"} 1.5` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, buf.String())
+	}
+}
+
 // TestCacheHitRatioMetric: the derived gauge on /metrics tracks the live
 // hit/miss counters.
 func TestCacheHitRatioMetric(t *testing.T) {

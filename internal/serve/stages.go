@@ -14,7 +14,7 @@ import (
 // series. Observations carry the request's trace ID as an OpenMetrics-style
 // exemplar, so a p99 outlier on a dashboard links straight to the journal
 // trace that explains it. StageStats snapshots the same histograms for the
-// fabric Stats frame, which is how the gateway builds its fleet view.
+// fabric Health frame, which is how the gateway builds its fleet view.
 
 // Stage names for the serve_stage_seconds histogram family.
 const (
@@ -60,8 +60,8 @@ func (e *Executor) stageHook(traceID string) eval.StageHook {
 	}
 }
 
-// StageStats snapshots every stage histogram — the payload of the fabric
-// Stats frame.
+// StageStats snapshots every stage histogram — the stages of a fabric
+// Health frame.
 func (e *Executor) StageStats() map[string]telemetry.HistSnapshot {
 	out := make(map[string]telemetry.HistSnapshot, len(e.stageHist))
 	for st, h := range e.stageHist {

@@ -159,7 +159,7 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 
 // HistSnapshot is a point-in-time copy of a histogram in wire-friendly
 // form: cumulative bucket counts (one per bound; the +Inf count is Count),
-// the sum, and any bucket exemplars. It is what the fabric Stats frame
+// the sum, and any bucket exemplars. It is what a fabric Health frame
 // carries from node to gateway, and what the fleet aggregator merges.
 type HistSnapshot struct {
 	Bounds []float64 `json:"bounds"`

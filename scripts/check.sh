@@ -50,10 +50,12 @@ go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
 # must complete an evaluate round-trip and drain cleanly, under the race
-# detector. Fast and focused, so fabric wiring regressions fail here with
-# a readable name before the full suite runs.
-echo "== fabric smoke (gateway + 2 nodes)"
-go test -race -count 1 -run 'TestFabricSmoke' ./internal/fabric
+# detector, and a node must answer one job with exactly one frame (Health
+# first, one Result per Job, a draining Health on Close). Fast and focused,
+# so fabric wiring regressions fail here with a readable name before the
+# full suite runs.
+echo "== fabric smoke (gateway + 2 nodes, one frame per job)"
+go test -race -count 1 -run 'TestFabricSmoke|TestNodeAnswersEachJobWithOneFrame' ./internal/fabric
 
 # Trace golden gate: the committed tracetool fixture must merge
 # byte-for-byte into testdata/merged.golden, and a live gateway plus
@@ -81,8 +83,8 @@ go test -count 1 -run 'TestTracetoolMidFileCorruptionWarnsAndMerges|TestTracetoo
 
 # Request-reader gate: the single-pass evaluate reader agrees with
 # encoding/json on every committed seed (one per fallback trigger), the
-# node's envelope pass agrees with json.Unmarshal (bare-request payloads
-# included), the per-route body limits hold at servd and the gateway, and
+# node's envelope pass agrees with json.Unmarshal and refuses bare-request
+# payloads, the per-route body limits hold at servd and the gateway, and
 # a body whose patch escapes '/' shares the plain body's digest, node and
 # cache entry, with each fallback counted.
 echo "== one evaluate-request reader (fuzz seeds + envelope + limits + escaped body)"
