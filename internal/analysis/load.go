@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -20,7 +21,9 @@ import (
 // else goes through the source importer. Two passes are made per package —
 // a plain pass (no test files) that populates the import graph, and an
 // analysis pass that re-checks the package together with its in-package
-// _test.go files.
+// _test.go files. Files the default build context excludes (another GOOS
+// or GOARCH, by file name or //go:build line) are skipped, as go build
+// skips them.
 //
 // LoadAll fans the work across a worker pool in three phases: parallel
 // parsing (the FileSet is safe for concurrent use), a serial import warm-up
@@ -354,6 +357,11 @@ func (l *Loader) parseDir(dir string) (plain, test []*ast.File, err error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -106,15 +106,16 @@ func WriteFrame(w io.Writer, f Frame) error {
 }
 
 // ReadFrame decodes one frame from r. Truncated or corrupt input returns an
-// error wrapping ErrBadFrame (or io.EOF exactly at a frame boundary); it
-// never panics, whatever the bytes.
+// error wrapping ErrBadFrame (or io.EOF exactly at a frame boundary); a
+// short read also wraps the reader's error, so a read deadline still
+// matches os.ErrDeadlineExceeded. It never panics, whatever the bytes.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: short header: %v", ErrBadFrame, err)
+		return Frame{}, fmt.Errorf("%w: short header: %w", ErrBadFrame, err)
 	}
 	if [4]byte(hdr[0:4]) != frameMagic {
 		return Frame{}, fmt.Errorf("%w: bad magic %q", ErrBadFrame, hdr[0:4])
@@ -137,7 +138,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > 0 {
 		f.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+			return Frame{}, fmt.Errorf("%w: truncated payload: %w", ErrBadFrame, err)
 		}
 	}
 	return f, nil

@@ -78,6 +78,34 @@ func TestReadFrameStrict(t *testing.T) {
 	}
 }
 
+// TestReadFrameKeepsDeadlineError pins that a read timeout stays visible
+// through ErrBadFrame: a short header and a truncated payload both wrap the
+// connection's own error, so a caller can tell a timeout from bad bytes.
+func TestReadFrameKeepsDeadlineError(t *testing.T) {
+	gw, node := net.Pipe()
+	defer gw.Close()
+	defer node.Close()
+	if err := node.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	valid := AppendFrame(nil, Frame{Type: FrameJob, JobID: 1, Payload: []byte("hi")})
+	cases := []struct {
+		name string
+		r    io.Reader
+	}{
+		{"short header", node},
+		{"truncated payload", io.MultiReader(bytes.NewReader(valid[:len(valid)-1]), node)},
+	}
+	for _, tc := range cases {
+		_, err := ReadFrame(tc.r)
+		var ne net.Error
+		if !errors.Is(err, ErrBadFrame) || !errors.Is(err, os.ErrDeadlineExceeded) ||
+			!errors.As(err, &ne) || !ne.Timeout() {
+			t.Errorf("%s: err = %v, want ErrBadFrame wrapping a net.Error timeout", tc.name, err)
+		}
+	}
+}
+
 func TestWriteFrameRejectsInvalid(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{Type: 0}); !errors.Is(err, ErrBadFrame) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"roadtrojan/internal/eval"
@@ -103,13 +104,16 @@ type reply struct {
 
 // waiter is what every parked request carries into its flush: its context
 // (the request's own deadline capped by JobTimeout), a buffered reply
-// channel so fan-out never blocks on a waiter that gave up, and the parked
-// time and trace ID feeding the batch_wait stage histogram.
+// channel so fan-out never blocks on a waiter that gave up, the parked
+// time and trace ID feeding the batch_wait stage histogram, and its flush
+// group: nil while parked, the group once dispatched, departed once await
+// has returned on ctx.
 type waiter struct {
 	ctx     context.Context
 	done    chan reply
 	parked  time.Time
 	traceID string
+	group   atomic.Pointer[flushGroup]
 }
 
 func (w *waiter) base() *waiter { return w }

@@ -284,6 +284,9 @@ func await[R any, C parkedCall](e *Executor, co *coalescer[C], call C, sp *obs.S
 		case r = <-w.done:
 		case <-w.ctx.Done():
 			r.err = w.ctx.Err()
+			if g := w.group.Swap(departed); g != nil {
+				g.leave()
+			}
 		}
 	}
 	sp.End(obs.S("outcome", errOutcome(r.err)))

@@ -57,27 +57,21 @@ func (e *Executor) enqueueTask(t *task, waiters int) error {
 
 // dispatchGroup enqueues one pool task on behalf of a flush group and fans
 // run's values out to the group's waiters, value i to waiter i. The task's
-// context is the group's deadline: it is cancelled once every waiter's
-// context is done, so the pool skips a group nobody is waiting for any more,
-// while a deduped group still runs as long as one waiter is. A one-waiter
-// group therefore carries exactly its request's deadline.
+// context is the group's deadline: it is cancelled once every waiter has
+// left (see flushGroup), so the pool skips a group nobody is waiting for any
+// more, while a deduped group still runs as long as one waiter is. A
+// one-waiter group therefore carries exactly its request's deadline.
 func dispatchGroup[C parkedCall](e *Executor, g []C, run func(det *yolo.Model) ([]any, error)) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var waiting atomic.Int64
-	waiting.Store(int64(len(g)))
-	stops := make([]func() bool, len(g))
-	for i, c := range g {
-		stops[i] = context.AfterFunc(c.base().ctx, func() {
-			if waiting.Add(-1) == 0 {
-				cancel()
-			}
-		})
-	}
-	t := &task{ctx: ctx, run: run, traceID: g[0].base().traceID, finish: func(vs []any, err error) {
-		for _, stop := range stops {
-			stop()
+	fg := &flushGroup{}
+	fg.ctx, fg.cancel = context.WithCancel(context.Background())
+	fg.waiting.Store(int64(len(g)))
+	for _, c := range g {
+		if !c.base().group.CompareAndSwap(nil, fg) {
+			fg.leave() // its await returned before the flush
 		}
-		cancel()
+	}
+	t := &task{ctx: fg.ctx, run: run, traceID: g[0].base().traceID, finish: func(vs []any, err error) {
+		fg.cancel()
 		for i, c := range g {
 			r := reply{err: err}
 			if err == nil {
@@ -90,6 +84,28 @@ func dispatchGroup[C parkedCall](e *Executor, g []C, run func(det *yolo.Model) (
 		t.finish(nil, err)
 	}
 }
+
+// flushGroup is one dispatched group's context and the number of its
+// waiters still waiting. A waiter whose own context ends leaves the group
+// inside await, before await returns, so once the last waiter's caller
+// holds its error the group context is already cancelled and no worker can
+// start the group after that.
+type flushGroup struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	waiting atomic.Int64
+}
+
+// leave counts one waiter out; the last one out cancels the group context.
+func (g *flushGroup) leave() {
+	if g.waiting.Add(-1) == 0 {
+		g.cancel()
+	}
+}
+
+// departed marks a waiter whose await has returned on its own context, so a
+// later dispatch counts it out at once.
+var departed = new(flushGroup)
 
 // worker drains the job queue with its own detector replica until the queue
 // closes at shutdown. One clock read at dequeue ends the queue wait and

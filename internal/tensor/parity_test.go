@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -14,15 +15,18 @@ import (
 // in exactly the reference order; these tests pin that invariant across
 // randomized shapes including the stride/pad/tail edge cases.
 
-// randData fills a slice with standard normals plus ~10% exact zeros so the
-// kernels' zero-skip path is exercised.
+// randData fills a slice with standard normals plus ~10% exact zeros, half
+// of them −0, so the kernels' zero-skip path is exercised for both signs.
 func randData(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		if rng.Intn(10) == 0 {
-			continue
+		switch rng.Intn(20) {
+		case 0:
+		case 1:
+			out[i] = math.Copysign(0, -1)
+		default:
+			out[i] = rng.NormFloat64()
 		}
-		out[i] = rng.NormFloat64()
 	}
 	return out
 }
@@ -33,13 +37,78 @@ func bitEqual(t *testing.T, name string, got, want []float64) {
 		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: element %d differs at bit level: %v vs %v", name, i, got[i], want[i])
+		// A NaN matches any NaN: when both operands of an add are NaN, x86
+		// keeps the payload of whichever sits in the destination register,
+		// and the compiler picks that order per loop.
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+			t.Fatalf("%s: element %d differs at bit level: %v (%#016x) vs %v (%#016x)", name, i, got[i], g, want[i], w)
 		}
 	}
 }
 
+// withTilePaths runs f once on the AVX2 tiles, when this CPU has them, and
+// once on the Go tiles alone.
+func withTilePaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	for _, on := range []bool{true, false} {
+		if on && !have {
+			t.Log("CPU without AVX2: Go tiles only")
+			continue
+		}
+		useAVX2 = on
+		t.Run(fmt.Sprintf("avx2=%v", on), f)
+	}
+}
+
+// denseData fills a slice with standard normals and no zeros, so every
+// 4-row tile of an a operand reaches the AVX2 kernel.
+func denseData(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		for out[i] == 0 {
+			out[i] = rng.NormFloat64()
+		}
+	}
+	return out
+}
+
+// wideData fills a slice with nonzero normals scaled across 2^±300, so
+// products and sums round at very different magnitudes, and drops a few
+// ±Inf and NaN into it.
+func wideData(rng *rand.Rand, n int) []float64 {
+	out := denseData(rng, n)
+	for i := range out {
+		out[i] = math.Ldexp(out[i], rng.Intn(601)-300)
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if n > 0 && rng.Intn(2) == 0 {
+			out[rng.Intn(n)] = v
+		}
+	}
+	return out
+}
+
+// withNegZeros turns about a quarter of the entries into −0, the value an
+// accumulation must keep when every term it would add is skipped.
+func withNegZeros(rng *rand.Rand, in []float64) []float64 {
+	for i := range in {
+		if rng.Intn(4) == 0 {
+			in[i] = math.Copysign(0, -1)
+		}
+	}
+	return in
+}
+
 func TestMatMulBlockedMatchesRefBitExact(t *testing.T) {
+	withTilePaths(t, testMatMulBlockedMatchesRef)
+}
+
+func testMatMulBlockedMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	type shape struct{ m, k, n int }
 	shapes := []shape{
@@ -68,6 +137,10 @@ func TestMatMulBlockedMatchesRefBitExact(t *testing.T) {
 }
 
 func TestMatMulBlockedPartialRows(t *testing.T) {
+	withTilePaths(t, testMatMulBlockedPartialRows)
+}
+
+func testMatMulBlockedPartialRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, k, n := 13, 37, 29
 	a, b := randData(rng, m*k), randData(rng, k*n)
@@ -78,6 +151,100 @@ func TestMatMulBlockedPartialRows(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		if got[i] != 0 {
 			t.Fatal("rows below lo must stay untouched")
+		}
+	}
+}
+
+// detectorShapes are the matmul shapes the 64×64 detector's conv layers
+// lower to (BenchmarkMatMulDetectorShapes times the same list).
+var detectorShapes = []struct{ m, k, n int }{
+	{8, 27, 4096},   // b1: 3->8ch, 64x64
+	{16, 72, 1024},  // b2
+	{32, 144, 256},  // b3
+	{64, 288, 64},   // b4
+	{128, 576, 16},  // b5
+	{256, 1152, 16}, // b6 (dominant)
+	{64, 864, 64},   // h2pre
+}
+
+// TestMatMulTilesMatchRefBitExact drives the packed and narrow paths, with
+// and without the AVX2 tiles, on the detector's shapes and on random shapes
+// large enough to take them. The a operand is zero-free (every 4-row tile
+// reaches the kernel), sparse (the zero-skip fallback) or wide-exponent
+// with ±Inf and NaN spots, and the initial dst holds −0 values.
+func TestMatMulTilesMatchRefBitExact(t *testing.T) {
+	withTilePaths(t, testMatMulTilesMatchRef)
+}
+
+func testMatMulTilesMatchRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	type shape struct{ m, k, n int }
+	var shapes []shape
+	for _, s := range detectorShapes {
+		shapes = append(shapes, shape{s.m, s.k, s.n})
+	}
+	for len(shapes) < 40 {
+		s := shape{packMinRows + rng.Intn(50), 1 + rng.Intn(300), 8 + rng.Intn(150)}
+		if len(shapes)%2 == 0 {
+			s.n = 8 + rng.Intn(narrowMaxN-7)
+		}
+		if s.m*s.k*s.n >= packThreshold {
+			shapes = append(shapes, s)
+		}
+	}
+	fills := []struct {
+		name string
+		fill func(*rand.Rand, int) []float64
+	}{{"dense", denseData}, {"sparse", randData}, {"wide", wideData}}
+	for _, s := range shapes {
+		for _, f := range fills {
+			for _, accum := range []bool{false, true} {
+				a := f.fill(rng, s.m*s.k)
+				// ±Inf or NaN in b meets the zeros of a sparse a: a term
+				// the zero-skip drops would turn the output into NaN.
+				b := wideData(rng, s.k*s.n)
+				if f.name == "dense" {
+					b = denseData(rng, s.k*s.n)
+				}
+				init := withNegZeros(rng, denseData(rng, s.m*s.n))
+				got := append([]float64(nil), init...)
+				want := append([]float64(nil), init...)
+				matMulRowsBlocked(got, a, b, 0, s.m, s.k, s.n, accum)
+				matMulRowsRef(want, a, b, 0, s.m, s.k, s.n, accum)
+				bitEqual(t, fmt.Sprintf("matmul %dx%dx%d %s accum=%v", s.m, s.k, s.n, f.name, accum), got, want)
+			}
+		}
+	}
+}
+
+// TestTile4x8MatchesRef calls the AVX2 kernel directly, on both panel
+// layouts it serves (two 4-column panels with ldb 4, and one 8-column block
+// with ldb 8), against the reference kernel on the same 4×kc×8 product.
+func TestTile4x8MatchesRef(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2")
+	}
+	rng := rand.New(rand.NewSource(73))
+	for _, kc := range []int{1, 2, 3, 7, 64, mmKC} {
+		for _, fill := range []func(*rand.Rand, int) []float64{denseData, wideData} {
+			a := fill(rng, 4*kc)
+			b := fill(rng, kc*8) // row-major [kc,8]: the narrow layout
+			panels := make([]float64, kc*8)
+			for p := 0; p < kc; p++ {
+				copy(panels[p*4:p*4+4], b[p*8:p*8+4])
+				copy(panels[kc*4+p*4:kc*4+p*4+4], b[p*8+4:p*8+8])
+			}
+			init := withNegZeros(rng, fill(rng, 4*8))
+			want := append([]float64(nil), init...)
+			matMulRowsRef(want, a, b, 0, 4, kc, 8, true)
+
+			got := append([]float64(nil), init...)
+			tile8(got, 8, a, kc, b, b[4:], 8, kc)
+			bitEqual(t, fmt.Sprintf("kc=%d ldb=8", kc), got, want)
+
+			got = append(got[:0], init...)
+			tile8(got, 8, a, kc, panels, panels[kc*4:], 4, kc)
+			bitEqual(t, fmt.Sprintf("kc=%d ldb=4", kc), got, want)
 		}
 	}
 }

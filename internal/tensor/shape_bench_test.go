@@ -12,16 +12,7 @@ import (
 // tall m) behave very differently from square products, so kernel tuning
 // is checked here rather than on 128³ alone.
 func BenchmarkMatMulDetectorShapes(b *testing.B) {
-	shapes := []struct{ m, k, n int }{
-		{8, 27, 4096},   // b1: 3->8ch, 64x64
-		{16, 72, 1024},  // b2
-		{32, 144, 256},  // b3
-		{64, 288, 64},   // b4
-		{128, 576, 16},  // b5
-		{256, 1152, 16}, // b6 (dominant)
-		{64, 864, 64},   // h2pre
-	}
-	for _, s := range shapes {
+	for _, s := range detectorShapes {
 		rng := rand.New(rand.NewSource(9))
 		a := NewRandN(rng, 1, s.m, s.k)
 		bb := NewRandN(rng, 1, s.n*s.k).Reshape(s.k, s.n)

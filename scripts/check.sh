@@ -18,6 +18,12 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Other architectures: internal/tensor has an amd64 assembly kernel, and
+# every other GOARCH must still build from the Go tiles alone.
+echo "== GOARCH=arm64 go build ./... + go vet ./internal/tensor"
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
+
 echo "== rtlint ./..."
 mkdir -p out
 # Machine-readable report kept as a CI artifact; the command still exits
