@@ -50,9 +50,12 @@ bench:
 	go run ./cmd/benchperf -runs 5 -out BENCH_tensor.json
 
 # Regenerate the paper tables/figures at reduced budget (needs
-# testdata/detector.rtwt from `go run ./cmd/trainyolo`).
+# testdata/detector.rtwt from `go run ./cmd/trainyolo`; the transfer table
+# also needs testdata/detector_b.rtwt). Keeps the budget, seed and output
+# directory of the former `go test -bench` suite: 200 iterations per patch,
+# 3 evaluation runs, seed -10, out/bench.
 bench-tables:
-	go test -bench . -benchtime 1x -run '^$$' .
+	go run ./cmd/benchtab -iters 200 -runs 3 -seed=-10 -out out/bench
 
 # Run the evaluation service locally.
 serve:

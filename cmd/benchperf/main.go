@@ -150,18 +150,31 @@ func main() {
 	}
 	profStop()
 
+	// Gate before writing: a failing run must not overwrite the committed
+	// record, or a second run would pass against the regressed ratios.
+	msgs := compare(prev, file)
+	for _, m := range msgs {
+		fmt.Fprintln(os.Stderr, "benchperf: "+m)
+	}
+	if len(msgs) > 0 && sameFile(*out, committedFile) {
+		fmt.Fprintf(os.Stderr, "benchperf: %s left unchanged\n", committedFile)
+		os.Exit(1)
+	}
 	if err := writeFile(*out, file); err != nil {
 		fmt.Fprintf(os.Stderr, "benchperf: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
-
-	if msgs := compare(prev, file); len(msgs) > 0 {
-		for _, m := range msgs {
-			fmt.Fprintln(os.Stderr, "benchperf: "+m)
-		}
+	if len(msgs) > 0 {
 		os.Exit(1)
 	}
+}
+
+// sameFile reports whether paths a and b name the same existing file.
+func sameFile(a, b string) bool {
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(fa, fb)
 }
 
 // benches defines the measured workloads, ordered from microkernel to the
@@ -296,10 +309,17 @@ func readCommitted(path string) *benchFile {
 
 // compare gates the new speedups against the committed file: a benchmark
 // whose ref/production ratio fell more than speedupDropTolerance is a
-// kernel regression. ns/op deltas are reported as information only.
+// kernel regression. Ratios recorded at another GOMAXPROCS are not
+// comparable, so a mismatch fails on its own. ns/op deltas are reported as
+// information only.
 func compare(prev *benchFile, cur benchFile) []string {
 	if prev == nil {
 		return nil
+	}
+	if prev.GOMAXPROCS != cur.GOMAXPROCS {
+		return []string{fmt.Sprintf(
+			"%s was recorded at GOMAXPROCS %d, this run has GOMAXPROCS %d; rerun with GOMAXPROCS=%d",
+			committedFile, prev.GOMAXPROCS, cur.GOMAXPROCS, prev.GOMAXPROCS)}
 	}
 	byName := make(map[string]result, len(prev.Benchmarks))
 	for _, r := range prev.Benchmarks {

@@ -1,12 +1,18 @@
 // Command benchtab regenerates every table (I–VI) and figure (2–8) of the
-// paper's evaluation on the synthetic substrate, writing text tables, CSVs
-// and PNGs under -out. This is the full-quality run backing EXPERIMENTS.md;
-// bench_test.go runs reduced versions of the same experiments.
+// paper's evaluation on the synthetic substrate, plus the extension tables,
+// writing text tables, CSVs and PNGs under -out. It is the one driver for
+// the paper's results: `make bench-tables` runs it at a reduced budget.
+//
+// The transfer table runs when a second detector, detector_b.rtwt, sits
+// beside -weights (train one with go run ./cmd/trainyolo -seed 2); without
+// it benchtab prints a skip note.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -30,7 +36,7 @@ func run() error {
 		iters   = flag.Int("iters", 300, "attack training iterations per patch")
 		runs    = flag.Int("runs", 3, "evaluation runs to average")
 		seed    = flag.Int64("seed", 7, "experiment seed")
-		only    = flag.String("only", "", "run a single experiment: I..VI or figures")
+		only    = flag.String("only", "", "run a single experiment: I, II, III, IV, V, VI, alpha, ink, ganfree, defense, shadow, transfer, figures or all")
 		perf    = flag.String("perf", "", "render committed perf records (comma-separated paths, e.g. BENCH_tensor.json) instead of running experiments")
 		verbose = flag.Bool("v", false, "log attack training progress")
 	)
@@ -59,10 +65,12 @@ func run() error {
 		return err
 	}
 
-	tables := []struct {
+	want := func(key string) bool { return *only == "" || *only == "all" || *only == key }
+	type table struct {
 		name string
 		run  func() (eval.Table, error)
-	}{
+	}
+	tables := []table{
 		{"I", env.TableI},
 		{"II", env.TableII},
 		{"III", env.TableIII},
@@ -75,8 +83,20 @@ func run() error {
 		{"defense", env.DefenseTable},
 		{"shadow", env.ShadowTable},
 	}
+	bWeights := filepath.Join(filepath.Dir(*weights), "detector_b.rtwt")
+	other, err := roadtrojan.LoadDetector(bWeights)
+	switch {
+	case err == nil:
+		tables = append(tables, table{"transfer", func() (eval.Table, error) { return env.TransferTable(other.Model()) }})
+	case errors.Is(err, fs.ErrNotExist):
+		if want("transfer") {
+			fmt.Printf("transfer table skipped: no %s (train one with go run ./cmd/trainyolo -seed 2 -out %s)\n", bWeights, bWeights)
+		}
+	default:
+		return err
+	}
 	for _, tb := range tables {
-		if *only != "" && *only != tb.name && *only != "all" {
+		if !want(tb.name) {
 			continue
 		}
 		start := time.Now()
@@ -93,7 +113,7 @@ func run() error {
 		}
 	}
 
-	if *only == "" || *only == "figures" || *only == "all" {
+	if want("figures") {
 		figDir := filepath.Join(*outDir, "figures")
 		if err := os.MkdirAll(figDir, 0o755); err != nil {
 			return err

@@ -6,10 +6,10 @@
 // It loads and type-checks the module with only the standard library, runs
 // the syntactic checks (sharedforward, globalrand, floateq, panicpolicy,
 // gradcoverage) and the CFG/dataflow checks (goroutinelife, lockheld,
-// ctxflow), subtracts the committed baseline (rtlint.baseline, if present),
-// and exits non-zero when any new finding remains. Per-line suppressions
-// use `//rtlint:ignore <check> <reason>`. -json emits a machine-readable
-// report on stdout; -timing prints a per-check wall-clock breakdown.
+// ctxflow), and exits non-zero on any finding. The only way to suppress one
+// is a per-line `//rtlint:ignore <check> <reason>`. -json emits a
+// machine-readable report on stdout; -timing prints a per-check wall-clock
+// breakdown.
 package main
 
 import (
@@ -26,12 +26,10 @@ import (
 // jsonReport is the -json schema: stable field names so CI artifacts can
 // be diffed across runs.
 type jsonReport struct {
-	Module    string        `json:"module"`
-	Checks    []string      `json:"checks"`
-	Findings  []jsonFinding `json:"findings"`
-	Baselined int           `json:"baselined"`
-	Stale     []string      `json:"stale_baseline,omitempty"`
-	TimingMS  []jsonTiming  `json:"timing_ms,omitempty"`
+	Module   string        `json:"module"`
+	Checks   []string      `json:"checks"`
+	Findings []jsonFinding `json:"findings"`
+	TimingMS []jsonTiming  `json:"timing_ms,omitempty"`
 }
 
 type jsonFinding struct {
@@ -50,12 +48,10 @@ type jsonTiming struct {
 
 func main() {
 	var (
-		baselinePath  = flag.String("baseline", "rtlint.baseline", "baseline file of grandfathered findings (relative to the module root; missing file = empty)")
-		writeBaseline = flag.Bool("write-baseline", false, "rewrite the baseline file from the current findings and exit 0")
-		checkList     = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list          = flag.Bool("list", false, "list the registered checks and exit")
-		jsonOut       = flag.Bool("json", false, "emit a machine-readable report on stdout instead of plain findings")
-		timing        = flag.Bool("timing", false, "print a per-check wall-clock breakdown on stderr")
+		checkList = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		list      = flag.Bool("list", false, "list the registered checks and exit")
+		jsonOut   = flag.Bool("json", false, "emit a machine-readable report on stdout instead of plain findings")
+		timing    = flag.Bool("timing", false, "print a per-check wall-clock breakdown on stderr")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: rtlint [flags] [./...]\n\nFlags:\n")
@@ -107,39 +103,16 @@ func main() {
 		}
 	}
 
-	blPath := *baselinePath
-	if !filepath.IsAbs(blPath) {
-		blPath = filepath.Join(root, blPath)
-	}
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(blPath, findings, root); err != nil {
-			fatalf("writing baseline: %v", err)
-		}
-		fmt.Printf("rtlint: wrote %d finding(s) to %s\n", len(findings), blPath)
-		return
-	}
-	baseline, err := analysis.LoadBaseline(blPath)
-	if err != nil {
-		fatalf("loading baseline: %v", err)
-	}
-	fresh := baseline.Filter(findings, root)
-	stale := baseline.Stale(findings, root)
-	for _, key := range stale {
-		fmt.Fprintf(os.Stderr, "rtlint: stale baseline entry (violation fixed — prune it): %s\n", key)
-	}
-
 	if *jsonOut {
 		report := jsonReport{
-			Module:    loader.Module(),
-			Checks:    []string{},
-			Findings:  []jsonFinding{},
-			Baselined: len(findings) - len(fresh),
-			Stale:     stale,
+			Module:   loader.Module(),
+			Checks:   []string{},
+			Findings: []jsonFinding{},
 		}
 		for _, c := range checks {
 			report.Checks = append(report.Checks, c.Name)
 		}
-		for _, f := range fresh {
+		for _, f := range findings {
 			report.Findings = append(report.Findings, jsonFinding{
 				File:  relPath(root, f.Pos.Filename),
 				Line:  f.Pos.Line,
@@ -161,18 +134,17 @@ func main() {
 			fatalf("encoding report: %v", err)
 		}
 	} else {
-		for _, f := range fresh {
+		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(root, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Check, f.Msg)
 		}
 	}
-	if n := len(fresh); n > 0 {
-		fmt.Fprintf(os.Stderr, "rtlint: %d finding(s) not covered by the baseline\n", n)
+	if n := len(findings); n > 0 {
+		fmt.Fprintf(os.Stderr, "rtlint: %d finding(s)\n", n)
 		os.Exit(1)
 	}
 }
 
-// relPath renders file relative to the module root with forward slashes,
-// matching the baseline key format.
+// relPath renders file relative to the module root with forward slashes.
 func relPath(root, file string) string {
 	rel, err := filepath.Rel(root, file)
 	if err != nil {

@@ -5,9 +5,8 @@
 // prefixed invariant panics, and gradient-check coverage for every layer.
 //
 // The driver loads every package in the module (see Loader), runs each
-// registered Check, honours per-line //rtlint:ignore suppressions, and can
-// subtract a committed baseline of grandfathered findings so that only new
-// violations fail the build. cmd/rtlint is the command-line front end.
+// registered Check and honours per-line //rtlint:ignore suppressions, the
+// only way to silence a finding. cmd/rtlint is the command-line front end.
 package analysis
 
 import (
@@ -15,8 +14,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -239,111 +236,6 @@ func suppressions(p *Pkg) (suppressionSet, []Finding) {
 		}
 	}
 	return set, bad
-}
-
-// Baseline is a multiset of grandfathered findings, keyed without line
-// numbers so unrelated edits don't invalidate it.
-type Baseline map[string]int
-
-// BaselineKey renders the position-independent identity of a finding:
-// "relpath: check: message".
-func BaselineKey(f Finding, root string) string {
-	rel, err := filepath.Rel(root, f.Pos.Filename)
-	if err != nil {
-		rel = f.Pos.Filename
-	}
-	return fmt.Sprintf("%s: %s: %s", filepath.ToSlash(rel), f.Check, f.Msg)
-}
-
-// LoadBaseline reads a baseline file; a missing file is an empty baseline.
-func LoadBaseline(path string) (Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return Baseline{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	b := Baseline{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		b[normalizeBaselineKey(line)]++
-	}
-	return b, nil
-}
-
-// normalizeBaselineKey canonicalizes the path component of a baseline line
-// so baselines written on Windows (backslash separators) match keys built
-// with forward slashes.
-func normalizeBaselineKey(line string) string {
-	i := strings.Index(line, ": ")
-	if i < 0 {
-		return line
-	}
-	return strings.ReplaceAll(line[:i], `\`, "/") + line[i:]
-}
-
-// Stale returns the baseline entries (with multiplicities) that no current
-// finding matches — fixed violations whose grandfather lines should be
-// deleted. Keys are returned sorted.
-func (b Baseline) Stale(findings []Finding, root string) []string {
-	remaining := Baseline{}
-	for k, n := range b {
-		remaining[k] = n
-	}
-	for _, f := range findings {
-		k := BaselineKey(f, root)
-		if remaining[k] > 0 {
-			remaining[k]--
-		}
-	}
-	var out []string
-	for k, n := range remaining {
-		for i := 0; i < n; i++ {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Filter removes findings present in the baseline (consuming multiset
-// entries) and returns the rest.
-func (b Baseline) Filter(findings []Finding, root string) []Finding {
-	budget := Baseline{}
-	for k, n := range b {
-		budget[k] = n
-	}
-	var out []Finding
-	for _, f := range findings {
-		k := BaselineKey(f, root)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// WriteBaseline persists the findings as a sorted baseline file.
-func WriteBaseline(path string, findings []Finding, root string) error {
-	keys := make([]string, 0, len(findings))
-	for _, f := range findings {
-		keys = append(keys, BaselineKey(f, root))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("# rtlint baseline: grandfathered findings. Entries here do not fail\n")
-	b.WriteString("# the build; remove lines as the violations are fixed.\n")
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // hasForwardBackward reports whether t (or *t) is a concrete named type

@@ -5,9 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -169,93 +167,6 @@ func TestSeededScratch(t *testing.T) {
 		if !caught[want] {
 			t.Errorf("seeded %s bug in scratch corpus was not caught; findings: %v", want, findings)
 		}
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	findings := []Finding{
-		{Pos: pos(filepath.Join(root, "a.go"), 3), Check: "floateq", Msg: "m1"},
-		{Pos: pos(filepath.Join(root, "a.go"), 9), Check: "floateq", Msg: "m1"}, // duplicate key, different line
-		{Pos: pos(filepath.Join(root, "b.go"), 1), Check: "panicpolicy", Msg: "m2"},
-	}
-	path := filepath.Join(root, "rtlint.baseline")
-	if err := WriteBaseline(path, findings, root); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if left := bl.Filter(findings, root); len(left) != 0 {
-		t.Fatalf("full baseline should swallow every finding, got %d left", len(left))
-	}
-	extra := append(findings, Finding{Pos: pos(filepath.Join(root, "c.go"), 2), Check: "globalrand", Msg: "m3"})
-	left := bl.Filter(extra, root)
-	if len(left) != 1 || left[0].Check != "globalrand" {
-		t.Fatalf("baseline filter kept %v, want only the new globalrand finding", left)
-	}
-	// Duplicate keys are a multiset: a baseline with one entry covers one.
-	one := Baseline{BaselineKey(findings[0], root): 1}
-	if left := one.Filter(findings[:2], root); len(left) != 1 {
-		t.Fatalf("multiset baseline should leave exactly one duplicate, got %d", len(left))
-	}
-	// A missing baseline file is empty, not an error.
-	empty, err := LoadBaseline(filepath.Join(root, "nonexistent"))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("missing baseline: %v %v", empty, err)
-	}
-}
-
-// TestBaselineSeparatorNormalization: a baseline written with Windows path
-// separators must still match keys built with forward slashes.
-func TestBaselineSeparatorNormalization(t *testing.T) {
-	root := t.TempDir()
-	path := filepath.Join(root, "rtlint.baseline")
-	content := "# comment\n" +
-		`internal\serve\pool.go: floateq: m1` + "\n" +
-		"internal/fabric/node.go: lockheld: m2\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := []Finding{
-		{Pos: pos(filepath.Join(root, "internal", "serve", "pool.go"), 3), Check: "floateq", Msg: "m1"},
-		{Pos: pos(filepath.Join(root, "internal", "fabric", "node.go"), 8), Check: "lockheld", Msg: "m2"},
-	}
-	if left := bl.Filter(findings, root); len(left) != 0 {
-		t.Fatalf("normalized baseline should cover both findings, kept %v", left)
-	}
-	// The message part must not be rewritten: a backslash after "check: "
-	// stays intact.
-	if _, ok := bl[`internal/serve/pool.go: floateq: m1`]; !ok {
-		t.Fatalf("backslash path was not normalized: %v", bl)
-	}
-}
-
-// TestBaselineStale: entries no finding matches are reported (with
-// multiplicity) so fixed violations get pruned from the committed file.
-func TestBaselineStale(t *testing.T) {
-	root := t.TempDir()
-	f1 := Finding{Pos: pos(filepath.Join(root, "a.go"), 3), Check: "floateq", Msg: "m1"}
-	bl := Baseline{
-		BaselineKey(f1, root):               2, // two grandfathered, only one still present
-		"gone.go: lockheld: fixed long ago": 1,
-	}
-	stale := bl.Stale([]Finding{f1}, root)
-	want := []string{
-		BaselineKey(f1, root), // the surplus duplicate
-		"gone.go: lockheld: fixed long ago",
-	}
-	sort.Strings(want)
-	if !reflect.DeepEqual(stale, want) {
-		t.Fatalf("stale = %v, want %v", stale, want)
-	}
-	if got := bl.Stale([]Finding{f1, f1}, root); len(got) != 1 || got[0] != "gone.go: lockheld: fixed long ago" {
-		t.Fatalf("fully-used baseline should only report the dead entry, got %v", got)
 	}
 }
 

@@ -171,6 +171,23 @@ func TestEnvCachesPatches(t *testing.T) {
 	if p3 == p1 {
 		t.Fatal("different config returned the cached patch")
 	}
+	// Every config field is part of the key, including the target class
+	// and the learning rates.
+	for name, set := range map[string]func(*attack.Config){
+		"TargetClass": func(c *attack.Config) { c.TargetClass = scene.Car },
+		"LRG":         func(c *attack.Config) { c.LRG *= 2 },
+		"LRD":         func(c *attack.Config) { c.LRD *= 2 },
+	} {
+		c := cfg
+		set(&c)
+		p, err := env.patchFor(ours, "road", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == p1 {
+			t.Errorf("config differing only in %s returned the cached patch", name)
+		}
+	}
 }
 
 func TestEnvScenesAreStable(t *testing.T) {

@@ -3,9 +3,8 @@ package eval
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-
 	"math/rand"
+	"path/filepath"
 
 	"roadtrojan/internal/attack"
 	"roadtrojan/internal/defense"
@@ -82,7 +81,7 @@ func (e *Env) Sim() attack.Scene {
 func newRoadScene(seed int64) attack.Scene {
 	// The road texture is "the location" and stays fixed across experiment
 	// seeds so results are comparable between runs and with the examples.
-	g := scene.NewRoad(newRng(7), 8, 30, 0.05)
+	g := scene.NewRoad(rand.New(rand.NewSource(7)), 8, 30, 0.05)
 	return attack.NewArrowScene(g, 0, 15, 1.8)
 }
 
@@ -101,12 +100,15 @@ const (
 	ours method = iota + 1
 	oursStatic
 	baseline
+	direct
 )
 
+// patchFor returns the patch method m trains for cfg in the named scene
+// ("road" or "sim"), training it on first use. The cache key is the method,
+// the scene and the full config, so configs that differ in any field never
+// share a patch.
 func (e *Env) patchFor(m method, env string, cfg attack.Config) (*attack.Patch, error) {
-	key := fmt.Sprintf("%d|%s|N%d|K%d|%s|a%.2f|i%d|w%d|c%v|%s|s%d|ink%.2f|r%.2f",
-		m, env, cfg.N, cfg.K, cfg.Shape, cfg.Alpha, cfg.Iters, cfg.WindowFrames,
-		cfg.Consecutive, cfg.Tricks, cfg.Seed, cfg.Ink, cfg.RingRadiusM)
+	key := fmt.Sprintf("%d|%s|%+v", m, env, cfg)
 	if p, ok := e.cache[key]; ok {
 		return p, nil
 	}
@@ -119,7 +121,7 @@ func (e *Env) patchFor(m method, env string, cfg attack.Config) (*attack.Patch, 
 	}
 	// The attacker searches until the patch verifies digitally (the paper's
 	// confirm-digital-first protocol): up to two seeded attempts, keeping
-	// the better artifact.
+	// the better artifact. Direct optimization gets a single attempt.
 	var best *attack.Patch
 	bestScore := -1.0
 	for attempt := 0; attempt < 2; attempt++ {
@@ -132,13 +134,19 @@ func (e *Env) patchFor(m method, env string, cfg attack.Config) (*attack.Patch, 
 		switch m {
 		case baseline:
 			p, _, err = attack.TrainBaseline(e.Det, e.Cam, sc, c, e.trace())
+		case direct:
+			p, _, err = attack.TrainDirect(e.Det, e.Cam, sc, c, e.trace())
 		default:
 			p, _, err = attack.Train(e.Det, e.Cam, sc, c, e.trace())
 		}
 		if err != nil {
 			return nil, err
 		}
-		score, err := attack.VerifyChannel(e.Det, e.Cam, sc, p, realChannel(), newRng(e.Seed+4000))
+		if m == direct {
+			best = p
+			break
+		}
+		score, err := attack.VerifyChannel(e.Det, e.Cam, sc, p, physical.RealWorld(), rand.New(rand.NewSource(e.Seed+4000)))
 		if err != nil {
 			score = 0
 		}
@@ -171,52 +179,24 @@ func cfgTarget(e *Env) scene.Class { return e.baseConfig().TargetClass }
 // in the real-world environment (N=6, k=60, physical channel), across all
 // eight challenges.
 func (e *Env) TableI() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
+	title := "Table I — real-world environment (N=4, k=60, star)"
 	cols := scene.AllChallengeNames
-	t := Table{Title: "Table I — real-world environment (N=4, k=60, star)", Challenges: cols}
-
-	noatk, err := RunRow(e.Det, e.Cam, sc, nil, cfgTarget(e), "w/o Attack", cols, cond)
+	noatk, err := RunRow(e.Det, e.Cam, e.Road(), nil, cfgTarget(e), "w/o Attack", cols, e.cond(true))
 	if err != nil {
-		return t, err
+		return Table{Title: title, Challenges: cols}, err
 	}
-	t.Rows = append(t.Rows, noatk)
-
 	// The paper's Table I uses N=6; this substrate's calibrated operating
 	// point is the ablation base N=4 (Table III sweeps N, including 6).
 	cfg := e.baseConfig()
-	pOurs, err := e.patchFor(ours, "road", cfg)
-	if err != nil {
-		return t, err
-	}
-	r, err := RunRow(e.Det, e.Cam, sc, pOurs, cfg.TargetClass, "Ours (w/ 3 consecutive frames)", cols, cond)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, r)
-
-	cfgS := cfg
-	cfgS.Consecutive = false
-	pStatic, err := e.patchFor(oursStatic, "road", cfgS)
-	if err != nil {
-		return t, err
-	}
-	r, err = RunRow(e.Det, e.Cam, sc, pStatic, cfg.TargetClass, "Ours (w/o 3 consecutive frames)", cols, cond)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, r)
-
-	pBase, err := e.patchFor(baseline, "road", cfg)
-	if err != nil {
-		return t, err
-	}
-	r, err = RunRow(e.Det, e.Cam, sc, pBase, cfg.TargetClass, "[34]", cols, cond)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, r)
-	return t, nil
+	static := cfg
+	static.Consecutive = false
+	t, err := e.sweep(title, cols, []variant{
+		{"Ours (w/ 3 consecutive frames)", ours, cfg},
+		{"Ours (w/o 3 consecutive frames)", oursStatic, static},
+		{"[34]", baseline, cfg},
+	})
+	t.Rows = append([]Row{noatk}, t.Rows...)
+	return t, err
 }
 
 // TableII reproduces Table II: our attack in the simulated environment
@@ -239,90 +219,91 @@ func (e *Env) TableII() (Table, error) {
 	return t, nil
 }
 
-// TableIII reproduces Table III: N ∈ {2,4,6,8} at constant total decal area
-// (k rescaled per N), speed + angle challenges, real-world environment.
-func (e *Env) TableIII() (Table, error) {
+// variant is one row of a sweep: the row name, the attack method and its
+// config.
+type variant struct {
+	name string
+	m    method
+	cfg  attack.Config
+}
+
+// vary builds one variant of our attack per value: set applies the value to
+// a fresh base config and returns the row name.
+func vary[T any](e *Env, vals []T, set func(*attack.Config, T) string) []variant {
+	vs := make([]variant, len(vals))
+	for i, v := range vals {
+		cfg := e.baseConfig()
+		name := set(&cfg, v)
+		vs[i] = variant{name, ours, cfg}
+	}
+	return vs
+}
+
+// sweep trains each variant's patch in the road scene and scores it under
+// the physical channel, one row per variant in order.
+func (e *Env) sweep(title string, cols []string, vs []variant) (Table, error) {
 	sc := e.Road()
 	cond := e.cond(true)
-	t := Table{Title: "Table III — number of decals N (constant total area)", Challenges: SpeedAngleChallenges}
-	for _, n := range []int{2, 4, 6, 8} {
-		cfg := e.baseConfig()
-		cfg.N = n
-		cfg.K = attack.KForEqualTotalArea(60, 4, n)
-		p, err := e.patchFor(ours, "road", cfg)
+	t := Table{Title: title, Challenges: cols}
+	for _, v := range vs {
+		p, err := e.patchFor(v.m, "road", v.cfg)
 		if err != nil {
 			return t, err
 		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, fmt.Sprintf("N=%d", n), SpeedAngleChallenges, cond)
+		r, err := RunRow(e.Det, e.Cam, sc, p, v.cfg.TargetClass, v.name, cols, cond)
 		if err != nil {
 			return t, err
 		}
 		t.Rows = append(t.Rows, r)
 	}
 	return t, nil
+}
+
+// counts are the decal counts N ∈ {2,4,6,8} at constant total area (k
+// rescaled per N), shared by Table III and Fig. 6.
+func (e *Env) counts() []variant {
+	return vary(e, []int{2, 4, 6, 8}, func(c *attack.Config, n int) string {
+		c.N, c.K = n, attack.KForEqualTotalArea(60, 4, n)
+		return fmt.Sprintf("N=%d", n)
+	})
+}
+
+// sizes are the patch sizes k ∈ {20,40,60,80}, shared by Table VI and
+// Fig. 8.
+func (e *Env) sizes() []variant {
+	return vary(e, []int{20, 40, 60, 80}, func(c *attack.Config, k int) string {
+		c.K = k
+		return fmt.Sprintf("k=%d", k)
+	})
+}
+
+// TableIII reproduces Table III: N ∈ {2,4,6,8} at constant total decal area
+// (k rescaled per N), speed + angle challenges, real-world environment.
+func (e *Env) TableIII() (Table, error) {
+	return e.sweep("Table III — number of decals N (constant total area)", SpeedAngleChallenges, e.counts())
 }
 
 // TableIV reproduces Table IV: EOT trick combinations.
 func (e *Env) TableIV() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Table IV — EOT trick combinations", Challenges: SpeedAngleChallenges}
-	for _, set := range eot.TableIVSets() {
-		cfg := e.baseConfig()
-		cfg.Tricks = set
-		p, err := e.patchFor(ours, "road", cfg)
-		if err != nil {
-			return t, err
-		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, set.String(), SpeedAngleChallenges, cond)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return t, nil
+	return e.sweep("Table IV — EOT trick combinations", SpeedAngleChallenges,
+		vary(e, eot.TableIVSets(), func(c *attack.Config, set eot.Set) string {
+			c.Tricks = set
+			return set.String()
+		}))
 }
 
 // TableV reproduces Table V: decal shapes.
 func (e *Env) TableV() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Table V — decal shapes", Challenges: SpeedAngleChallenges}
-	for _, sh := range shapes.All {
-		cfg := e.baseConfig()
-		cfg.Shape = sh
-		p, err := e.patchFor(ours, "road", cfg)
-		if err != nil {
-			return t, err
-		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, sh.String(), SpeedAngleChallenges, cond)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return t, nil
+	return e.sweep("Table V — decal shapes", SpeedAngleChallenges,
+		vary(e, shapes.All, func(c *attack.Config, sh shapes.Shape) string {
+			c.Shape = sh
+			return sh.String()
+		}))
 }
 
 // TableVI reproduces Table VI: patch sizes k.
 func (e *Env) TableVI() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Table VI — patch size k", Challenges: SpeedAngleChallenges}
-	for _, k := range []int{20, 40, 60, 80} {
-		cfg := e.baseConfig()
-		cfg.K = k
-		p, err := e.patchFor(ours, "road", cfg)
-		if err != nil {
-			return t, err
-		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, fmt.Sprintf("k=%d", k), SpeedAngleChallenges, cond)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return t, nil
+	return e.sweep("Table VI — patch size k", SpeedAngleChallenges, e.sizes())
 }
 
 // groundCrop renders a top-down crop of the decaled ground around the
@@ -359,8 +340,8 @@ func (e *Env) detectionOverlay(f scene.VideoFrame, target scene.Class) *tensor.T
 	return img
 }
 
-// Figures regenerates Figures 2–8 as PNGs (plus CSV series where a figure
-// encodes data) under dir. It needs the base patch (training it if absent).
+// Figures regenerates Figures 2–8 as PNGs under dir. It needs the base
+// patch (training it if absent).
 func (e *Env) Figures(dir string) error {
 	cfgBase := e.baseConfig()
 	pBase, err := e.patchFor(ours, "road", cfgBase)
@@ -368,10 +349,10 @@ func (e *Env) Figures(dir string) error {
 		return err
 	}
 	sc := e.Road()
-	rng := newRng(e.Seed + 5)
+	rng := rand.New(rand.NewSource(e.Seed + 5))
 
 	// Fig. 2 — three consecutive training frames with decals applied.
-	ground, err := attack.Deploy(sc, pBase, digitalChannel(), rng)
+	ground, err := attack.Deploy(sc, pBase, physical.Digital(), rng)
 	if err != nil {
 		return err
 	}
@@ -410,9 +391,9 @@ func (e *Env) Figures(dir string) error {
 	}{{"fig4_sim", e.Sim()}, {"fig5_road", sc}} {
 		tiles = tiles[:0]
 		for _, physicalMode := range []bool{false, true} {
-			ch := digitalChannel()
+			ch := physical.Digital()
 			if physicalMode {
-				ch = realChannel()
+				ch = physical.RealWorld()
 			}
 			ground, err := attack.Deploy(fig.sc, pBase, ch, rng)
 			if err != nil {
@@ -430,26 +411,9 @@ func (e *Env) Figures(dir string) error {
 		}
 	}
 
-	// Fig. 6 — decal layouts for N ∈ {2,4,6,8} (top-down ground crops).
-	tiles = tiles[:0]
-	for _, n := range []int{2, 4, 6, 8} {
-		cfg := cfgBase
-		cfg.N = n
-		cfg.K = attack.KForEqualTotalArea(60, 4, n)
-		p := &attack.Patch{Gray: pBase.Gray, Mask: pBase.Mask, Cfg: cfg}
-		ground, err := attack.Deploy(sc, p, digitalChannel(), rng)
-		if err != nil {
-			return err
-		}
-		tiles = append(tiles, groundCrop(ground, sc.TargetGX, sc.TargetGY, 4.5, 96))
-	}
-	if err := imaging.SavePNG(filepath.Join(dir, "fig6_counts.png"), imaging.TileHorizontal(tiles, 2)); err != nil {
-		return err
-	}
-
 	// Fig. 7 — the four patch shapes (print previews).
 	tiles = tiles[:0]
-	for _, sh := range []shapes.Shape{shapes.Triangle, shapes.Circle, shapes.Star, shapes.Square} {
+	for _, sh := range shapes.All {
 		cfg := cfgBase
 		cfg.Shape = sh
 		p := &attack.Patch{Gray: pBase.Gray, Mask: shapes.Mask(sh, 32, cfg.ShapeScale(), 0), Cfg: cfg}
@@ -459,19 +423,26 @@ func (e *Env) Figures(dir string) error {
 		return err
 	}
 
-	// Fig. 8 — patch sizes k ∈ {20,40,60,80} in the scene.
-	tiles = tiles[:0]
-	for _, k := range []int{20, 40, 60, 80} {
-		cfg := cfgBase
-		cfg.K = k
-		p := &attack.Patch{Gray: pBase.Gray, Mask: pBase.Mask, Cfg: cfg}
-		ground, err := attack.Deploy(sc, p, digitalChannel(), rng)
-		if err != nil {
+	// Figs. 6 & 8 — the Table III decal counts and Table VI patch sizes as
+	// top-down ground crops of the deployed base patch.
+	for _, fig := range []struct {
+		name string
+		vs   []variant
+	}{{"fig6_counts", e.counts()}, {"fig8_sizes", e.sizes()}} {
+		tiles = tiles[:0]
+		for _, v := range fig.vs {
+			p := &attack.Patch{Gray: pBase.Gray, Mask: pBase.Mask, Cfg: v.cfg}
+			ground, err := attack.Deploy(sc, p, physical.Digital(), rng)
+			if err != nil {
+				return err
+			}
+			tiles = append(tiles, groundCrop(ground, sc.TargetGX, sc.TargetGY, 4.5, 96))
+		}
+		if err := imaging.SavePNG(filepath.Join(dir, fig.name+".png"), imaging.TileHorizontal(tiles, 2)); err != nil {
 			return err
 		}
-		tiles = append(tiles, groundCrop(ground, sc.TargetGX, sc.TargetGY, 4.5, 96))
 	}
-	return imaging.SavePNG(filepath.Join(dir, "fig8_sizes.png"), imaging.TileHorizontal(tiles, 2))
+	return nil
 }
 
 // CheckNoAttackBaseline verifies the detector behaves on the clean scene:
@@ -482,97 +453,44 @@ func (e *Env) CheckNoAttackBaseline() (metrics.Score, error) {
 	return RunScenario(e.Det, e.Cam, e.Road(), nil, cfgTarget(e), scene.Challenges("fix")[0], cond)
 }
 
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func digitalChannel() physical.Channel { return physical.Digital() }
-
-func realChannel() physical.Channel { return physical.RealWorld() }
+// extensionChallenges are the columns of the extension experiments.
+var extensionChallenges = []string{"fix", "slow", "normal"}
 
 // AblationAlpha is an extension experiment beyond the paper: sweeping the
 // attack weight α of Eq. 1 shows the GAN-realism/attack-strength trade-off
 // the paper fixes at α=0.5.
 func (e *Env) AblationAlpha() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Ablation — attack weight α (extension)", Challenges: []string{"fix", "slow", "normal"}}
-	for _, alpha := range []float64{0.1, 0.5, 2, 5} {
-		cfg := e.baseConfig()
-		cfg.Alpha = alpha
-		p, err := e.patchFor(ours, "road", cfg)
-		if err != nil {
-			return t, err
-		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, fmt.Sprintf("α=%.1f", alpha), t.Challenges, cond)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return t, nil
+	return e.sweep("Ablation — attack weight α (extension)", extensionChallenges,
+		vary(e, []float64{0.1, 0.5, 2, 5}, func(c *attack.Config, alpha float64) string {
+			c.Alpha = alpha
+			return fmt.Sprintf("α=%.1f", alpha)
+		}))
 }
 
 // AblationInk is an extension experiment: the paper constrains decals to a
 // single color but does not say which; this sweeps dark vs light paint.
 func (e *Env) AblationInk() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Ablation — decal paint color (extension)", Challenges: []string{"fix", "slow", "normal"}}
-	for _, row := range []struct {
+	type paint struct {
 		name string
 		ink  float64
-	}{{"black paint", 0.05}, {"gray paint", 0.45}, {"white paint", 0.92}} {
-		cfg := e.baseConfig()
-		cfg.Ink = row.ink
-		p, err := e.patchFor(ours, "road", cfg)
-		if err != nil {
-			return t, err
-		}
-		r, err := RunRow(e.Det, e.Cam, sc, p, cfg.TargetClass, row.name, t.Challenges, cond)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, r)
 	}
-	return t, nil
+	paints := []paint{{"black paint", 0.05}, {"gray paint", 0.45}, {"white paint", 0.92}}
+	return e.sweep("Ablation — decal paint color (extension)", extensionChallenges,
+		vary(e, paints, func(c *attack.Config, p paint) string {
+			c.Ink = p.ink
+			return p.name
+		}))
 }
 
 // AblationGANFree is an extension experiment: dropping the GAN realism term
 // (direct patch optimization) isolates the cost of the paper's
 // shape-constrained stealth requirement.
 func (e *Env) AblationGANFree() (Table, error) {
-	sc := e.Road()
-	cond := e.cond(true)
-	t := Table{Title: "Ablation — GAN constraint (extension)", Challenges: []string{"fix", "slow", "normal"}}
-
 	cfg := e.baseConfig()
-	pGAN, err := e.patchFor(ours, "road", cfg)
-	if err != nil {
-		return t, err
-	}
-	r, err := RunRow(e.Det, e.Cam, sc, pGAN, cfg.TargetClass, "GAN (Eq. 1)", t.Challenges, cond)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, r)
-
-	key := fmt.Sprintf("direct|road|%+v", cfg)
-	pDirect, ok := e.cache[key]
-	if !ok {
-		if e.Log != nil {
-			fmt.Fprintf(e.Log, "== training patch %s\n", key)
-		}
-		pDirect, _, err = attack.TrainDirect(e.Det, e.Cam, sc, cfg, e.trace())
-		if err != nil {
-			return t, err
-		}
-		e.cache[key] = pDirect
-	}
-	r, err = RunRow(e.Det, e.Cam, sc, pDirect, cfg.TargetClass, "direct (no GAN)", t.Challenges, cond)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, r)
-	return t, nil
+	return e.sweep("Ablation — GAN constraint (extension)", extensionChallenges, []variant{
+		{"GAN (Eq. 1)", ours, cfg},
+		{"direct (no GAN)", direct, cfg},
+	})
 }
 
 // DefenseTable is an extension experiment: the temporal majority-vote
@@ -585,14 +503,14 @@ func (e *Env) DefenseTable() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	cols := []string{"fix", "slow", "normal"}
+	cols := extensionChallenges
 	t := Table{Title: "Defense — temporal majority vote (extension)", Challenges: cols}
 	raw := Row{Name: "undefended", Scores: make(map[string]metrics.Score, len(cols))}
 	def := Row{Name: "vote 4-of-5 + jitter", Scores: make(map[string]metrics.Score, len(cols))}
 	filter := defense.NewFilter(e.Det, defense.DefaultConfig())
-	ch := realChannel()
+	ch := physical.RealWorld()
 	for _, cn := range cols {
-		rng := newRng(e.Seed + 2000)
+		rng := rand.New(rand.NewSource(e.Seed + 2000))
 		ground, err := attack.Deploy(sc, p, ch, rng)
 		if err != nil {
 			return t, err
@@ -629,8 +547,8 @@ func (e *Env) ShadowTable() (Table, error) {
 	}{{"no shadow", 1}, {"light shadow (0.75)", 0.75}, {"deep shadow (0.45)", 0.45}} {
 		r := Row{Name: row.name, Scores: make(map[string]metrics.Score, len(cols))}
 		for _, cn := range cols {
-			rng := newRng(e.Seed + 3000)
-			ground, err := attack.Deploy(sc, p, realChannel(), rng)
+			rng := rand.New(rand.NewSource(e.Seed + 3000))
+			ground, err := attack.Deploy(sc, p, physical.RealWorld(), rng)
 			if err != nil {
 				return t, err
 			}
@@ -640,31 +558,11 @@ func (e *Env) ShadowTable() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			r.Scores[cn] = ScoreVideo(e.Det, frames, cfg.TargetClass, realChannel(), rng, 0.2)
+			r.Scores[cn] = ScoreVideo(e.Det, frames, cfg.TargetClass, physical.RealWorld(), rng, 0.2)
 		}
 		t.Rows = append(t.Rows, r)
 	}
 	return t, nil
-}
-
-// SanityBaseRow trains the base patch and scores the fix and slow
-// challenges — a pre-flight check used before full table runs.
-func (e *Env) SanityBaseRow() (string, error) {
-	p, err := e.patchFor(ours, "road", e.baseConfig())
-	if err != nil {
-		return "", err
-	}
-	v, _ := attack.VerifyDigital(e.Det, e.Cam, e.Road(), p, newRng(1))
-	cond := e.cond(true)
-	out := fmt.Sprintf("verify=%.2f", v)
-	for _, cn := range []string{"fix", "slow", "normal"} {
-		s, err := RunScenario(e.Det, e.Cam, e.Road(), p, scene.Word, scene.Challenges(cn)[0], cond)
-		if err != nil {
-			return "", err
-		}
-		out += fmt.Sprintf("  %s=%s", cn, s.String())
-	}
-	return out, nil
 }
 
 // TransferTable is an extension experiment: the paper's attack is white-box;
@@ -678,7 +576,7 @@ func (e *Env) TransferTable(other *yolo.Model) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	cols := []string{"fix", "slow", "normal"}
+	cols := extensionChallenges
 	t := Table{Title: "Transfer — white-box victim vs independently trained detector (extension)", Challenges: cols}
 	cond := e.cond(true)
 	for _, row := range []struct {
