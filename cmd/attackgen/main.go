@@ -75,7 +75,7 @@ func run() error {
 	cfg.Tricks = eot.NewSet(nums...)
 	cfg.Seed = *seed
 
-	sc := roadtrojan.NewRoadScene(*seed)
+	sc := roadtrojan.NewRoadScene()
 	if *env == "sim" {
 		sc = roadtrojan.NewSimScene()
 	}

@@ -15,12 +15,50 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"roadtrojan"
 
 	"roadtrojan/internal/eval"
 )
+
+// table is one -only key and the experiment it regenerates.
+type table struct {
+	name string
+	run  func(*eval.Env) (eval.Table, error)
+}
+
+// tables lists the experiments that need only the main detector, in print
+// order. The transfer table joins them when a second detector is present.
+var tables = []table{
+	{"I", (*eval.Env).TableI},
+	{"II", (*eval.Env).TableII},
+	{"III", (*eval.Env).TableIII},
+	{"IV", (*eval.Env).TableIV},
+	{"V", (*eval.Env).TableV},
+	{"VI", (*eval.Env).TableVI},
+	{"alpha", (*eval.Env).AblationAlpha},
+	{"ink", (*eval.Env).AblationInk},
+	{"ganfree", (*eval.Env).AblationGANFree},
+	{"defense", (*eval.Env).DefenseTable},
+	{"shadow", (*eval.Env).ShadowTable},
+}
+
+// checkOnly rejects an -only key that selects no experiment, naming the
+// valid keys; the empty key runs everything.
+func checkOnly(only string) error {
+	keys := make([]string, 0, len(tables)+3)
+	for _, tb := range tables {
+		keys = append(keys, tb.name)
+	}
+	keys = append(keys, "transfer", "figures", "all")
+	if only == "" || slices.Contains(keys, only) {
+		return nil
+	}
+	return fmt.Errorf("unknown -only key %q (valid: %s)", only, strings.Join(keys, ", "))
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -37,13 +75,12 @@ func run() error {
 		runs    = flag.Int("runs", 3, "evaluation runs to average")
 		seed    = flag.Int64("seed", 7, "experiment seed")
 		only    = flag.String("only", "", "run a single experiment: I, II, III, IV, V, VI, alpha, ink, ganfree, defense, shadow, transfer, figures or all")
-		perf    = flag.String("perf", "", "render committed perf records (comma-separated paths, e.g. BENCH_tensor.json) instead of running experiments")
 		verbose = flag.Bool("v", false, "log attack training progress")
 	)
 	flag.Parse()
 
-	if *perf != "" {
-		return runPerf(*perf)
+	if err := checkOnly(*only); err != nil {
+		return err
 	}
 
 	det, err := roadtrojan.LoadDetector(*weights)
@@ -66,28 +103,13 @@ func run() error {
 	}
 
 	want := func(key string) bool { return *only == "" || *only == "all" || *only == key }
-	type table struct {
-		name string
-		run  func() (eval.Table, error)
-	}
-	tables := []table{
-		{"I", env.TableI},
-		{"II", env.TableII},
-		{"III", env.TableIII},
-		{"IV", env.TableIV},
-		{"V", env.TableV},
-		{"VI", env.TableVI},
-		{"alpha", env.AblationAlpha},
-		{"ink", env.AblationInk},
-		{"ganfree", env.AblationGANFree},
-		{"defense", env.DefenseTable},
-		{"shadow", env.ShadowTable},
-	}
+	exps := tables
 	bWeights := filepath.Join(filepath.Dir(*weights), "detector_b.rtwt")
 	other, err := roadtrojan.LoadDetector(bWeights)
 	switch {
 	case err == nil:
-		tables = append(tables, table{"transfer", func() (eval.Table, error) { return env.TransferTable(other.Model()) }})
+		transfer := func(env *eval.Env) (eval.Table, error) { return env.TransferTable(other.Model()) }
+		exps = append(slices.Clip(exps), table{"transfer", transfer})
 	case errors.Is(err, fs.ErrNotExist):
 		if want("transfer") {
 			fmt.Printf("transfer table skipped: no %s (train one with go run ./cmd/trainyolo -seed 2 -out %s)\n", bWeights, bWeights)
@@ -95,12 +117,12 @@ func run() error {
 	default:
 		return err
 	}
-	for _, tb := range tables {
+	for _, tb := range exps {
 		if !want(tb.name) {
 			continue
 		}
 		start := time.Now()
-		t, err := tb.run()
+		t, err := tb.run(env)
 		if err != nil {
 			return fmt.Errorf("table %s: %w", tb.name, err)
 		}

@@ -58,7 +58,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("%w (train one first: go run ./cmd/trainyolo -out %s)", err, *weights)
 	}
-	sc := roadtrojan.NewRoadScene(*seed)
+	sc := roadtrojan.NewRoadScene()
 	if *env == "sim" {
 		sc = roadtrojan.NewSimScene()
 	}

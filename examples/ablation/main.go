@@ -32,7 +32,7 @@ func run(weights, sweep string, iters int) error {
 	if err != nil {
 		return fmt.Errorf("load detector (train one with cmd/trainyolo first): %w", err)
 	}
-	sc := roadtrojan.NewRoadScene(7)
+	sc := roadtrojan.NewRoadScene()
 	cond := roadtrojan.PhysicalCondition()
 	cond.Runs = 2
 	challenges := []string{"slow", "normal", "fast"}

@@ -40,7 +40,7 @@ func run(weights string, iters, window int) error {
 	if err != nil {
 		return fmt.Errorf("load detector (train one with cmd/trainyolo first): %w", err)
 	}
-	sc := roadtrojan.NewRoadScene(7)
+	sc := roadtrojan.NewRoadScene()
 
 	cfg := roadtrojan.DefaultAttackConfig()
 	cfg.Iters = iters

@@ -31,7 +31,7 @@ func run(weights string, iters int) error {
 	if err != nil {
 		return fmt.Errorf("load detector (train one with cmd/trainyolo first): %w", err)
 	}
-	sc := roadtrojan.NewRoadScene(7)
+	sc := roadtrojan.NewRoadScene()
 	cond := roadtrojan.PhysicalCondition()
 	challenges := []string{"fix", "slight", "slow", "normal", "fast", "angle-15", "angle0", "angle+15"}
 

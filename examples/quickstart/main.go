@@ -49,7 +49,7 @@ func run(weights string, iters int) error {
 	}
 
 	// The attacked location: a road with a painted arrow (class "mark").
-	sc := roadtrojan.NewRoadScene(42)
+	sc := roadtrojan.NewRoadScene()
 
 	// Sanity: what does the clean detector see during a slow approach?
 	clean, err := roadtrojan.EvaluateScenario(det, sc, nil, roadtrojan.Car, "slow", roadtrojan.DigitalCondition())

@@ -75,14 +75,6 @@ type Def struct {
 // "never defined".
 type ReachingDefs map[*Block]map[*types.Var][]Def
 
-// defsOf returns the definitions of v reaching block b (nil when none).
-func (r ReachingDefs) defsOf(b *Block, v *types.Var) []Def {
-	if m := r[b]; m != nil {
-		return m[v]
-	}
-	return nil
-}
-
 // SolveReachingDefs computes reaching definitions for a function body's
 // CFG. params seeds the entry fact (typically the function's parameters
 // and captured variables relevant to the client).

@@ -84,9 +84,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
 // Module returns the module import path.
 func (l *Loader) Module() string { return l.module }
 

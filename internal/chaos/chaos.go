@@ -1,6 +1,5 @@
 // Package chaos is a seed-deterministic network fault-injection layer for
-// the eval fabric. It wraps the two seams fabric already exposes — the
-// gateway's injectable Dial hook and the node's net.Listener — with
+// the eval fabric. It wraps the gateway's injectable Dial hook with
 // connections that misbehave on a script: added latency, connection resets
 // mid-frame, truncated or bit-flipped byte streams, slow-loris trickle
 // reads, duplicated frame delivery, and full partitions that silently drop
@@ -9,7 +8,7 @@
 // Determinism is the point. Every fault decision is a pure function of
 // (seed, connection key, byte offset): each connection gets its own PRNG
 // seeded from the injector seed and the connection's stable key
-// ("addr#ordinal/side"), so concurrent connections cannot perturb each
+// ("addr#ordinal/dial"), so concurrent connections cannot perturb each
 // other's schedules, and two runs with the same seed and the same dial
 // order produce byte-identical fault schedules (Schedule pins this in
 // tests). Timers run on an injected Clock so chaos tests compose with the
@@ -133,9 +132,9 @@ type Fault struct {
 	Every int           // Duplicate period in Writes (default 1 = every write)
 }
 
-// Rule scopes a fault to connections: Addr matches the dial target or
-// listener label ("" = every address), Conn matches the per-address
-// connection ordinal (-1 = every connection).
+// Rule scopes a fault to connections: Addr matches the dial target
+// ("" = every address), Conn matches the per-address connection ordinal
+// (-1 = every connection).
 type Rule struct {
 	Addr  string
 	Conn  int
@@ -263,21 +262,22 @@ func (in *Injector) partitioned(addr string) (bool, <-chan struct{}) {
 	return in.partAll || in.parts[addr], in.partGen
 }
 
-// nextKey assigns the stable key for the n'th connection touching addr on
-// the given side ("dial" or "accept").
-func (in *Injector) nextKey(addr, side string) string {
+// nextKey assigns the stable key for the n'th connection dialed to addr.
+// The "/dial" suffix is part of the key the connection PRNG is seeded
+// from, so it stays to keep pinned fault schedules unchanged.
+func (in *Injector) nextKey(addr string) string {
 	in.mu.Lock()
-	n := in.ordinals[side+"|"+addr]
-	in.ordinals[side+"|"+addr] = n + 1
+	n := in.ordinals[addr]
+	in.ordinals[addr] = n + 1
 	in.mu.Unlock()
-	return fmt.Sprintf("%s#%d/%s", addr, n, side)
+	return fmt.Sprintf("%s#%d/dial", addr, n)
 }
 
 // Dial wraps a dialer: connections it opens take faults scoped to the dial
 // target address, and dials into a partition fail outright.
 func (in *Injector) Dial(inner DialFunc) DialFunc {
 	return func(addr string) (net.Conn, error) {
-		key := in.nextKey(addr, "dial")
+		key := in.nextKey(addr)
 		if down, _ := in.partitioned(addr); down {
 			in.record(key, "dial refused (partitioned)")
 			return nil, fmt.Errorf("%w: dial %s", ErrPartitioned, addr)
@@ -289,27 +289,6 @@ func (in *Injector) Dial(inner DialFunc) DialFunc {
 		}
 		return in.wrap(c, addr, key), nil
 	}
-}
-
-// Listener wraps l so accepted connections take faults scoped to label
-// (typically the node's advertised address).
-func (in *Injector) Listener(l net.Listener, label string) net.Listener {
-	return &listener{Listener: l, in: in, label: label}
-}
-
-type listener struct {
-	net.Listener
-	in    *Injector
-	label string
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	key := l.in.nextKey(l.label, "accept")
-	return l.in.wrap(c, l.label, key), nil
 }
 
 // wrap builds the fault-injecting connection: rules are matched and their
@@ -352,7 +331,7 @@ func (in *Injector) wrap(c net.Conn, addr, key string) net.Conn {
 	return fc
 }
 
-// splitKey recovers (addr, ordinal) from an "addr#n/side" key.
+// splitKey recovers (addr, ordinal) from an "addr#n/dial" key.
 func splitKey(key string) (string, int) {
 	addr, n := key, 0
 	for i := len(key) - 1; i >= 0; i-- {

@@ -61,10 +61,26 @@ func NewEnv(det *yolo.Model, iters, runs int, seed int64, log io.Writer) *Env {
 	}
 }
 
+// RoadScene builds the real-world environment: a textured asphalt road
+// with the arrow target painted at (0, 15). The texture is "the location":
+// it is fixed, not drawn from any experiment or request seed, so the
+// experiments, the evaluation service and the examples all attack and
+// score the same road.
+func RoadScene() attack.Scene {
+	g := scene.NewRoad(rand.New(rand.NewSource(7)), 8, 30, 0.05)
+	return attack.NewArrowScene(g, 0, 15, 1.8)
+}
+
+// SimScene builds the paper's simulated environment: uniform gray ground
+// ("gray paper") with the arrow target at (0, 15).
+func SimScene() attack.Scene {
+	return attack.NewArrowScene(scene.NewSimRoom(8, 30, 0.05), 0, 15, 1.8)
+}
+
 // Road returns the shared real-world-environment scene.
 func (e *Env) Road() attack.Scene {
 	if e.roadScene.Ground == nil {
-		e.roadScene = newRoadScene(e.Seed)
+		e.roadScene = RoadScene()
 	}
 	return e.roadScene
 }
@@ -72,17 +88,9 @@ func (e *Env) Road() attack.Scene {
 // Sim returns the shared simulated-environment scene.
 func (e *Env) Sim() attack.Scene {
 	if e.simScene.Ground == nil {
-		g := scene.NewSimRoom(8, 30, 0.05)
-		e.simScene = attack.NewArrowScene(g, 0, 15, 1.8)
+		e.simScene = SimScene()
 	}
 	return e.simScene
-}
-
-func newRoadScene(seed int64) attack.Scene {
-	// The road texture is "the location" and stays fixed across experiment
-	// seeds so results are comparable between runs and with the examples.
-	g := scene.NewRoad(rand.New(rand.NewSource(7)), 8, 30, 0.05)
-	return attack.NewArrowScene(g, 0, 15, 1.8)
 }
 
 // baseConfig is the ablation setting shared by Tables III–VI: N=4, k=60,
@@ -176,8 +184,8 @@ func (e *Env) cond(physicalMode bool) Condition {
 func cfgTarget(e *Env) scene.Class { return e.baseConfig().TargetClass }
 
 // TableI reproduces Table I: no-attack, ours (±consecutive frames) and [34]
-// in the real-world environment (N=6, k=60, physical channel), across all
-// eight challenges.
+// in the real-world environment with the base config (N=4, k=60, star; the
+// paper uses N=6) and the physical channel, across all eight challenges.
 func (e *Env) TableI() (Table, error) {
 	title := "Table I — real-world environment (N=4, k=60, star)"
 	cols := scene.AllChallengeNames

@@ -75,11 +75,9 @@ func newBackend(g *Gateway, addr string) *backend {
 	}
 	// A node that leaves and re-joins gets a fresh backend (and breaker);
 	// SetGaugeFunc explicitly re-points the series at the new breaker's
-	// state instead of silently shadowing or erroring on the duplicate.
-	if err := g.reg.SetGaugeFunc("fabric_gateway_breaker_state", "per-backend circuit breaker state (0 closed, 1 open, 2 half-open)",
-		telemetry.Labels{"node": addr}, b.breaker.stateValue); err != nil {
-		panic("fabric: breaker gauge registration: " + err.Error())
-	}
+	// state instead of silently shadowing or panicking on the duplicate.
+	g.reg.SetGaugeFunc("fabric_gateway_breaker_state", "per-backend circuit breaker state (0 closed, 1 open, 2 half-open)",
+		telemetry.Labels{"node": addr}, b.breaker.stateValue)
 	return b
 }
 

@@ -395,10 +395,3 @@ func (n *Node) Addr() string {
 	}
 	return n.listener.Addr().String()
 }
-
-// ID returns the node's fabric identity.
-func (n *Node) ID() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cfg.ID
-}

@@ -137,9 +137,3 @@ func QuadToQuad(src, dst [4]Point) (Homography, error) {
 		a[6][8], a[7][8], 1,
 	}, nil
 }
-
-// UnitSquareTo returns the homography mapping the unit square
-// (0,0)-(1,0)-(1,1)-(0,1) onto the given quad.
-func UnitSquareTo(quad [4]Point) (Homography, error) {
-	return QuadToQuad([4]Point{{0, 0}, {1, 0}, {1, 1}, {0, 1}}, quad)
-}

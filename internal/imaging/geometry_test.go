@@ -90,7 +90,7 @@ func TestQuadToQuadDegenerate(t *testing.T) {
 
 func TestUnitSquareTo(t *testing.T) {
 	quad := [4]Point{{5, 5}, {15, 6}, {14, 18}, {4, 16}}
-	h, err := UnitSquareTo(quad)
+	h, err := QuadToQuad([4]Point{{0, 0}, {1, 0}, {1, 1}, {0, 1}}, quad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,42 +94,6 @@ func (s *Sigmoid) Clone() *Sigmoid { return NewSigmoid() }
 // CloneModule implements Cloner.
 func (s *Sigmoid) CloneModule() Module { return s.Clone() }
 
-// Tanh applies the hyperbolic tangent elementwise.
-type Tanh struct {
-	lastOutput *tensor.Tensor
-}
-
-var _ Module = (*Tanh)(nil)
-
-// NewTanh returns a tanh activation module.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh.
-func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Map(math.Tanh)
-	t.lastOutput = out
-	return out
-}
-
-// Backward multiplies by 1−tanh².
-func (t *Tanh) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	mustForwarded(t.lastOutput, "Tanh")
-	dIn := tensor.New(dOut.Shape()...)
-	for i, y := range t.lastOutput.Data() {
-		dIn.Data()[i] = dOut.Data()[i] * (1 - y*y)
-	}
-	return dIn
-}
-
-// Params returns nil.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Clone returns a fresh tanh module.
-func (t *Tanh) Clone() *Tanh { return NewTanh() }
-
-// CloneModule implements Cloner.
-func (t *Tanh) CloneModule() Module { return t.Clone() }
-
 // SigmoidScalar is the logistic function on a scalar, shared by modules and
 // the YOLO decoder.
 func SigmoidScalar(x float64) float64 {

@@ -94,15 +94,6 @@ func NewSequential(mods ...Module) *Sequential {
 	return &Sequential{mods: mods}
 }
 
-// Add appends a module to the chain and returns the Sequential for chaining.
-func (s *Sequential) Add(m Module) *Sequential {
-	s.mods = append(s.mods, m)
-	return s
-}
-
-// Modules returns the underlying chain (shared slice; do not mutate).
-func (s *Sequential) Modules() []Module { return s.mods }
-
 // Forward runs the chain left to right.
 func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, m := range s.mods {

@@ -79,12 +79,6 @@ func TestSigmoidGradCheck(t *testing.T) {
 	gradCheck(t, NewSigmoid(), x, 1e-5)
 }
 
-func TestTanhGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.NewRandN(rng, 1, 2, 8)
-	gradCheck(t, NewTanh(), x, 1e-5)
-}
-
 func TestBatchNormTrainingGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bn := NewBatchNorm2D("bn", 3)

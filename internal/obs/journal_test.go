@@ -102,8 +102,7 @@ func TestJournalNonFiniteFloats(t *testing.T) {
 func TestJournalStringEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJournal(&buf), NewLogicalClock())
-	sp := tr.Span("odd")
-	sp.Event("span_start", S("name", "has\"quote\\back\nnew\ttab\x01ctl"))
+	sp := tr.Span("odd", S("note", "has\"quote\\back\nnew\ttab\x01ctl"))
 	sp.End()
 	_ = tr.Flush()
 	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
@@ -113,7 +112,7 @@ func TestJournalStringEscaping(t *testing.T) {
 	if !strings.Contains(buf.String(), "\\u0001") {
 		t.Fatalf("control byte not escaped:\n%s", buf.String())
 	}
-	if got := recs[1].Str("name"); got != "has\"quote\\back\nnew\ttab\x01ctl" {
+	if got := recs[0].Str("note"); got != "has\"quote\\back\nnew\ttab\x01ctl" {
 		t.Fatalf("string did not round-trip: %q", got)
 	}
 }

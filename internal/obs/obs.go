@@ -266,17 +266,6 @@ func (s *Span) End(attrs ...Attr) {
 	s.t.sink.Emit(&r)
 }
 
-// Event emits a generic event on the span. Cold paths only: the variadic
-// attribute slice is built before the enabled check, so hot loops should
-// use the typed methods in events.go (struct arguments, zero allocation
-// when disabled).
-func (s *Span) Event(kind string, attrs ...Attr) {
-	if !s.Enabled() {
-		return
-	}
-	s.t.emit(kind, s.ID, attrs)
-}
-
 // multiSink fans records out to several sinks in order.
 type multiSink []Sink
 

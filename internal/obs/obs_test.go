@@ -56,7 +56,6 @@ func TestNilTraceIsNoop(t *testing.T) {
 	sp.Epoch(EpochStats{})
 	sp.EvalRun(EvalRunStats{})
 	sp.EvalScore(EvalScoreStats{})
-	sp.Event("custom", F("x", 1))
 	sp.End()
 	if child := sp.Child("seg"); child != nil {
 		t.Fatal("nil span handed out a non-nil child")

@@ -1,4 +1,5 @@
-// Package optim provides gradient-descent optimizers over nn parameters.
+// Package optim provides the Adam optimizer and gradient-norm clipping over
+// nn parameters.
 package optim
 
 import (
@@ -6,57 +7,6 @@ import (
 
 	"roadtrojan/internal/nn"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched (call
-	// nn.ZeroGrads afterwards).
-	Step()
-	// SetLR changes the learning rate.
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	params   []*nn.Param
-	lr       float64
-	momentum float64
-	decay    float64
-	velocity [][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
-	v := make([][]float64, len(params))
-	for i, p := range params {
-		v[i] = make([]float64, p.Value.Len())
-	}
-	return &SGD{params: params, lr: lr, momentum: momentum, decay: weightDecay, velocity: v}
-}
-
-// Step applies v = m·v − lr·(g + wd·w); w += v.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		w := p.Value.Data()
-		g := p.Grad.Data()
-		v := s.velocity[i]
-		for j := range w {
-			grad := g[j] + s.decay*w[j]
-			v[j] = s.momentum*v[j] - s.lr*grad
-			w[j] += v[j]
-		}
-	}
-}
-
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR reports the learning rate.
-func (s *SGD) LR() float64 { return s.lr }
 
 // Adam implements the Adam optimizer (Kingma & Ba); the paper trains both
 // its GAN and the baseline attack with Adam.
@@ -69,8 +19,6 @@ type Adam struct {
 	t      int
 	m, v   [][]float64
 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam creates an Adam optimizer with the canonical β₁=0.9, β₂=0.999.
 func NewAdam(params []*nn.Param, lr float64) *Adam {
@@ -126,12 +74,4 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// StepDecay returns base·gamma^(epoch/every) — a simple step LR schedule.
-func StepDecay(base float64, epoch, every int, gamma float64) float64 {
-	if every <= 0 {
-		return base
-	}
-	return base * math.Pow(gamma, float64(epoch/every))
 }

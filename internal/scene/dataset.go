@@ -15,11 +15,6 @@ type DatasetConfig struct {
 	Seed     int64
 }
 
-// DefaultDatasetConfig mirrors the paper's dataset sizes.
-func DefaultDatasetConfig() DatasetConfig {
-	return DatasetConfig{Cam: DefaultCamera(), NumTrain: 1000, NumTest: 71, Seed: 1}
-}
-
 // Dataset holds labeled train/test frames.
 type Dataset struct {
 	Train []Frame

@@ -40,7 +40,8 @@ func (g *Ground) MetersOf(tx, ty float64) (gx, gy float64) {
 
 // DecalQuad returns the texture-pixel corner quad of a square decal of side
 // sizeM centered at (gx, gy) and rotated by rot radians on the ground. The
-// corner order matches imaging.UnitSquareTo.
+// corners run (−,−), (+,−), (+,+), (−,+), the order of a patch raster's
+// corners (0,0), (R−1,0), (R−1,R−1), (0,R−1).
 func (g *Ground) DecalQuad(gx, gy, sizeM, rot float64) [4]imaging.Point {
 	h := sizeM / 2
 	corners := [4][2]float64{{-h, -h}, {h, -h}, {h, h}, {-h, h}}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +63,6 @@ type Executor struct {
 	stageHist      map[string]*telemetry.Histogram
 }
 
-// roadSceneSeed fixes the shared road texture; like eval.Env, "the
-// location" stays constant so results are comparable across processes.
-const roadSceneSeed = 7
-
 // NewExecutor builds the evaluation core around a trained detector, cloning
 // one replica per worker and starting the pool. The caller keeps ownership
 // of det; the executor never runs inference on it. A nil registry gets a
@@ -119,12 +114,7 @@ func NewExecutor(det *yolo.Model, cfg Config, reg *telemetry.Registry) *Executor
 	// The two locations evaluation requests can name. Built once: painting
 	// the target arrow mutates the ground, but after this the scenes are
 	// read-only (Deploy composites onto a clone of the texture).
-	road := scene.NewRoad(rand.New(rand.NewSource(roadSceneSeed)), 8, 30, 0.05)
-	sim := scene.NewSimRoom(8, 30, 0.05)
-	e.scenes = map[string]attack.Scene{
-		"road": attack.NewArrowScene(road, 0, 15, 1.8),
-		"sim":  attack.NewArrowScene(sim, 0, 15, 1.8),
-	}
+	e.scenes = map[string]attack.Scene{"road": eval.RoadScene(), "sim": eval.SimScene()}
 
 	for i := 0; i < cfg.Workers; i++ {
 		replica := det.Clone()

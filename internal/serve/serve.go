@@ -68,17 +68,15 @@ type Config struct {
 	// Job evaluates one scenario. Nil means eval.RunJob; tests inject
 	// stubs to exercise queueing without rendering.
 	Job eval.JobFunc
-	// Trace receives one span per HTTP request (nil = no tracing). Serving
-	// spans should use a wall clock: obs.New(sink, obs.WallClock()).
+	// Trace receives one span per HTTP request (nil = no tracing). servd
+	// journals on obs.NewLogicalClock, so journal bytes depend on event
+	// order alone; stage latencies come from Clock, not from the trace.
 	Trace *obs.Trace
 	// EnablePprof mounts net/http/pprof under /debug/pprof on the service
 	// mux. Off by default: the profiler exposes internals and should only
 	// be reachable when explicitly requested (cmd/servd -pprof).
 	EnablePprof bool
 }
-
-// DefaultConfig returns the production defaults.
-func DefaultConfig() Config { return Config{} }
 
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {

@@ -89,12 +89,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 // serialScenes rebuilds the exact locations the server evaluates on.
 func serialScenes() map[string]attack.Scene {
-	road := scene.NewRoad(rand.New(rand.NewSource(roadSceneSeed)), 8, 30, 0.05)
-	sim := scene.NewSimRoom(8, 30, 0.05)
-	return map[string]attack.Scene{
-		"road": attack.NewArrowScene(road, 0, 15, 1.8),
-		"sim":  attack.NewArrowScene(sim, 0, 15, 1.8),
-	}
+	return map[string]attack.Scene{"road": eval.RoadScene(), "sim": eval.SimScene()}
 }
 
 // serialEvaluate runs the same job the server would, on a private replica.

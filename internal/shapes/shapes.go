@@ -54,21 +54,6 @@ func ParseShape(name string) (Shape, error) {
 	return 0, fmt.Errorf("shapes: unknown shape %q", name)
 }
 
-// CornerCount returns the number of corners of the silhouette (the paper
-// observes that shapes with more angles attack better; a circle has none).
-func (s Shape) CornerCount() int {
-	switch s {
-	case Star:
-		return 10
-	case Square:
-		return 4
-	case Triangle:
-		return 3
-	default:
-		return 0
-	}
-}
-
 // polygon returns the shape's outline as unit-disk vertices (radius ≤ 1,
 // centered at the origin, y up), or nil for Circle.
 func (s Shape) polygon() []point {
@@ -193,8 +178,7 @@ func Area(s Shape, k int, scale float64) float64 {
 }
 
 // ScaleForArea returns the scale at which the shape covers approximately the
-// target area fraction of its tile, found by bisection. Used by Table III to
-// keep total decal area constant across different patch counts.
+// target area fraction of its tile, found by bisection.
 func ScaleForArea(s Shape, k int, target float64) float64 {
 	lo, hi := 0.05, 1.0
 	for i := 0; i < 24; i++ {

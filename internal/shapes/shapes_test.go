@@ -19,20 +19,6 @@ func TestStringAndParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCornerCounts(t *testing.T) {
-	tests := []struct {
-		s    Shape
-		want int
-	}{
-		{Star, 10}, {Square, 4}, {Triangle, 3}, {Circle, 0},
-	}
-	for _, tt := range tests {
-		if got := tt.s.CornerCount(); got != tt.want {
-			t.Errorf("%v corners = %d, want %d", tt.s, got, tt.want)
-		}
-	}
-}
-
 func TestMaskBounds(t *testing.T) {
 	for _, s := range []Shape{Star, Circle, Square, Triangle} {
 		m := Mask(s, 24, 1, 0)

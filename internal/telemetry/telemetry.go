@@ -260,13 +260,12 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*family{}}
 }
 
-// lookup returns (creating if needed) the series for name+labels. A
-// registration that conflicts with the family's established identity —
-// different metric type or different help text — is a descriptive error
-// rather than a silent first-writer-wins.
-func (r *Registry) lookup(name, help, typ string, labels Labels) (*series, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// lookup returns (creating if needed) the series for name+labels; the
+// caller holds r.mu. A registration that conflicts with the family's
+// established identity — different metric type or different help text —
+// panics rather than a silent first-writer-wins: names and help are
+// program constants, so a conflict is a programming error.
+func (r *Registry) lookup(name, help, typ string, labels Labels) *series {
 	f, ok := r.byName[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, byLabels: map[string]*series{}}
@@ -274,10 +273,10 @@ func (r *Registry) lookup(name, help, typ string, labels Labels) (*series, error
 		r.families = append(r.families, f)
 	}
 	if f.typ != typ {
-		return nil, fmt.Errorf("telemetry: metric %q already registered as %s, re-registered as %s", name, f.typ, typ)
+		panic(fmt.Sprintf("telemetry: metric %q already registered as %s, re-registered as %s", name, f.typ, typ))
 	}
 	if f.help != help {
-		return nil, fmt.Errorf("telemetry: metric %q help redefined: %q vs %q", name, f.help, help)
+		panic(fmt.Sprintf("telemetry: metric %q help redefined: %q vs %q", name, f.help, help))
 	}
 	key := labels.render()
 	s, ok := f.byLabels[key]
@@ -286,102 +285,79 @@ func (r *Registry) lookup(name, help, typ string, labels Labels) (*series, error
 		f.byLabels[key] = s
 		f.series = append(f.series, s)
 	}
-	return s, nil
+	return s
 }
 
-// RegisterCounter returns the counter for name+labels, creating it on first
-// use. Re-registration with an identical spec is idempotent and returns the
-// same handle; a conflicting spec is an error.
-func (r *Registry) RegisterCounter(name, help string, labels Labels) (*Counter, error) {
-	s, err := r.lookup(name, help, "counter", labels)
-	if err != nil {
-		return nil, err
-	}
+// Counter returns the counter for name+labels, creating it on first use.
+// Re-registration with an identical spec is idempotent and returns the
+// same handle; a conflicting spec panics.
+func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "counter", labels)
 	if s.counter == nil {
 		s.counter = &Counter{}
 	}
-	return s.counter, nil
+	return s.counter
 }
 
-// RegisterGauge returns the gauge for name+labels, creating it on first
-// use. Registering a value gauge over a derived (GaugeFunc) series is an
-// error: the function would silently shadow the value at scrape time.
-func (r *Registry) RegisterGauge(name, help string, labels Labels) (*Gauge, error) {
-	s, err := r.lookup(name, help, "gauge", labels)
-	if err != nil {
-		return nil, err
-	}
+// Gauge returns the gauge for name+labels, creating it on first use.
+// Registering a value gauge over a derived (GaugeFunc) series panics: the
+// function would silently shadow the value at scrape time.
+func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "gauge", labels)
 	if s.gaugeFn != nil {
-		return nil, fmt.Errorf("telemetry: gauge %q%s already registered as a derived gauge (GaugeFunc)", name, s.labels)
+		panic(fmt.Sprintf("telemetry: gauge %q%s already registered as a derived gauge (GaugeFunc)", name, s.labels))
 	}
 	if s.gauge == nil {
 		s.gauge = &Gauge{}
 	}
-	return s.gauge, nil
+	return s.gauge
 }
 
-// RegisterGaugeFunc registers a derived gauge: fn is evaluated at scrape
-// time, so the series always reflects the current value of whatever it is
-// computed from (e.g. a ratio of two live counters). fn must be safe for
-// concurrent use. Registering over an existing function or value gauge is
-// an error — two closures cannot be compared for idempotence, and silently
-// keeping either one hides a stale-closure bug. Use SetGaugeFunc when
-// replacement is the intent (e.g. a re-created component re-binding its
-// scrape closure).
-func (r *Registry) RegisterGaugeFunc(name, help string, labels Labels, fn func() float64) error {
-	if fn == nil {
-		return fmt.Errorf("telemetry: nil GaugeFunc for %q", name)
-	}
-	s, err := r.lookup(name, help, "gauge", labels)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gaugeFn != nil {
-		return fmt.Errorf("telemetry: derived gauge %q%s already registered; use SetGaugeFunc to replace it", name, s.labels)
-	}
-	if s.gauge != nil {
-		return fmt.Errorf("telemetry: gauge %q%s already registered as a value gauge", name, s.labels)
-	}
-	s.gaugeFn = fn
-	return nil
+// GaugeFunc registers a derived gauge: fn is evaluated at scrape time, so
+// the series always reflects the current value of whatever it is computed
+// from (e.g. a ratio of two live counters). fn must be safe for concurrent
+// use. Registering over an existing function or value gauge panics — two
+// closures cannot be compared for idempotence, and silently keeping either
+// one hides a stale-closure bug. Use SetGaugeFunc when replacement is the
+// intent (e.g. a re-created component re-binding its scrape closure).
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.setGaugeFunc(name, help, labels, fn, false)
 }
 
 // SetGaugeFunc registers or explicitly replaces the derived gauge for
 // name+labels. This is the re-bind path for components that are torn down
 // and re-created (a fabric backend re-joining re-points the series at the
-// new breaker); family type/help conflicts still error.
-func (r *Registry) SetGaugeFunc(name, help string, labels Labels, fn func() float64) error {
+// new breaker); family type/help conflicts and a value gauge on the same
+// series still panic.
+func (r *Registry) SetGaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.setGaugeFunc(name, help, labels, fn, true)
+}
+
+func (r *Registry) setGaugeFunc(name, help string, labels Labels, fn func() float64, replace bool) {
 	if fn == nil {
-		return fmt.Errorf("telemetry: nil GaugeFunc for %q", name)
-	}
-	s, err := r.lookup(name, help, "gauge", labels)
-	if err != nil {
-		return err
+		panic(fmt.Sprintf("telemetry: nil GaugeFunc for %q", name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "gauge", labels)
+	if s.gaugeFn != nil && !replace {
+		panic(fmt.Sprintf("telemetry: derived gauge %q%s already registered; use SetGaugeFunc to replace it", name, s.labels))
+	}
 	if s.gauge != nil {
-		return fmt.Errorf("telemetry: gauge %q%s already registered as a value gauge", name, s.labels)
+		panic(fmt.Sprintf("telemetry: gauge %q%s already registered as a value gauge", name, s.labels))
 	}
 	s.gaugeFn = fn
-	return nil
 }
 
-// RegisterHistogram returns the histogram for name+labels, creating it on
-// first use with the given bucket bounds (nil = DefLatencyBuckets).
-// Re-registration with different bounds is an error — the original buckets
+// Histogram returns the histogram for name+labels, creating it on first
+// use with the given bucket bounds (nil = DefLatencyBuckets).
+// Re-registration with different bounds panics — the original buckets
 // would silently keep counting otherwise.
-func (r *Registry) RegisterHistogram(name, help string, labels Labels, bounds []float64) (*Histogram, error) {
-	s, err := r.lookup(name, help, "histogram", labels)
-	if err != nil {
-		return nil, err
-	}
+func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = DefLatencyBuckets
 	}
@@ -394,14 +370,15 @@ func (r *Registry) RegisterHistogram(name, help string, labels Labels, bounds []
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "histogram", labels)
 	if s.hist == nil {
 		s.hist = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
-		return s.hist, nil
+		return s.hist
 	}
 	if !equalBounds(s.hist.bounds, bounds) {
-		return nil, fmt.Errorf("telemetry: histogram %q%s bounds redefined: %v vs %v", name, s.labels, s.hist.bounds, bounds)
+		panic(fmt.Sprintf("telemetry: histogram %q%s bounds redefined: %v vs %v", name, s.labels, s.hist.bounds, bounds))
 	}
-	return s.hist, nil
+	return s.hist
 }
 
 // equalBounds compares bucket specs bit-for-bit: bounds are configured
@@ -417,40 +394,6 @@ func equalBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// mustRegister turns a registration conflict into a panic for the
-// convenience constructors, where a collision is a programming error.
-func mustRegister(err error) {
-	if err != nil {
-		panic("telemetry: " + strings.TrimPrefix(err.Error(), "telemetry: "))
-	}
-}
-
-// Counter is the panic-on-conflict convenience form of RegisterCounter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c, err := r.RegisterCounter(name, help, labels)
-	mustRegister(err)
-	return c
-}
-
-// Gauge is the panic-on-conflict convenience form of RegisterGauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g, err := r.RegisterGauge(name, help, labels)
-	mustRegister(err)
-	return g
-}
-
-// GaugeFunc is the panic-on-conflict convenience form of RegisterGaugeFunc.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	mustRegister(r.RegisterGaugeFunc(name, help, labels, fn))
-}
-
-// Histogram is the panic-on-conflict convenience form of RegisterHistogram.
-func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	h, err := r.RegisterHistogram(name, help, labels, bounds)
-	mustRegister(err)
-	return h
 }
 
 // WriteText renders every registered family in the Prometheus text

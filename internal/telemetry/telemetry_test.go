@@ -235,47 +235,42 @@ func TestGaugeFuncNilPanics(t *testing.T) {
 	NewRegistry().GaugeFunc("broken", "b", nil, nil)
 }
 
-// TestRegistrationCollisions: conflicting re-registrations must fail with a
-// descriptive error, never silently shadow the established series. The
+// mustPanic runs f and fails unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		rec := recover()
+		msg, _ := rec.(string)
+		if rec == nil || !strings.Contains(msg, want) {
+			t.Fatalf("want a panic containing %q, got %v", want, rec)
+		}
+	}()
+	f()
+}
+
+// TestRegistrationCollisions: conflicting re-registrations must panic with
+// a descriptive message, never silently shadow the established series. The
 // matching spec is always idempotent.
 func TestRegistrationCollisions(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.RegisterCounter("m", "help", nil); err != nil {
-		t.Fatal(err)
+	if r.Counter("m", "help", nil) != r.Counter("m", "help", nil) {
+		t.Fatal("idempotent re-registration returned a new counter")
 	}
-	if _, err := r.RegisterCounter("m", "help", nil); err != nil {
-		t.Fatalf("idempotent re-registration errored: %v", err)
-	}
-	if _, err := r.RegisterGauge("m", "help", nil); err == nil || !strings.Contains(err.Error(), "already registered as counter") {
-		t.Fatalf("type collision not reported: %v", err)
-	}
-	if _, err := r.RegisterCounter("m", "different help", nil); err == nil || !strings.Contains(err.Error(), "help redefined") {
-		t.Fatalf("help collision not reported: %v", err)
-	}
+	mustPanic(t, "already registered as counter", func() { r.Gauge("m", "help", nil) })
+	mustPanic(t, "help redefined", func() { r.Counter("m", "different help", nil) })
 
-	if _, err := r.RegisterHistogram("lat", "h", nil, []float64{1, 2}); err != nil {
-		t.Fatal(err)
+	if r.Histogram("lat", "h", nil, []float64{1, 2}) != r.Histogram("lat", "h", nil, []float64{1, 2}) {
+		t.Fatal("same-bounds histogram re-registration returned a new histogram")
 	}
-	if _, err := r.RegisterHistogram("lat", "h", nil, []float64{1, 2}); err != nil {
-		t.Fatalf("same-bounds histogram re-registration errored: %v", err)
-	}
-	if _, err := r.RegisterHistogram("lat", "h", nil, []float64{1, 2, 5}); err == nil || !strings.Contains(err.Error(), "bounds redefined") {
-		t.Fatalf("bounds collision not reported: %v", err)
-	}
+	mustPanic(t, "bounds redefined", func() { r.Histogram("lat", "h", nil, []float64{1, 2, 5}) })
 
 	fn := func() float64 { return 1 }
-	if err := r.RegisterGaugeFunc("derived", "d", nil, fn); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterGaugeFunc("derived", "d", nil, fn); err == nil || !strings.Contains(err.Error(), "use SetGaugeFunc") {
-		t.Fatalf("duplicate GaugeFunc not reported: %v", err)
-	}
-	if _, err := r.RegisterGauge("derived", "d", nil); err == nil || !strings.Contains(err.Error(), "derived gauge") {
-		t.Fatalf("value-gauge-over-func collision not reported: %v", err)
-	}
-	if err := r.SetGaugeFunc("derived", "d", nil, func() float64 { return 2 }); err != nil {
-		t.Fatalf("explicit SetGaugeFunc replacement errored: %v", err)
-	}
+	r.GaugeFunc("derived", "d", nil, fn)
+	mustPanic(t, "use SetGaugeFunc", func() { r.GaugeFunc("derived", "d", nil, fn) })
+	mustPanic(t, "derived gauge", func() { r.Gauge("derived", "d", nil) })
+	r.SetGaugeFunc("derived", "d", nil, func() float64 { return 2 })
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -284,21 +279,9 @@ func TestRegistrationCollisions(t *testing.T) {
 		t.Fatalf("SetGaugeFunc did not replace the closure:\n%s", sb.String())
 	}
 
-	if _, err := r.RegisterGauge("plain", "p", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterGaugeFunc("plain", "p", nil, fn); err == nil || !strings.Contains(err.Error(), "value gauge") {
-		t.Fatalf("func-over-value-gauge collision not reported: %v", err)
-	}
-
-	// The panic-on-conflict convenience form carries the same message.
-	defer func() {
-		rec := recover()
-		if rec == nil || !strings.Contains(rec.(string), "already registered as counter") {
-			t.Fatalf("convenience wrapper should panic with the descriptive error, got %v", rec)
-		}
-	}()
-	r.Gauge("m", "help", nil)
+	r.Gauge("plain", "p", nil)
+	mustPanic(t, "value gauge", func() { r.GaugeFunc("plain", "p", nil, fn) })
+	mustPanic(t, "value gauge", func() { r.SetGaugeFunc("plain", "p", nil, fn) })
 }
 
 func TestHistogramExemplarExposition(t *testing.T) {

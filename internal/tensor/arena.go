@@ -8,9 +8,6 @@ import "sync"
 const (
 	// ScratchCols holds the im2col lowering of one sample.
 	ScratchCols = iota
-	// ScratchColsT is a spare slot (the weight gradient once transposed
-	// ScratchCols into it; the NT dot kernel made that pass unnecessary).
-	ScratchColsT
 	// ScratchDW is the per-worker dWeight accumulator.
 	ScratchDW
 	// ScratchDWS is the per-sample dWeight term before accumulation.

@@ -25,7 +25,7 @@ func TestScratchBufGrowOnly(t *testing.T) {
 		t.Fatalf("Buf length %d, want 128", len(b3))
 	}
 	// Distinct IDs never alias.
-	b4 := sc.Buf(ScratchColsT, 128)
+	b4 := sc.Buf(ScratchDW, 128)
 	b4[0] = 42
 	b3[0] = 7
 	if b4[0] != 42 {
@@ -155,7 +155,7 @@ func TestParallelForSlotCoversAllOnce(t *testing.T) {
 	var mu sync.Mutex
 	seen := make([]int, n)
 	slotBusy := make([]int32, Workers(n))
-	ParallelForSlot(n, func(slot, i int) {
+	parallelForSlot(n, Workers(n), func(slot, i int) {
 		mu.Lock()
 		seen[i]++
 		slotBusy[slot]++

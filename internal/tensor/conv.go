@@ -406,9 +406,3 @@ func parallelForChunks(n, workers int, f func(slot, lo, hi int)) {
 // ParallelFor exposes the worker-pool loop for other packages that iterate
 // over batch samples.
 func ParallelFor(n int, f func(i int)) { parallelFor(n, f) }
-
-// ParallelForSlot runs f(slot, i) for i in [0,n) with slot identifying the
-// executing worker in [0, Workers(n)). Exactly one goroutine uses a given
-// slot at a time, so slot may index per-worker state such as arena
-// scratches acquired with AcquireScratch(Workers(n)).
-func ParallelForSlot(n int, f func(slot, i int)) { parallelForSlot(n, Workers(n), f) }

@@ -594,24 +594,3 @@ func streamAxpy(d, brow []float64, av float64) {
 		d[j] += av * bv
 	}
 }
-
-// MatVec returns a @ x for a [m,k] matrix and a length-k vector, as [m].
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		panic(fmt.Sprintf("tensor: MatVec requires [m,k] and [k], got %v and %v", a.shape, x.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	if x.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v @ %v", a.shape, x.shape))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
-		s := 0.0
-		for j, v := range row {
-			s += v * x.data[j]
-		}
-		out.data[i] = s
-	}
-	return out
-}

@@ -5,14 +5,6 @@ import (
 	"math"
 )
 
-// Apply replaces every element x with f(x) in place and returns t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
 // Map returns a new tensor whose elements are f applied to t's elements.
 func (t *Tensor) Map(f func(float64) float64) *Tensor {
 	out := New(t.shape...)
@@ -65,24 +57,6 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace subtracts u elementwise from t and returns t.
-func (t *Tensor) SubInPlace(u *Tensor) *Tensor {
-	sameLen(t, u, "SubInPlace")
-	for i, v := range u.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
-// MulInPlace multiplies t elementwise by u and returns t.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	sameLen(t, u, "MulInPlace")
-	for i, v := range u.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // Axpy computes t += a*u elementwise and returns t.
 func (t *Tensor) Axpy(a float64, u *Tensor) *Tensor {
 	sameLen(t, u, "Axpy")
@@ -122,16 +96,6 @@ func Mul(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Div returns t / u elementwise.
-func Div(t, u *Tensor) *Tensor {
-	sameLen(t, u, "Div")
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] / u.data[i]
-	}
-	return out
-}
-
 // Dot returns the inner product of t and u viewed as flat vectors.
 func Dot(t, u *Tensor) float64 {
 	sameLen(t, u, "Dot")
@@ -153,37 +117,6 @@ func MaxAbsDiff(t, u *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// Softmax returns row-wise softmax of a [rows, cols] tensor, computed
-// stably by subtracting each row's maximum.
-func Softmax(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Softmax requires rank-2 input, got %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		row := t.data[r*cols : (r+1)*cols]
-		orow := out.data[r*cols : (r+1)*cols]
-		m := math.Inf(-1)
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-		s := 0.0
-		for i, v := range row {
-			e := math.Exp(v - m)
-			orow[i] = e
-			s += e
-		}
-		inv := 1 / s
-		for i := range orow {
-			orow[i] *= inv
-		}
-	}
-	return out
 }
 
 // SumAxis0 sums a [rows, cols] tensor over its rows, returning [cols].

@@ -237,17 +237,6 @@ func (t *Tensor) Max() float64 {
 	return m
 }
 
-// ArgMax returns the flat index of the maximum element (-1 for empty).
-func (t *Tensor) ArgMax() int {
-	best, bi := math.Inf(-1), -1
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // L2 returns the Euclidean norm of the tensor viewed as a flat vector.
 func (t *Tensor) L2() float64 {
 	s := 0.0

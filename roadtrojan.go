@@ -149,19 +149,14 @@ func (d *Detector) Detect(img *Tensor) []Detection {
 }
 
 // NewRoadScene builds the "real-world environment": a textured asphalt road
-// with a painted arrow target at (0, 15).
-func NewRoadScene(seed int64) Scene {
-	rng := rand.New(rand.NewSource(seed))
-	g := scene.NewRoad(rng, 8, 30, 0.05)
-	return attack.NewArrowScene(g, 0, 15, 1.8)
-}
+// with a painted arrow target at (0, 15). It is the one fixed road the
+// experiments and the evaluation service (servd, gatewayd) use, so a
+// score computed here matches the service's answer for the same request.
+func NewRoadScene() Scene { return eval.RoadScene() }
 
 // NewSimScene builds the paper's simulated environment: uniform gray ground
 // ("gray paper") with a white arrow.
-func NewSimScene() Scene {
-	g := scene.NewSimRoom(8, 30, 0.05)
-	return attack.NewArrowScene(g, 0, 15, 1.8)
-}
+func NewSimScene() Scene { return eval.SimScene() }
 
 // DefaultAttackConfig returns the paper's main attack setting.
 func DefaultAttackConfig() AttackConfig { return attack.DefaultConfig() }

@@ -1,9 +1,18 @@
 package roadtrojan
 
 import (
+	"context"
+	"encoding/base64"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"roadtrojan/internal/attack"
+	"roadtrojan/internal/serve"
+	"roadtrojan/internal/shapes"
+	"roadtrojan/internal/tensor"
+	"roadtrojan/internal/yolo"
 )
 
 // microDetector trains a deliberately tiny detector so facade paths can be
@@ -146,5 +155,50 @@ func TestVerifyDigitalFacade(t *testing.T) {
 	}
 	if frac < 0 || frac > 1 {
 		t.Fatalf("fraction = %v", frac)
+	}
+}
+
+// TestEvaluateScenarioMatchesService pins that the facade and the
+// evaluation service score the same road: EvaluateScenario on
+// NewRoadScene() and serve's Executor answer the same patch, challenge and
+// condition seed identically.
+func TestEvaluateScenarioMatchesService(t *testing.T) {
+	m := yolo.New(rand.New(rand.NewSource(11)), yolo.DefaultConfig())
+	exec := serve.NewExecutor(m, serve.Config{Workers: 1}, nil)
+	defer exec.Close(context.Background())
+
+	rng := rand.New(rand.NewSource(12))
+	gray := tensor.New(1, 32, 32)
+	for i := range gray.Data() {
+		gray.Data()[i] = rng.Float64()
+	}
+	cfg := DefaultAttackConfig()
+	p := &Patch{Gray: gray, Mask: shapes.Mask(cfg.Shape, 32, cfg.ShapeScale(), 0), Cfg: cfg}
+	raw, err := attack.EncodePatch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const seed = 5
+	cond := DigitalCondition()
+	cond.Runs = 1
+	cond.Seed = seed
+	want, err := EvaluateScenario(&Detector{model: m}, NewRoadScene(), p, cfg.TargetClass, "fast", cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Evaluate(context.Background(), serve.EvalRequest{
+		Patch: base64.StdEncoding.EncodeToString(raw), Scene: "road", Challenge: "fast",
+		Mode: "digital", Runs: 1, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PWC != want.PWC || got.CWC != want.CWC || got.Frames != want.Frames ||
+		got.WrongRun != want.WrongRun || got.DetectRate != want.DetectRate {
+		t.Fatalf("service answered %+v, facade scored %+v", got, want)
+	}
+	if want.Frames == 0 {
+		t.Fatal("no frames evaluated")
 	}
 }

@@ -18,6 +18,11 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The ledger is its own module built against this tree: vet it here so a
+# deleted or renamed API it calls fails in seconds, not after the race suite.
+echo "== go vet perfledger"
+(cd perfledger && GOWORK=off GOPROXY=off go vet .)
+
 # Other architectures: internal/tensor has an amd64 assembly kernel, and
 # every other GOARCH must still build from the Go tiles alone.
 echo "== GOARCH=arm64 go build ./... + go vet ./internal/tensor"
