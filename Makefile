@@ -13,8 +13,8 @@ vet:
 	go vet ./...
 
 # Repo-specific invariants (determinism, reentrancy, numeric safety,
-# goroutine lifecycle, lock discipline, context propagation) with a
-# per-check wall-clock breakdown. See DESIGN.md "Correctness invariants"
+# goroutine lifecycle, lock discipline, context propagation, no library
+# code without a production caller) with a per-check wall-clock breakdown. See DESIGN.md "Correctness invariants"
 # for what each check enforces.
 lint:
 	go run ./cmd/rtlint -timing ./...

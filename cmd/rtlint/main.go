@@ -5,8 +5,10 @@
 //
 // It loads and type-checks the module with only the standard library, runs
 // the syntactic checks (sharedforward, globalrand, floateq, panicpolicy,
-// gradcoverage) and the CFG/dataflow checks (goroutinelife, lockheld,
-// ctxflow), and exits non-zero on any finding. The only way to suppress one
+// gradcoverage), the CFG/dataflow checks (goroutinelife, lockheld,
+// ctxflow) and the whole-program deadcode check, and exits non-zero on any
+// finding. Patterns pick the packages to report on; deadcode still counts
+// uses in every package. The only way to suppress one
 // is a per-line `//rtlint:ignore <check> <reason>`. -json emits a
 // machine-readable report on stdout; -timing prints a per-check wall-clock
 // breakdown.
@@ -93,10 +95,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	pkgs = filterPatterns(pkgs, loader.Module(), flag.Args())
-
 	cfg := analysis.DefaultConfig(loader.Module())
-	findings, timings := analysis.RunTimed(cfg, pkgs, checks)
+	findings, timings := analysis.RunTimed(cfg, pkgs, matchPatterns(loader.Module(), flag.Args()), checks)
 	if *timing {
 		for _, tm := range timings {
 			fmt.Fprintf(os.Stderr, "rtlint: %-14s %8.1fms  %d finding(s)\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000, tm.Findings)
@@ -153,14 +153,15 @@ func relPath(root, file string) string {
 	return filepath.ToSlash(rel)
 }
 
-// filterPatterns keeps packages matching the command-line patterns. The
-// forms understood are "./..." / "all" (everything), "./dir/..." (subtree)
-// and "./dir" or an import path (exact). No patterns means everything.
-func filterPatterns(pkgs []*analysis.Pkg, module string, patterns []string) []*analysis.Pkg {
+// matchPatterns selects the packages to report on from the command-line
+// patterns. The forms understood are "./..." / "all" (everything),
+// "./dir/..." (subtree) and "./dir" or an import path (exact). No
+// patterns means everything.
+func matchPatterns(module string, patterns []string) func(*analysis.Pkg) bool {
 	if len(patterns) == 0 {
-		return pkgs
+		return nil
 	}
-	keep := func(p *analysis.Pkg) bool {
+	return func(p *analysis.Pkg) bool {
 		for _, pat := range patterns {
 			if pat == "./..." || pat == "..." || pat == "all" {
 				return true
@@ -178,13 +179,6 @@ func filterPatterns(pkgs []*analysis.Pkg, module string, patterns []string) []*a
 		}
 		return false
 	}
-	var out []*analysis.Pkg
-	for _, p := range pkgs {
-		if keep(p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func findModuleRoot() (string, error) {

@@ -1,6 +1,7 @@
 // Command trainyolo generates the synthetic road dataset, trains the victim
-// YOLOv3-tiny-style detector from scratch, reports its test accuracy, and
-// saves the weights for the attack experiments.
+// YOLOv3-tiny-style detector from scratch, reports its accuracy (recall,
+// class accuracy and false positives on train and test, plus test mAP@0.5),
+// and saves the weights for the attack experiments.
 package main
 
 import (
@@ -54,6 +55,8 @@ func run() error {
 	test := yolo.Evaluate(model, ds.Test, yolo.DefaultDecode())
 	fmt.Printf("train(100): recall %.3f class-acc %.3f fp %d\n", train.Recall(), train.ClassAccuracy(), train.FalsePositives)
 	fmt.Printf("test:       recall %.3f class-acc %.3f fp %d (objects %d)\n", test.Recall(), test.ClassAccuracy(), test.FalsePositives, test.Objects)
+	_, mAP := yolo.MeanAP(model, ds.Test, yolo.DefaultDecode(), 0.5)
+	fmt.Printf("test:       mAP@0.5 %.3f\n", mAP)
 
 	if err := nn.SaveStateFile(*out, model.State()); err != nil {
 		return err

@@ -2,7 +2,8 @@
 // go/parser + go/ast + go/types only, no x/tools) that enforces the
 // repository's hand-maintained correctness invariants: deterministic seeded
 // randomness, non-reentrant forward caches, epsilon-based float comparison,
-// prefixed invariant panics, and gradient-check coverage for every layer.
+// prefixed invariant panics, gradient-check coverage for every layer,
+// goroutine and lock discipline, context propagation, and no dead code.
 //
 // The driver loads every package in the module (see Loader), runs each
 // registered Check and honours per-line //rtlint:ignore suppressions, the
@@ -71,8 +72,9 @@ type Config struct {
 	// gradient checks for gradcoverage.
 	GradCheckNameRE *regexp.Regexp
 	// FlowScope limits the CFG-based checks (goroutinelife, lockheld,
-	// ctxflow) to the packages it returns true for — library code under
-	// internal/ by default; cmd front ends run until process exit.
+	// ctxflow) and the declarations deadcode tracks to the packages it
+	// returns true for — library code under internal/ by default; cmd
+	// front ends run until process exit.
 	FlowScope func(p *Pkg) bool
 	// IOLockRE matches the names of dedicated I/O mutexes (writeMu and
 	// friends). Network reads/writes under such a lock — and only such a
@@ -104,11 +106,14 @@ func DefaultConfig(module string) *Config {
 	}
 }
 
-// Check is one named rule.
+// Check is one named rule. Run sees one package at a time; a whole-program
+// check sets Program instead, which indexes every loaded package once and
+// returns the per-package reporter.
 type Check struct {
-	Name string
-	Doc  string
-	Run  func(cfg *Config, p *Pkg) []Finding
+	Name    string
+	Doc     string
+	Run     func(cfg *Config, p *Pkg) []Finding
+	Program func(cfg *Config, all []*Pkg) func(p *Pkg) []Finding
 }
 
 // AllChecks returns every registered check in stable order.
@@ -122,6 +127,7 @@ func AllChecks() []Check {
 		goroutineLifeCheck(),
 		lockHeldCheck(),
 		ctxFlowCheck(),
+		deadCodeCheck(),
 	}
 }
 
@@ -133,27 +139,33 @@ type CheckTiming struct {
 	Findings int // pre-suppression finding count
 }
 
-// Run executes the checks over the packages, applies //rtlint:ignore
-// suppressions, and returns the surviving findings sorted by position.
-func Run(cfg *Config, pkgs []*Pkg, checks []Check) []Finding {
-	findings, _ := RunTimed(cfg, pkgs, checks)
-	return findings
-}
-
-// RunTimed is Run plus a per-check timing breakdown (in the order the
-// checks were given), for `rtlint -timing` and the make lint report.
-func RunTimed(cfg *Config, pkgs []*Pkg, checks []Check) ([]Finding, []CheckTiming) {
+// RunTimed executes the checks, applies //rtlint:ignore suppressions, and
+// returns the surviving findings sorted by position plus a per-check timing
+// breakdown (in check order) for `rtlint -timing`. It reports on the
+// packages report accepts (all when nil); a whole-program check still
+// indexes all of pkgs, so a filtered run matches the full run there.
+func RunTimed(cfg *Config, pkgs []*Pkg, report func(*Pkg) bool, checks []Check) ([]Finding, []CheckTiming) {
 	timings := make([]CheckTiming, len(checks))
+	runs := make([]func(p *Pkg) []Finding, len(checks))
 	for i, c := range checks {
 		timings[i].Name = c.Name
+		runs[i] = func(p *Pkg) []Finding { return c.Run(cfg, p) }
+		if c.Program != nil {
+			start := time.Now()
+			runs[i] = c.Program(cfg, pkgs)
+			timings[i].Elapsed += time.Since(start)
+		}
 	}
 	var out []Finding
 	for _, p := range pkgs {
+		if report != nil && !report(p) {
+			continue
+		}
 		sup, bad := suppressions(p)
 		out = append(out, bad...)
-		for i, c := range checks {
+		for i, run := range runs {
 			start := time.Now()
-			fs := c.Run(cfg, p)
+			fs := run(p)
 			timings[i].Elapsed += time.Since(start)
 			timings[i].Findings += len(fs)
 			for _, f := range fs {

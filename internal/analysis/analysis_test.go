@@ -72,57 +72,101 @@ func TestCorpus(t *testing.T) {
 		{"goroutinelife", []string{"goroutinelife/src"}},
 		{"lockheld", []string{"lockheld/src"}},
 		{"ctxflow", []string{"ctxflow/src"}},
+		{"deadcode", []string{"deadcode/lib", "deadcode/user"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.check, func(t *testing.T) {
-			check := checkByName(t, tc.check)
-			for _, dir := range tc.dirs {
-				abs := filepath.Join(root, "internal", "analysis", "testdata", filepath.FromSlash(dir))
-				importPath := "corpus/" + strings.ReplaceAll(dir, "/", "_")
-				p, err := loader.LoadDir(abs, importPath)
-				if err != nil {
-					t.Fatalf("loading corpus %s: %v", dir, err)
-				}
-				findings := Run(cfg, []*Pkg{p}, []Check{check})
-				matchWants(t, abs, findings)
-			}
+			pkgs, dirs := loadCorpus(t, loader, tc.dirs...)
+			findings, _ := RunTimed(cfg, pkgs, nil, []Check{checkByName(t, tc.check)})
+			matchWants(t, dirs, findings)
 		})
 	}
 }
 
-// matchWants pairs findings against the `// want` comments in dir: every
+// loadCorpus loads corpus packages (directories under testdata) as one
+// program and returns them with their absolute directories.
+func loadCorpus(t *testing.T, loader *Loader, dirs ...string) ([]*Pkg, []string) {
+	t.Helper()
+	root := repoRoot(t)
+	var pkgs []*Pkg
+	var abs []string
+	for _, dir := range dirs {
+		d := filepath.Join(root, "internal", "analysis", "testdata", filepath.FromSlash(dir))
+		p, err := loader.LoadDir(d, "corpus/"+strings.ReplaceAll(dir, "/", "_"))
+		if err != nil {
+			t.Fatalf("loading corpus %s: %v", dir, err)
+		}
+		pkgs = append(pkgs, p)
+		abs = append(abs, d)
+	}
+	return pkgs, abs
+}
+
+// TestDeadcodeFilteredRunMatchesFullRun: package patterns only choose which
+// packages to report on. The use index still spans every loaded package, so
+// reporting on the corpus library alone finds exactly what the whole corpus
+// run finds there — a declaration only package user calls stays unreported.
+func TestDeadcodeFilteredRunMatchesFullRun(t *testing.T) {
+	loader, err := NewLoader(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, dirs := loadCorpus(t, loader, "deadcode/lib", "deadcode/user")
+	cfg := corpusConfig(loader.Module())
+	checks := []Check{checkByName(t, "deadcode")}
+	full, _ := RunTimed(cfg, pkgs, nil, checks)
+	filtered, _ := RunTimed(cfg, pkgs, func(p *Pkg) bool { return p == pkgs[0] }, checks)
+	var want []string
+	for _, f := range full {
+		if filepath.Dir(f.Pos.Filename) == dirs[0] {
+			want = append(want, f.String())
+		}
+	}
+	var got []string
+	for _, f := range filtered {
+		got = append(got, f.String())
+	}
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("filtered run found:\n%s\nfull run found in the library:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// matchWants pairs findings against the `// want` comments in dirs: every
 // finding must be expected on its line, and every expectation must fire.
-func matchWants(t *testing.T, dir string, findings []Finding) {
+func matchWants(t *testing.T, dirs []string, findings []Finding) {
 	t.Helper()
 	type want struct {
-		key     string // base filename:line
+		key     string // filename:line
 		re      *regexp.Regexp
 		matched bool
 	}
 	var wants []*want
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, dir := range dirs {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, line := range strings.Split(string(data), "\n") {
-			if m := wantRE.FindStringSubmatch(line); m != nil {
-				wants = append(wants, &want{
-					key: fmt.Sprintf("%s:%d", e.Name(), i+1),
-					re:  regexp.MustCompile(m[1]),
-				})
+		for _, e := range entries {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			name := filepath.Join(dir, e.Name())
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				if m := wantRE.FindStringSubmatch(line); m != nil {
+					wants = append(wants, &want{
+						key: fmt.Sprintf("%s:%d", name, i+1),
+						re:  regexp.MustCompile(m[1]),
+					})
+				}
 			}
 		}
 	}
 	for _, f := range findings {
-		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
+		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
 		text := f.Check + ": " + f.Msg
 		found := false
 		for _, w := range wants {
@@ -158,7 +202,7 @@ func TestSeededScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(corpusConfig(loader.Module()), []*Pkg{p}, AllChecks())
+	findings, _ := RunTimed(corpusConfig(loader.Module()), []*Pkg{p}, nil, AllChecks())
 	caught := map[string]bool{}
 	for _, f := range findings {
 		caught[f.Check] = true
@@ -181,7 +225,7 @@ func TestMalformedSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(corpusConfig(loader.Module()), []*Pkg{p}, nil)
+	findings, _ := RunTimed(corpusConfig(loader.Module()), []*Pkg{p}, nil, nil)
 	if len(findings) != 1 || findings[0].Check != "ignore" {
 		t.Fatalf("want exactly the malformed-ignore finding, got %v", findings)
 	}

@@ -53,6 +53,7 @@ func WallClock() Clock { return wallClock{} }
 type Direction int
 
 const (
+	//rtlint:ignore deadcode Both is the zero value every Fault without a Direction means; deleting it would renumber Inbound/Outbound
 	Both Direction = iota
 	Inbound
 	Outbound

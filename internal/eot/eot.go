@@ -293,6 +293,3 @@ func (a *Applied) Backward(d *tensor.Tensor) *tensor.Tensor {
 	}
 	return d
 }
-
-// Stages reports the chain length (for tests).
-func (a *Applied) Stages() int { return len(a.stages) }

@@ -73,8 +73,8 @@ func TestSampleStageCount(t *testing.T) {
 	}
 	for _, tt := range tests {
 		a := NewSampler(tt.set).Sample(rng, 16, 16)
-		if a.Stages() != tt.want {
-			t.Errorf("%v: stages = %d, want %d", tt.set, a.Stages(), tt.want)
+		if len(a.stages) != tt.want {
+			t.Errorf("%v: stages = %d, want %d", tt.set, len(a.stages), tt.want)
 		}
 	}
 }

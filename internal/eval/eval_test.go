@@ -113,11 +113,8 @@ func TestRunRowAndTableFormat(t *testing.T) {
 	if !strings.Contains(csv, "fix_pwc") || !strings.Contains(csv, "w/o Attack") {
 		t.Fatalf("csv malformed:\n%s", csv)
 	}
-	if got := tb.Cell("w/o Attack", "fix"); got.Frames == 0 {
-		t.Fatal("Cell lookup failed")
-	}
-	if got := tb.Cell("nope", "fix"); got.Frames != 0 {
-		t.Fatal("missing row must return zero score")
+	if row.Scores["fix"].Frames == 0 {
+		t.Fatal("RunRow scored no frames for fix")
 	}
 }
 

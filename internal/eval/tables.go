@@ -3,8 +3,6 @@ package eval
 import (
 	"fmt"
 	"strings"
-
-	"roadtrojan/internal/metrics"
 )
 
 // Table is a paper-style results table: one row per method/setting, one
@@ -90,16 +88,6 @@ func (t Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Cell fetches one score (zero value when absent).
-func (t Table) Cell(rowName, challenge string) metrics.Score {
-	for _, r := range t.Rows {
-		if r.Name == rowName {
-			return r.Scores[challenge]
-		}
-	}
-	return metrics.Score{}
 }
 
 // SpeedAngleChallenges are the six columns of Tables III–VI.

@@ -48,7 +48,7 @@ type backend struct {
 	pending  map[uint64]chan jobReply // each buffered 1
 	up       bool
 	draining bool // node reported Draining
-	removed  bool // RemoveNode called: stop redialing
+	removed  bool // gateway closing: stop redialing
 	health   Health
 	lastSeen time.Time
 

@@ -95,6 +95,8 @@ func (br *breaker) stateValue() float64 {
 // three constants, a closed breaker holds fewer failures than the
 // threshold, and an open one holds none and knows when it opened. Tests
 // run it after every call.
+//
+//rtlint:ignore deadcode invariant checker: tests run it after every step; the hot path has no hook
 func (br *breaker) check() error {
 	br.mu.Lock()
 	defer br.mu.Unlock()

@@ -57,8 +57,8 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 	waitRoutable(t, g, nodeAddrs(nodes)...)
 
 	req := evalReq(t, 301)
-	primary := g.Ring().Lookup(req.Digest())
-	seq := g.Ring().Sequence(req.Digest(), 2)
+	primary := lookup(g.ring, req.Digest())
+	seq := g.ring.Sequence(req.Digest(), 2)
 	secondary := seq[1]
 	execs := func(addr string) int64 {
 		v, _ := counts.Load(addr)
@@ -569,10 +569,11 @@ func TestChaosWALReplayAfterKill(t *testing.T) {
 	}
 }
 
-// TestChaosMembershipChurn hammers AddNode/RemoveNode from two goroutines
-// while a third keeps jobs in flight — the ring-rebalance race test. Run
-// under -race this pins the locking story; functionally, dispatches must
-// keep succeeding on the stable core nodes and the fleet must converge.
+// TestChaosMembershipChurn takes two nodes off the ring (the draining
+// path) and puts them back, from two goroutines, while a third keeps jobs
+// in flight — the ring-rebalance race test. Run under -race this pins the
+// locking story; functionally, dispatches must keep succeeding on the
+// stable core nodes and the fleet must converge.
 func TestChaosMembershipChurn(t *testing.T) {
 	det := fabricDetector()
 	jobFor := func(string) eval.JobFunc {
@@ -580,10 +581,10 @@ func TestChaosMembershipChurn(t *testing.T) {
 	}
 	nodes := startNodes(t, det, 4, serve.Config{Workers: 2, QueueSize: 8}, jobFor)
 	core := nodes[:2]
-	g := newTestGateway(t, newFakeClock(), nodeAddrs(core), func(cfg *GatewayConfig) {
+	g := newTestGateway(t, newFakeClock(), nodeAddrs(nodes), func(cfg *GatewayConfig) {
 		cfg.MaxAttempts = 5
 	})
-	waitRoutable(t, g, nodeAddrs(core)...)
+	waitRoutable(t, g, nodeAddrs(nodes)...)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -598,11 +599,11 @@ func TestChaosMembershipChurn(t *testing.T) {
 				default:
 				}
 				if i%2 == 0 {
-					g.AddNode(addr)
+					g.nodeDraining(addr)
 				} else {
-					g.RemoveNode(addr)
+					g.ring.Add(addr)
 				}
-				time.Sleep(time.Millisecond) // pace the churn: each Add dials
+				time.Sleep(time.Millisecond) // pace the churn
 			}
 		}(churnNode.addr)
 	}
@@ -633,9 +634,9 @@ func TestChaosMembershipChurn(t *testing.T) {
 		t.Fatalf("no dispatch succeeded during churn (%d failures)", failed.Load())
 	}
 	// Converge: both churn nodes out, core still routable, dispatch clean.
-	g.RemoveNode(nodes[2].addr)
-	g.RemoveNode(nodes[3].addr)
-	if n := g.Ring().Len(); n != 2 {
+	g.nodeDraining(nodes[2].addr)
+	g.nodeDraining(nodes[3].addr)
+	if n := g.ring.Len(); n != 2 {
 		t.Fatalf("ring has %d nodes after churn settled, want 2", n)
 	}
 	waitRoutable(t, g, nodeAddrs(core)...)

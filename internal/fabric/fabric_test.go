@@ -342,7 +342,7 @@ func TestGatewayAffinityAndCaching(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{41, 42} {
 		req := evalReq(t, seed)
-		owner := g.Ring().Lookup(req.Digest())
+		owner := lookup(g.ring, req.Digest())
 		for round := 0; round < 2; round++ {
 			payload, err := g.dispatch(ctx, jobOf(t, req))
 			if err != nil {
@@ -418,7 +418,7 @@ func TestGatewayEscapedBodySharesPlainEntry(t *testing.T) {
 		if escapedFirst {
 			first, second = escaped, plain
 		}
-		n, _ := ran.Load(g.Ring().Lookup(p.Digest()))
+		n, _ := ran.Load(lookup(g.ring, p.Digest()))
 		ownerRan := n.(*atomic.Int64).Load()
 		miss, hit := post(first), post(second)
 		if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); bytes.Equal(want, miss) || !bytes.Equal(hit, want) {
@@ -489,7 +489,7 @@ func TestNodeDeathMidJobRetries(t *testing.T) {
 	waitRoutable(t, g, nodeAddrs(nodes)...)
 
 	req := evalReq(t, 51)
-	primary := g.Ring().Lookup(req.Digest())
+	primary := lookup(g.ring, req.Digest())
 	victim.Store(primary)
 
 	type result struct {
@@ -529,7 +529,7 @@ func TestNodeDeathMidJobRetries(t *testing.T) {
 
 // TestGatewayRebalanceOnJoinLeave checks fleet-change semantics end to
 // end: keys keep their owner (and that owner's warm cache) across an
-// unrelated join, and a removed node's keys redistribute to survivors.
+// unrelated join, and a leaving node's keys redistribute to survivors.
 func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	det := fabricDetector()
 	jobFor := func(string) eval.JobFunc {
@@ -547,7 +547,7 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	before := map[string]string{}
 	for i := range reqs {
 		reqs[i] = evalReq(t, 100+int64(i))
-		before[reqs[i].Digest()] = g.Ring().Lookup(reqs[i].Digest())
+		before[reqs[i].Digest()] = lookup(g.ring, reqs[i].Digest())
 		if _, err := g.dispatch(ctx, jobOf(t, reqs[i])); err != nil {
 			t.Fatalf("warm dispatch %d: %v", i, err)
 		}
@@ -558,7 +558,7 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	movedToJoiner := 0
 	for _, req := range reqs {
 		key := req.Digest()
-		owner := g.Ring().Lookup(key)
+		owner := lookup(g.ring, key)
 		if owner != before[key] && owner != joiner.addr {
 			t.Fatalf("key %s moved between pre-existing nodes on join: %s -> %s", key, before[key], owner)
 		}
@@ -575,11 +575,21 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	}
 	t.Logf("join moved %d/%d keys to the new node", movedToJoiner, len(reqs))
 
-	// Graceful leave: the departed node's keys spread over survivors and
-	// every request still completes.
-	g.RemoveNode(initial[0].addr)
+	// Graceful leave: the node's draining Health frame takes it off the
+	// ring, its keys spread over survivors and every request still
+	// completes.
+	closeCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := initial[0].node.Close(closeCtx); err != nil {
+		t.Fatalf("closing the leaving node: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); g.ring.Len() != 2; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring still has %d nodes after the draining Health frame", g.ring.Len())
+		}
+	}
 	for _, req := range reqs {
-		owner := g.Ring().Lookup(req.Digest())
+		owner := lookup(g.ring, req.Digest())
 		if owner == initial[0].addr {
 			t.Fatalf("key %s still routed to removed node", req.Digest())
 		}
@@ -616,7 +626,7 @@ func TestSaturationBackpressure(t *testing.T) {
 	var fillerReqs []serve.EvalRequest
 	for seed := int64(200); len(fillerReqs) < 4 && seed < 300; seed++ {
 		req := evalReq(t, seed)
-		owner := g.Ring().Lookup(req.Digest())
+		owner := lookup(g.ring, req.Digest())
 		if fillers[owner] < 2 {
 			fillers[owner]++
 			fillerReqs = append(fillerReqs, req)
@@ -700,7 +710,7 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 	waitRoutable(t, g, nodeAddrs(nodes)...)
 
 	req := evalReq(t, 61)
-	leaver := g.Ring().Lookup(req.Digest())
+	leaver := lookup(g.ring, req.Digest())
 	victim.Store(leaver)
 	leaverNode := nodeByAddr(t, nodes, leaver)
 
@@ -728,9 +738,9 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 
 	// The draining Health frame must take the leaver off the ring...
 	deadline := time.Now().Add(10 * time.Second)
-	for g.Ring().Len() != 1 {
+	for g.ring.Len() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("ring still has %d nodes after the draining Health frame", g.Ring().Len())
+			t.Fatalf("ring still has %d nodes after the draining Health frame", g.ring.Len())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

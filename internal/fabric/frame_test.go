@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,4 +197,137 @@ func TestNodeAnswersEachJobWithOneFrame(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("node serve loop: %v", err)
 	}
+}
+
+// recordingListener hands out connections that keep a copy of every byte
+// the node writes, so a test can count the frames the node sent even when
+// the peer loses them: closing a socket with unread Job frames in it sends
+// a reset, which discards the peer's unread receive buffer.
+type recordingListener struct {
+	net.Listener
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.l.mu.Lock()
+	c.l.out.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestNodeCloseAnswersEveryAcceptedJob streams Job frames at a node while
+// Close runs. Every job the node accepts (fabric_node_jobs_total; a job
+// refused as draining is not accepted) must be answered on the connection:
+// a job counted after Close's wait would run with its connection already
+// closed, and the gateway would see a dropped connection instead of a
+// draining error.
+func TestNodeCloseAnswersEveryAcceptedJob(t *testing.T) {
+	const jobs = 200
+	exec := serve.NewExecutor(fabricDetector(), serve.Config{Workers: 2, QueueSize: 2 * jobs, CacheSize: -1,
+		Job: func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }}, nil)
+	node := NewNode(exec, NodeConfig{ID: "n1", Heartbeat: time.Hour})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &recordingListener{Listener: inner}
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(l) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer exec.Close(ctx)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if f, err := ReadFrame(conn); err != nil || f.Type != FrameHealth {
+		t.Fatalf("first frame type %d, err %v; want Health", f.Type, err)
+	}
+	go func() { _, _ = io.Copy(io.Discard, conn) }()
+
+	frames := make([]Frame, jobs)
+	req := evalReq(t, 5)
+	for i := range frames {
+		req.Seed = int64(i) // distinct requests: no dedupe, every job runs
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = Frame{Type: FrameJob, JobID: uint64(i), Payload: appendJobPayload(nil, 0, "", body)}
+	}
+	started := make(chan struct{})
+	go func() {
+		for i, f := range frames {
+			if i == jobs/10 {
+				close(started)
+			}
+			if WriteFrame(conn, f) != nil {
+				return
+			}
+		}
+	}()
+
+	<-started
+	if err := node.Close(ctx); err != nil {
+		t.Fatalf("node close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("node serve loop: %v", err)
+	}
+	// Once the connection handler has exited, no Job frame is read and the
+	// accepted count is final.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		node.mu.Lock()
+		open := len(node.conns)
+		node.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("connection handler still running 10s after Close")
+		}
+	}
+	accepted := node.jobsTotal.Value()
+	_ = exec.Close(ctx)
+
+	var answered, draining int64
+	l.mu.Lock()
+	sent := bytes.NewReader(l.out.Bytes())
+	l.mu.Unlock()
+	for {
+		f, err := ReadFrame(sent)
+		if err != nil {
+			break
+		}
+		if f.Type == FrameError {
+			var je JobError
+			if json.Unmarshal(f.Payload, &je) == nil && je.Code == CodeDraining {
+				draining++
+				continue
+			}
+		}
+		if f.Type != FrameHealth {
+			answered++
+		}
+	}
+	if answered != accepted {
+		t.Errorf("node accepted %d job(s) but answered %d (%d refused as draining)", accepted, answered, draining)
+	}
+	t.Logf("%d job(s) accepted and answered, %d refused as draining", answered, draining)
 }

@@ -254,7 +254,9 @@ func (n *Node) writeHealth(c *nodeConn) error {
 
 // startJob validates and dispatches one Job frame. The executor's bounded
 // queue applies backpressure: a full queue answers immediately with a
-// queue_full error frame instead of parking the connection.
+// queue_full error frame instead of parking the connection. The draining
+// check and jobs.Add share one critical section, so a job either sees
+// Close's draining flag or is counted before Close waits on jobs.
 func (n *Node) startJob(c *nodeConn, f Frame) {
 	req, timeout, trace, err := decodeJob(f.Payload, n.evalFallback)
 	if err != nil {
@@ -263,13 +265,15 @@ func (n *Node) startJob(c *nodeConn, f Frame) {
 	}
 	n.mu.Lock()
 	draining := n.draining
+	if !draining {
+		n.jobs.Add(1)
+	}
 	n.mu.Unlock()
 	if draining {
 		n.writeJobError(c, f.JobID, JobError{Code: CodeDraining, Error: "node is draining"})
 		return
 	}
 	n.jobsTotal.Inc()
-	n.jobs.Add(1)
 	go func() {
 		defer n.jobs.Done()
 		n.runJob(c, f.JobID, req, timeout, trace)

@@ -17,6 +17,14 @@ func ringKeys(n int) []string {
 	return keys
 }
 
+// lookup is key's primary owner, or "" on an empty ring.
+func lookup(r *Ring, key string) string {
+	if seq := r.Sequence(key, 1); len(seq) > 0 {
+		return seq[0]
+	}
+	return ""
+}
+
 func TestRingLookupOrderIndependent(t *testing.T) {
 	a := NewRing(0)
 	for _, id := range []string{"n1", "n2", "n3"} {
@@ -27,7 +35,7 @@ func TestRingLookupOrderIndependent(t *testing.T) {
 		b.Add(id)
 	}
 	for _, k := range ringKeys(500) {
-		if got, want := a.Lookup(k), b.Lookup(k); got != want {
+		if got, want := lookup(a, k), lookup(b, k); got != want {
 			t.Fatalf("lookup(%q) depends on insertion order: %q vs %q", k, got, want)
 		}
 	}
@@ -51,9 +59,6 @@ func TestRingSequenceDistinctAndStable(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if seq[0] != r.Lookup(k) {
-			t.Fatalf("sequence(%q) head %q != lookup %q", k, seq[0], r.Lookup(k))
-		}
 		again := r.Sequence(k, len(nodes))
 		for i := range seq {
 			if seq[i] != again[i] {
@@ -75,7 +80,7 @@ func TestRingRebalanceBounded(t *testing.T) {
 	before := map[string]string{}
 	perNode := map[string]int{}
 	for _, k := range keys {
-		before[k] = r.Lookup(k)
+		before[k] = lookup(r, k)
 		perNode[before[k]]++
 	}
 	for _, id := range []string{"n1", "n2", "n3"} {
@@ -87,7 +92,7 @@ func TestRingRebalanceBounded(t *testing.T) {
 	r.Remove("n2")
 	moved := 0
 	for _, k := range keys {
-		after := r.Lookup(k)
+		after := lookup(r, k)
 		if after == "n2" {
 			t.Fatalf("key %q still maps to removed node", k)
 		}
@@ -104,7 +109,7 @@ func TestRingRebalanceBounded(t *testing.T) {
 
 	r.Add("n2")
 	for _, k := range keys {
-		if got := r.Lookup(k); got != before[k] {
+		if got := lookup(r, k); got != before[k] {
 			t.Fatalf("key %q maps to %q after rejoin, originally %q", k, got, before[k])
 		}
 	}
@@ -112,9 +117,6 @@ func TestRingRebalanceBounded(t *testing.T) {
 
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(4)
-	if got := r.Lookup("anything"); got != "" {
-		t.Fatalf("empty ring lookup = %q, want empty", got)
-	}
 	if seq := r.Sequence("anything", 3); seq != nil {
 		t.Fatalf("empty ring sequence = %v, want nil", seq)
 	}
@@ -131,9 +133,6 @@ func TestRingEdgeCases(t *testing.T) {
 	r.Remove("solo")
 	if r.Len() != 0 {
 		t.Fatalf("len after removal = %d", r.Len())
-	}
-	if got := r.Nodes(); len(got) != 0 {
-		t.Fatalf("nodes after removal = %v", got)
 	}
 }
 
@@ -161,21 +160,18 @@ func TestRingModel(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 
-		ids := []string{}
 		owner := map[uint64]string{}
 		var pos []uint64
 		for m := range members {
-			ids = append(ids, m)
 			for i := 0; i < replicas; i++ {
 				h := ringHash(m + "#" + strconv.Itoa(i))
 				owner[h] = m
 				pos = append(pos, h)
 			}
 		}
-		sort.Strings(ids)
 		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-		if got := r.Nodes(); !reflect.DeepEqual(got, ids) {
-			t.Fatalf("step %d: nodes %v, model %v", step, got, ids)
+		if !reflect.DeepEqual(r.nodes, members) {
+			t.Fatalf("step %d: nodes %v, model %v", step, r.nodes, members)
 		}
 		for _, k := range keys {
 			want := ""
@@ -184,7 +180,7 @@ func TestRingModel(t *testing.T) {
 				i := sort.Search(len(pos), func(i int) bool { return pos[i] >= h })
 				want = owner[pos[i%len(pos)]]
 			}
-			if got := r.Lookup(k); got != want {
+			if got := lookup(r, k); got != want {
 				t.Fatalf("step %d: lookup(%q) = %q, model %q", step, k, got, want)
 			}
 		}

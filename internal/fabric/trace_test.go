@@ -333,7 +333,7 @@ func TestTraceChaosPartitionSiblingAttempts(t *testing.T) {
 	})
 
 	req := evalReq(t, 301)
-	primary := tf.gw.Ring().Lookup(req.Digest())
+	primary := lookup(tf.gw.ring, req.Digest())
 	in.Partition(primary)
 	postEvaluate(t, tf.gwSrv.URL, req)
 

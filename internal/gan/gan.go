@@ -7,7 +7,6 @@
 package gan
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -28,33 +27,29 @@ const ZDim = 32
 // (0,1).
 type Generator struct {
 	net *nn.Sequential
-	bns []*nn.BatchNorm2D
 }
 
 // NewGenerator builds a DCGAN-style generator.
 func NewGenerator(rng *rand.Rand) *Generator {
-	bn1 := nn.NewBatchNorm2D("g.bn1", 32)
-	bn2 := nn.NewBatchNorm2D("g.bn2", 16)
-	bn3 := nn.NewBatchNorm2D("g.bn3", 8)
 	net := nn.NewSequential(
 		nn.NewLinear(rng, "g.fc", ZDim, 64*4*4),
 		nn.NewReshape(64, 4, 4),
 		nn.NewUpsample2D(2), // 8×8
 		nn.NewConv2D(rng, "g.c1", 64, 32, 3, 1, 1, false),
-		bn1,
+		nn.NewBatchNorm2D("g.bn1", 32),
 		nn.NewLeakyReLU(0.1),
 		nn.NewUpsample2D(2), // 16×16
 		nn.NewConv2D(rng, "g.c2", 32, 16, 3, 1, 1, false),
-		bn2,
+		nn.NewBatchNorm2D("g.bn2", 16),
 		nn.NewLeakyReLU(0.1),
 		nn.NewUpsample2D(2), // 32×32
 		nn.NewConv2D(rng, "g.c3", 16, 8, 3, 1, 1, false),
-		bn3,
+		nn.NewBatchNorm2D("g.bn3", 8),
 		nn.NewLeakyReLU(0.1),
 		nn.NewConv2D(rng, "g.out", 8, 1, 3, 1, 1, true),
 		nn.NewSigmoid(),
 	)
-	return &Generator{net: net, bns: []*nn.BatchNorm2D{bn1, bn2, bn3}}
+	return &Generator{net: net}
 }
 
 // Forward synthesizes patches from a [n, ZDim] noise batch, returning
@@ -74,12 +69,6 @@ func (g *Generator) Params() []*nn.Param { return g.net.Params() }
 // SetTraining toggles batch-norm mode.
 func (g *Generator) SetTraining(training bool) { g.net.SetTraining(training) }
 
-// State captures parameters and BN buffers.
-func (g *Generator) State() nn.State { return stateWithBN("g", g.Params(), g.bns) }
-
-// LoadState restores parameters and BN buffers.
-func (g *Generator) LoadState(s nn.State) error { return loadWithBN("g", s, g.Params(), g.bns) }
-
 // SampleZ draws a [n, ZDim] standard-normal noise batch.
 func SampleZ(rng *rand.Rand, n int) *tensor.Tensor {
 	return tensor.NewRandN(rng, 1, n, ZDim)
@@ -89,26 +78,23 @@ func SampleZ(rng *rand.Rand, n int) *tensor.Tensor {
 // sample".
 type Discriminator struct {
 	net *nn.Sequential
-	bns []*nn.BatchNorm2D
 }
 
 // NewDiscriminator builds a DCGAN-style critic.
 func NewDiscriminator(rng *rand.Rand) *Discriminator {
-	bn1 := nn.NewBatchNorm2D("d.bn1", 16)
-	bn2 := nn.NewBatchNorm2D("d.bn2", 32)
 	net := nn.NewSequential(
 		nn.NewConv2D(rng, "d.c1", 1, 8, 3, 2, 1, true), // 16×16
 		nn.NewLeakyReLU(0.2),
 		nn.NewConv2D(rng, "d.c2", 8, 16, 3, 2, 1, false), // 8×8
-		bn1,
+		nn.NewBatchNorm2D("d.bn1", 16),
 		nn.NewLeakyReLU(0.2),
 		nn.NewConv2D(rng, "d.c3", 16, 32, 3, 2, 1, false), // 4×4
-		bn2,
+		nn.NewBatchNorm2D("d.bn2", 32),
 		nn.NewLeakyReLU(0.2),
 		nn.NewReshape(32*4*4),
 		nn.NewLinear(rng, "d.fc", 32*4*4, 1),
 	)
-	return &Discriminator{net: net, bns: []*nn.BatchNorm2D{bn1, bn2}}
+	return &Discriminator{net: net}
 }
 
 // Forward returns [n,1] logits.
@@ -123,15 +109,6 @@ func (d *Discriminator) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the discriminator's parameters.
 func (d *Discriminator) Params() []*nn.Param { return d.net.Params() }
-
-// SetTraining toggles batch-norm mode.
-func (d *Discriminator) SetTraining(training bool) { d.net.SetTraining(training) }
-
-// State captures parameters and BN buffers.
-func (d *Discriminator) State() nn.State { return stateWithBN("d", d.Params(), d.bns) }
-
-// LoadState restores parameters and BN buffers.
-func (d *Discriminator) LoadState(s nn.State) error { return loadWithBN("d", s, d.Params(), d.bns) }
 
 // BCEWithLogits returns the mean binary cross-entropy of logits [n,1]
 // against the constant target, plus d(loss)/d(logits).
@@ -178,30 +155,4 @@ func GeneratorAdversarialGrad(d *Discriminator, fake *tensor.Tensor) (float64, *
 	logits := d.Forward(fake)
 	loss, grad := BCEWithLogits(logits, 1)
 	return loss, d.Backward(grad)
-}
-
-func stateWithBN(prefix string, params []*nn.Param, bns []*nn.BatchNorm2D) nn.State {
-	s := nn.CollectState(params)
-	for _, bn := range bns {
-		s[bn.Gamma.Name+".rmean"] = bn.RunningMean
-		s[bn.Gamma.Name+".rvar"] = bn.RunningVar
-	}
-	return s
-}
-
-func loadWithBN(prefix string, s nn.State, params []*nn.Param, bns []*nn.BatchNorm2D) error {
-	if err := nn.ApplyState(s, params); err != nil {
-		return fmt.Errorf("gan: %w", err)
-	}
-	for _, bn := range bns {
-		for suffix, dst := range map[string]*tensor.Tensor{".rmean": bn.RunningMean, ".rvar": bn.RunningVar} {
-			name := bn.Gamma.Name + suffix
-			t, ok := s[name]
-			if !ok {
-				return fmt.Errorf("gan: %w: missing buffer %q", nn.ErrBadWeights, name)
-			}
-			dst.CopyFrom(t)
-		}
-	}
-	return nil
 }

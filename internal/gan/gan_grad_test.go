@@ -57,7 +57,7 @@ func TestGeneratorGradCheck(t *testing.T) {
 func TestDiscriminatorGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	d := NewDiscriminator(rng)
-	d.SetTraining(true)
+	d.net.SetTraining(true)
 	x := tensor.NewRandU(rng, 0.1, 0.9, 2, 1, PatchRes, PatchRes)
 	ganGradCheck(t, d, x, 2e-4)
 }

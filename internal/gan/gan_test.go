@@ -1,7 +1,6 @@
 package gan
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,68 +135,6 @@ func TestAdversarialTrainingMovesDiscriminator(t *testing.T) {
 	}
 	if dLossLast >= dLossFirst {
 		t.Fatalf("discriminator did not learn: %v -> %v", dLossFirst, dLossLast)
-	}
-}
-
-func TestGeneratorStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g1 := NewGenerator(rng)
-	z := SampleZ(rng, 2)
-	g1.Forward(z) // populate BN stats
-	g1.SetTraining(false)
-	out1 := g1.Forward(z)
-
-	var buf bytes.Buffer
-	if err := nn.SaveState(&buf, g1.State()); err != nil {
-		t.Fatal(err)
-	}
-	state, err := nn.LoadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := NewGenerator(rand.New(rand.NewSource(77)))
-	if err := g2.LoadState(state); err != nil {
-		t.Fatal(err)
-	}
-	g2.SetTraining(false)
-	out2 := g2.Forward(z)
-	if d := tensor.MaxAbsDiff(out1, out2); d > 1e-12 {
-		t.Fatalf("state round trip changed output by %v", d)
-	}
-}
-
-func TestDiscriminatorStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d1 := NewDiscriminator(rng)
-	x := tensor.NewRandU(rng, 0, 1, 2, 1, PatchRes, PatchRes)
-	d1.Forward(x)
-	d1.SetTraining(false)
-	out1 := d1.Forward(x)
-
-	var buf bytes.Buffer
-	if err := nn.SaveState(&buf, d1.State()); err != nil {
-		t.Fatal(err)
-	}
-	state, err := nn.LoadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := NewDiscriminator(rand.New(rand.NewSource(88)))
-	if err := d2.LoadState(state); err != nil {
-		t.Fatal(err)
-	}
-	d2.SetTraining(false)
-	out2 := d2.Forward(x)
-	if dd := tensor.MaxAbsDiff(out1, out2); dd > 1e-12 {
-		t.Fatalf("state round trip changed output by %v", dd)
-	}
-}
-
-func TestLoadStateMissing(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := NewGenerator(rng)
-	if err := g.LoadState(nn.State{}); err == nil {
-		t.Fatal("expected error for empty state")
 	}
 }
 

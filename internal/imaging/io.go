@@ -44,24 +44,6 @@ func ToImage(t *tensor.Tensor) *image.NRGBA {
 	return img
 }
 
-// FromImage converts any image to a [3,H,W] tensor with values in [0,1].
-func FromImage(img image.Image) *tensor.Tensor {
-	b := img.Bounds()
-	h, w := b.Dy(), b.Dx()
-	t := tensor.New(3, h, w)
-	n := h * w
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, bl, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			i := y*w + x
-			t.Data()[i] = float64(r) / 65535
-			t.Data()[n+i] = float64(g) / 65535
-			t.Data()[2*n+i] = float64(bl) / 65535
-		}
-	}
-	return t
-}
-
 // SavePNG writes a CHW tensor to a PNG file, creating parent directories.
 func SavePNG(path string, t *tensor.Tensor) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -76,20 +58,6 @@ func SavePNG(path string, t *tensor.Tensor) error {
 		return fmt.Errorf("save png %q: %w", path, err)
 	}
 	return f.Close()
-}
-
-// LoadPNG reads a PNG file into a [3,H,W] tensor.
-func LoadPNG(path string) (*tensor.Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("load png: %w", err)
-	}
-	defer f.Close()
-	img, err := png.Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("load png %q: %w", path, err)
-	}
-	return FromImage(img), nil
 }
 
 // DrawRect draws an axis-aligned rectangle outline on a CHW tensor in the

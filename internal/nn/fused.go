@@ -85,9 +85,6 @@ func (f *ConvBNLeaky) SetFused(on bool) {
 	}
 }
 
-// Fused reports whether the fused kernel path is enabled.
-func (f *ConvBNLeaky) Fused() bool { return f.fused }
-
 // SetTraining propagates the mode to the batch norm. Entering inference mode
 // with fusing enabled takes the fold snapshot once, here, so serving paths
 // pay for it outside the request hot path.

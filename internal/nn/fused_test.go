@@ -158,7 +158,7 @@ func TestConvBNLeakyCloneIndependence(t *testing.T) {
 	x := tensor.NewRandN(rng, 1, 2, 2, 6, 6)
 	want := f.Forward(x)
 	c := f.Clone()
-	if !c.Fused() {
+	if !c.fused {
 		t.Fatal("clone must inherit the fused flag")
 	}
 	got := c.Forward(x)

@@ -26,7 +26,7 @@ func emitFixture(tr *Trace) {
 	ev.EvalRun(EvalRunStats{Run: 0, PWC: 0.8, CWC: true, Frames: 24, WrongRun: 1, DetectRate: 0.96})
 	ev.EvalScore(EvalScoreStats{PWC: 0.8, CWC: true, Frames: 24, WrongRun: 1, DetectRate: 0.96, Runs: 1})
 	ev.End()
-	_ = tr.Flush()
+	_ = tr.sink.Flush()
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -84,7 +84,7 @@ func TestJournalNonFiniteFloats(t *testing.T) {
 	sp := tr.Span("train")
 	sp.Iter(IterStats{Method: "direct", Attack: math.NaN(), GradNorm: math.Inf(1), Total: math.Inf(-1)})
 	sp.End()
-	_ = tr.Flush()
+	_ = tr.sink.Flush()
 
 	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -104,7 +104,7 @@ func TestJournalStringEscaping(t *testing.T) {
 	tr := New(NewJournal(&buf), NewLogicalClock())
 	sp := tr.Span("odd", S("note", "has\"quote\\back\nnew\ttab\x01ctl"))
 	sp.End()
-	_ = tr.Flush()
+	_ = tr.sink.Flush()
 	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("escaped journal failed to parse: %v", err)

@@ -63,13 +63,6 @@ func (wallClock) Now() int64 { return time.Now().UnixNano() }
 // serving-path traces where durations matter and determinism does not.
 func WallClock() Clock { return wallClock{} }
 
-// FixedClock always returns its own value — for tests that want fully
-// static journal bytes.
-type FixedClock int64
-
-// Now returns the fixed tick.
-func (c FixedClock) Now() int64 { return int64(c) }
-
 // AttrKind discriminates the value slot of an Attr.
 type AttrKind uint8
 
@@ -189,14 +182,6 @@ func New(sink Sink, clock Clock) *Trace {
 
 // Enabled reports whether records are being collected.
 func (t *Trace) Enabled() bool { return t != nil && t.sink != nil }
-
-// Flush flushes the underlying sink.
-func (t *Trace) Flush() error {
-	if !t.Enabled() {
-		return nil
-	}
-	return t.sink.Flush()
-}
 
 // emit stamps and forwards one record.
 func (t *Trace) emit(kind, span string, attrs []Attr) {

@@ -41,9 +41,6 @@ func TestNilTraceIsNoop(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil trace reports enabled")
 	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("nil trace Flush: %v", err)
-	}
 	sp := tr.Span("train")
 	if sp != nil {
 		t.Fatal("nil trace handed out a non-nil span")
@@ -118,7 +115,7 @@ func TestDeterministicSpanIDs(t *testing.T) {
 
 func TestSpanRecordShapes(t *testing.T) {
 	sink := &captureSink{}
-	tr := New(sink, FixedClock(42))
+	tr := New(sink, NewLogicalClock())
 	sp := tr.Span("train", S("method", "direct"))
 	sp.Iter(IterStats{Method: "direct", It: 7, Attack: 2.5, PTarget: 0.25, Best: -1})
 	sp.End(F("final_loss", 2.5))
@@ -137,10 +134,11 @@ func TestSpanRecordShapes(t *testing.T) {
 		t.Fatalf("Float should convert int attrs, got %v", iter.Float("it"))
 	}
 	end := sink.recs[2]
-	if end.Kind != "span_end" || end.Int("dur") != 0 || end.Float("final_loss") != 2.5 {
+	// Ticks 1 (start), 2 (iter) and 3 (end): the span lasts two ticks.
+	if end.Kind != "span_end" || end.Int("dur") != 2 || end.Float("final_loss") != 2.5 {
 		t.Fatalf("bad span_end: %+v", end)
 	}
-	if tr.Flush() != nil {
+	if tr.sink.Flush() != nil {
 		t.Fatal("flush failed")
 	}
 }

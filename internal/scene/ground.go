@@ -126,15 +126,11 @@ func (g *Ground) PaintArrow(gx, gy, lenM float64) (gx0, gy0, gx1, gy1 float64) {
 	return gx0, gy0, gx1, gy1
 }
 
-// PaintWordStripes paints a word-like block of horizontal stripes (the
-// "word" class, e.g. "SLOW" painted on the road). Returns its ground bbox.
-func (g *Ground) PaintWordStripes(gx, gy, widthM float64) (gx0, gy0, gx1, gy1 float64) {
-	return g.PaintWordStripesN(gx, gy, widthM, 5, 0)
-}
-
-// PaintWordStripesN paints a word block with the given stripe count and a
-// gap fraction of missing paint per stripe (worn lettering) — intra-class
-// variation that keeps the detector's class boundaries realistic.
+// PaintWordStripesN paints a word-like block of horizontal stripes (the
+// "word" class, e.g. "SLOW" painted on the road) with the given stripe
+// count and a gap fraction of missing paint per stripe (worn lettering) —
+// intra-class variation that keeps the detector's class boundaries
+// realistic. Returns its ground bbox.
 func (g *Ground) PaintWordStripesN(gx, gy, widthM float64, stripes int, gapFrac float64) (gx0, gy0, gx1, gy1 float64) {
 	if stripes < 2 {
 		stripes = 2

@@ -104,7 +104,7 @@ func TestPaintArrowBrightensRegion(t *testing.T) {
 
 func TestPaintWordStripes(t *testing.T) {
 	g := NewSimRoom(6, 20, 0.05)
-	x0, y0, x1, y1 := g.PaintWordStripes(0, 8, 2)
+	x0, y0, x1, y1 := g.PaintWordStripesN(0, 8, 2, 5, 0)
 	if x1-x0 <= 0 || y1-y0 <= 0 {
 		t.Fatal("degenerate word bbox")
 	}

@@ -498,6 +498,76 @@ func TestCoalescerHammer(t *testing.T) {
 	}
 }
 
+// TestCoalescerModel drives the coalescer's step with seeded random
+// arrivals, deadline fires and a final close, next to a model of the
+// policy. After every step the coalescer must pass check(); over the run,
+// each item flushes exactly once and in arrival order, each flush carries
+// the reason the model expects, and the deadline timer is armed only at a
+// batch's first item.
+func TestCoalescerModel(t *testing.T) {
+	type flushed struct {
+		items  []int
+		reason string
+	}
+	for _, size := range []int{1, 2, 3, 5} {
+		rng := rand.New(rand.NewSource(int64(53 + size)))
+		clk := &stepClock{}
+		var got []flushed
+		c := &coalescer[int]{size: size, wait: time.Millisecond, clock: clk,
+			flush: func(batch []int, reason string) {
+				got = append(got, flushed{append([]int(nil), batch...), reason})
+			}}
+		var want []flushed
+		var pending []int
+		arms, next := 0, 0
+		for step := 0; step < 500; step++ {
+			if c.timer != nil && rng.Intn(3) == 0 {
+				c.step(flushDeadline, 0)
+				want = append(want, flushed{pending, flushDeadline})
+				pending = nil
+			} else {
+				c.step("", next)
+				pending = append(pending, next)
+				next++
+				if len(pending) == size {
+					want = append(want, flushed{pending, flushSize})
+					pending = nil
+				} else if len(pending) == 1 {
+					arms++
+				}
+			}
+			if err := c.check(); err != nil {
+				t.Fatalf("size %d step %d: %v", size, step, err)
+			}
+			if len(clk.chans) != arms {
+				t.Fatalf("size %d step %d: timer armed %d times, want %d (once per batch's first item)", size, step, len(clk.chans), arms)
+			}
+		}
+		c.step(flushDrain, 0)
+		if len(pending) > 0 {
+			want = append(want, flushed{pending, flushDrain})
+		}
+		if err := c.check(); err != nil {
+			t.Fatalf("size %d after close: %v", size, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: flushes %v, model %v", size, got, want)
+		}
+		var order []int
+		for _, f := range got {
+			order = append(order, f.items...)
+		}
+		for i, it := range order {
+			if it != i {
+				t.Fatalf("size %d: item %d flushed at position %d; every item flushes once, in arrival order", size, it, i)
+			}
+		}
+		if len(order) != next {
+			t.Fatalf("size %d: %d items flushed, %d arrived", size, len(order), next)
+		}
+	}
+}
+
 // TestDetectBatchedMatchesSingle: concurrent detect requests through the
 // coalescer's stacked batched forward answer identically to the one-at-a-time
 // path.

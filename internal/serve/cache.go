@@ -86,6 +86,8 @@ func (c *lruCache) put(key string, val any, size int64) {
 // check verifies the cache's structural invariants: the list and the map
 // hold the same entries, curBytes is the sum of the entry sizes, and both
 // budgets hold. It returns the first violation found.
+//
+//rtlint:ignore deadcode invariant checker: tests run it after every step; the hot path has no hook
 func (c *lruCache) check() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

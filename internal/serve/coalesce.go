@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -40,6 +41,10 @@ type coalescer[T any] struct {
 	wait  time.Duration
 	clock Clock
 	flush func(batch []T, reason string)
+
+	// Run-loop state, touched only by step.
+	batch []T
+	timer <-chan time.Time // armed exactly while batch is non-empty
 }
 
 func newCoalescer[T any](size, buffer int, wait time.Duration, clock Clock, flush func([]T, string)) *coalescer[T] {
@@ -55,39 +60,59 @@ func newCoalescer[T any](size, buffer int, wait time.Duration, clock Clock, flus
 	return c
 }
 
-// run owns the pending batch: append on arrival, flush on size, deadline, or
-// input close. The deadline timer starts with the first item of a batch that
-// is still below size; a nil timer channel blocks forever, which is exactly
-// the idle state.
+// run feeds the select loop's events to step. A nil timer channel blocks
+// forever, which is exactly the idle state.
 func (c *coalescer[T]) run() {
 	defer close(c.done)
-	var batch []T
-	var timer <-chan time.Time
+	var none T
 	for {
 		select {
 		case it, ok := <-c.in:
 			if !ok {
-				if len(batch) > 0 {
-					c.flush(batch, flushDrain)
-				}
+				c.step(flushDrain, none)
 				return
 			}
-			batch = append(batch, it)
-			if len(batch) >= c.size {
-				c.flush(batch, flushSize)
-				batch, timer = nil, nil
-			} else if len(batch) == 1 {
-				timer = c.clock.After(c.wait)
-			}
-		case <-timer:
-			// A timer from an already-flushed batch can fire late; the
-			// length guard makes that a no-op.
-			if len(batch) > 0 {
-				c.flush(batch, flushDeadline)
-			}
-			batch, timer = nil, nil
+			c.step("", it)
+		case <-c.timer:
+			c.step(flushDeadline, none)
 		}
 	}
+}
+
+// step applies one run-loop event to the pending batch. An arrival (reason
+// "") appends it, flushes on size, and starts the deadline timer with the
+// first item of a batch still below size; the timer firing (flushDeadline)
+// or the input closing (flushDrain) flushes what is pending.
+func (c *coalescer[T]) step(reason string, it T) {
+	if reason == "" {
+		c.batch = append(c.batch, it)
+		if len(c.batch) < c.size {
+			if len(c.batch) == 1 {
+				c.timer = c.clock.After(c.wait)
+			}
+			return
+		}
+		reason = flushSize
+	}
+	if len(c.batch) > 0 {
+		c.flush(c.batch, reason)
+	}
+	c.batch, c.timer = nil, nil
+}
+
+// check verifies the run-loop state: the pending batch is shorter than
+// size, and the deadline timer is armed exactly when the batch is
+// non-empty. The model test runs it after every step.
+//
+//rtlint:ignore deadcode invariant checker: tests run it after every step; the hot path has no hook
+func (c *coalescer[T]) check() error {
+	if len(c.batch) >= c.size {
+		return fmt.Errorf("serve: coalescer holds %d pending items at batch size %d", len(c.batch), c.size)
+	}
+	if (c.timer != nil) != (len(c.batch) > 0) {
+		return fmt.Errorf("serve: coalescer timer armed=%v with %d pending items", c.timer != nil, len(c.batch))
+	}
+	return nil
 }
 
 // close stops intake and waits for the final drain flush to dispatch.

@@ -170,24 +170,3 @@ func Samples(rng *rand.Rand, s Shape, k, n int) *tensor.Tensor {
 	}
 	return out
 }
-
-// Area returns the fraction of the k×k tile covered by the shape at the
-// given scale (rotation-invariant up to raster error).
-func Area(s Shape, k int, scale float64) float64 {
-	return Mask(s, k, scale, 0).Mean()
-}
-
-// ScaleForArea returns the scale at which the shape covers approximately the
-// target area fraction of its tile, found by bisection.
-func ScaleForArea(s Shape, k int, target float64) float64 {
-	lo, hi := 0.05, 1.0
-	for i := 0; i < 24; i++ {
-		mid := (lo + hi) / 2
-		if Area(s, k, mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

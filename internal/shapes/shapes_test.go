@@ -54,7 +54,7 @@ func TestAreasComparable(t *testing.T) {
 	// fraction of their tile.
 	areas := map[Shape]float64{}
 	for _, s := range []Shape{Star, Circle, Square, Triangle} {
-		areas[s] = Area(s, 48, 1)
+		areas[s] = Mask(s, 48, 1, 0).Mean()
 		if areas[s] < 0.2 || areas[s] > 0.9 {
 			t.Fatalf("%v area = %v, outside sane range", s, areas[s])
 		}
@@ -68,18 +68,33 @@ func TestAreasComparable(t *testing.T) {
 }
 
 func TestRotationInvariantAreaCircle(t *testing.T) {
-	a0 := Area(Circle, 32, 0.9)
+	a0 := Mask(Circle, 32, 0.9, 0).Mean()
 	m := Mask(Circle, 32, 0.9, 1.1)
 	if math.Abs(a0-m.Mean()) > 0.01 {
 		t.Fatalf("circle area changed under rotation: %v vs %v", a0, m.Mean())
 	}
 }
 
+// scaleForArea returns the scale at which the shape covers approximately
+// the target area fraction of its tile, found by bisection.
+func scaleForArea(s Shape, k int, target float64) float64 {
+	lo, hi := 0.05, 1.0
+	for i := 0; i < 24; i++ {
+		mid := (lo + hi) / 2
+		if Mask(s, k, mid, 0).Mean() < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
 func TestScaleForAreaBisection(t *testing.T) {
 	for _, s := range []Shape{Star, Circle, Square, Triangle} {
 		target := 0.3
-		scale := ScaleForArea(s, 40, target)
-		got := Area(s, 40, scale)
+		scale := scaleForArea(s, 40, target)
+		got := Mask(s, 40, scale, 0).Mean()
 		// Raster + 2×2 supersampling quantizes coverage in visible steps,
 		// so the solved area can only match to within roughly one edge row.
 		if math.Abs(got-target) > 0.035 {
@@ -119,7 +134,7 @@ func TestPropMaskScalingMonotone(t *testing.T) {
 		s := []Shape{Star, Circle, Square, Triangle}[r.Intn(4)]
 		s1 := 0.3 + r.Float64()*0.3
 		s2 := s1 + 0.2
-		return Area(s, 32, s2) >= Area(s, 32, s1)-1e-9
+		return Mask(s, 32, s2, 0).Mean() >= Mask(s, 32, s1, 0).Mean()-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 24}); err != nil {
 		t.Fatal(err)
@@ -149,8 +164,8 @@ func TestStarHasLongerEdgePerimeterThanCircle(t *testing.T) {
 	// The paper attributes star superiority to its many corners; as a crude
 	// raster proxy, the star's mask boundary (pixels with fractional
 	// coverage) should be longer than the circle's at equal area.
-	starScale := ScaleForArea(Star, 48, 0.35)
-	circleScale := ScaleForArea(Circle, 48, 0.35)
+	starScale := scaleForArea(Star, 48, 0.35)
+	circleScale := scaleForArea(Circle, 48, 0.35)
 	boundary := func(s Shape, scale float64) int {
 		m := Mask(s, 48, scale, 0)
 		n := 0

@@ -7,22 +7,12 @@ import (
 )
 
 // checkFinite gates AssertFinite. It is read once from the environment so
-// the hot path costs a single bool load; tests flip it via SetCheckFinite.
+// the hot path costs a single bool load; this package's tests flip it.
 var checkFinite = os.Getenv("ROADTROJAN_CHECK_FINITE") == "1"
-
-// CheckFiniteEnabled reports whether AssertFinite is active.
-func CheckFiniteEnabled() bool { return checkFinite }
-
-// SetCheckFinite overrides the ROADTROJAN_CHECK_FINITE environment gate and
-// returns the previous setting, for tests and debugging sessions.
-func SetCheckFinite(on bool) (prev bool) {
-	prev, checkFinite = checkFinite, on
-	return prev
-}
 
 // AssertFinite panics if any element of t is NaN or infinite, identifying
 // the label, the flat index, and the offending value. It is a no-op unless
-// ROADTROJAN_CHECK_FINITE=1 is set (or SetCheckFinite(true) was called), so
+// ROADTROJAN_CHECK_FINITE=1 is set, so
 // callers can leave assertions on gradient and loss tensors in production
 // code paths without paying for the scan.
 func AssertFinite(label string, t *Tensor) {

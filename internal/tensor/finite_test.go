@@ -21,16 +21,18 @@ func mustPanic(t *testing.T, substr string, fn func()) {
 }
 
 func TestAssertFiniteDisabledByDefault(t *testing.T) {
-	prev := SetCheckFinite(false)
-	defer SetCheckFinite(prev)
+	prev := checkFinite
+	checkFinite = false
+	defer func() { checkFinite = prev }()
 	x := FromSlice([]float64{1, math.NaN(), 3}, 3)
 	AssertFinite("x", x) // must not panic while the gate is off
 	AssertFiniteScalar("s", math.Inf(1))
 }
 
 func TestAssertFiniteEnabled(t *testing.T) {
-	prev := SetCheckFinite(true)
-	defer SetCheckFinite(prev)
+	prev := checkFinite
+	checkFinite = true
+	defer func() { checkFinite = prev }()
 
 	AssertFinite("ok", FromSlice([]float64{1, 2, 3}, 3))
 	AssertFinite("nil", nil)
@@ -45,15 +47,4 @@ func TestAssertFiniteEnabled(t *testing.T) {
 	mustPanic(t, "scalar loss", func() {
 		AssertFiniteScalar("scalar loss", math.NaN())
 	})
-}
-
-func TestSetCheckFiniteReturnsPrevious(t *testing.T) {
-	orig := CheckFiniteEnabled()
-	defer SetCheckFinite(orig)
-	if prev := SetCheckFinite(true); prev != orig {
-		t.Fatalf("SetCheckFinite returned %v, want %v", prev, orig)
-	}
-	if !CheckFiniteEnabled() {
-		t.Fatal("gate should be on after SetCheckFinite(true)")
-	}
 }

@@ -86,16 +86,6 @@ func Sub(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns t * u elementwise (Hadamard product).
-func Mul(t, u *Tensor) *Tensor {
-	sameLen(t, u, "Mul")
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] * u.data[i]
-	}
-	return out
-}
-
 // Dot returns the inner product of t and u viewed as flat vectors.
 func Dot(t, u *Tensor) float64 {
 	sameLen(t, u, "Dot")

@@ -31,11 +31,6 @@ type TrainConfig struct {
 	Trace *obs.Trace
 }
 
-// DefaultTrainConfig is sized for the 64×64 synthetic dataset.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 30, BatchSize: 16, LR: 1e-3, Seed: 2, Weights: DefaultLossWeights()}
-}
-
 // augmentBatch applies per-image exposure jitter and pixel noise in place.
 func augmentBatch(rng *rand.Rand, x *tensor.Tensor) {
 	n := x.Dim(0)

@@ -413,7 +413,8 @@ func TestTrainOverfitsMicroDataset(t *testing.T) {
 func TestTrainEmptyDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := New(rng, tinyConfig())
-	if _, err := Train(m, &scene.Dataset{}, DefaultTrainConfig()); err == nil {
+	cfg := TrainConfig{Epochs: 1, BatchSize: 16, LR: 1e-3, Weights: DefaultLossWeights()}
+	if _, err := Train(m, &scene.Dataset{}, cfg); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }

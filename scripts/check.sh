@@ -23,6 +23,12 @@ go vet ./...
 echo "== go vet perfledger"
 (cd perfledger && GOWORK=off GOPROXY=off go vet .)
 
+# The ledger's own unit tests (metric catalog vs BENCHMARK.json among them):
+# go test ./... stops at the nested module. -short skips TestLedgerSmoke,
+# which the perfledger smoke step below covers.
+echo "== go test perfledger"
+(cd perfledger && GOWORK=off GOPROXY=off go test -short -count 1 .)
+
 # Other architectures: internal/tensor has an amd64 assembly kernel, and
 # every other GOARCH must still build from the Go tiles alone.
 echo "== GOARCH=arm64 go build ./... + go vet ./internal/tensor"
@@ -55,11 +61,12 @@ go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
 # must complete an evaluate round-trip and drain cleanly, under the race
 # detector, and a node must answer one job with exactly one frame (Health
-# first, one Result per Job, a draining Health on Close). Fast and focused,
-# so fabric wiring regressions fail here with a readable name before the
-# full suite runs.
-echo "== fabric smoke (gateway + 2 nodes, one frame per job)"
-go test -race -count 1 -run 'TestFabricSmoke|TestNodeAnswersEachJobWithOneFrame' ./internal/fabric
+# first, one Result per Job, a draining Health on Close), and a node closed
+# while jobs stream in must answer every job it accepted before Close
+# returns. Fast and focused, so fabric wiring regressions fail here with a
+# readable name before the full suite runs.
+echo "== fabric smoke (gateway + 2 nodes, one frame per job, close under load)"
+go test -race -count 1 -run 'TestFabricSmoke|TestNodeAnswersEachJobWithOneFrame|TestNodeCloseAnswersEveryAcceptedJob' ./internal/fabric
 
 # Trace golden gate: the committed tracetool fixture must merge
 # byte-for-byte into testdata/merged.golden, and a live gateway plus
