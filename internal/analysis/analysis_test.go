@@ -131,6 +131,37 @@ func TestDeadcodeFilteredRunMatchesFullRun(t *testing.T) {
 	}
 }
 
+// TestDeadcodeTracksModuleRoot: under the repository's scope (library code
+// under internal/), deadcode also tracks the package an in-scope internal/
+// tree belongs to, the module's root package, though it lies outside
+// internal/. The corpus library is loaded as corpusmod/internal/lib and the
+// facade as corpusmod itself; package user, outside internal/ and no
+// tree's root, is only a source of uses.
+func TestDeadcodeTracksModuleRoot(t *testing.T) {
+	root := repoRoot(t)
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Pkg
+	var dirs []string
+	for _, c := range []struct{ dir, path string }{
+		{"facade", "corpusmod"},
+		{"lib", "corpusmod/internal/lib"},
+		{"user", "corpus/deadcode_user"},
+	} {
+		d := filepath.Join(root, "internal", "analysis", "testdata", "deadcode", c.dir)
+		p, err := loader.LoadDir(d, c.path)
+		if err != nil {
+			t.Fatalf("loading corpus %s: %v", c.dir, err)
+		}
+		pkgs = append(pkgs, p)
+		dirs = append(dirs, d)
+	}
+	findings, _ := RunTimed(DefaultConfig("corpusmod"), pkgs, nil, []Check{checkByName(t, "deadcode")})
+	matchWants(t, dirs, findings)
+}
+
 // matchWants pairs findings against the `// want` comments in dirs: every
 // finding must be expected on its line, and every expectation must fire.
 func matchWants(t *testing.T, dirs []string, findings []Finding) {

@@ -4,15 +4,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // deadCodeCheck reports library declarations with no production use, so
 // dead code fails the lint instead of waiting for a manual scan. It tracks
 // every func, method, type, var and const declared in a non-test file of a
-// Config.FlowScope package and reports one that neither a non-test file
-// anywhere nor another package's _test.go uses (so shared test helpers need
-// no annotation). Uses count over every loaded package, whatever packages
-// the run reports on. A use inside the declaration itself does not count;
+// Config.FlowScope package, or of the package an in-scope internal/ tree
+// belongs to (the module's root package: the public API over that library
+// code), and reports one that neither a non-test file anywhere nor another
+// package's _test.go uses (so shared test helpers need no annotation). Uses
+// count over every loaded package, whatever packages the run reports on. A use inside the declaration itself does not count;
 // for a type, neither does one in its own methods. A method is exempt when
 // its name is a method of any interface type in the loaded program or one
 // in dynamicMethods; init, main and blank names are exempt.
@@ -42,8 +44,15 @@ func runDeadCode(cfg *Config, all []*Pkg) func(p *Pkg) []Finding {
 	// Keyed by the name's position, which every type-checking pass of a
 	// package shares (an instantiated generic keeps its origin's, too).
 	decls := map[token.Pos]*deadDecl{}
+	inScope := func(p *Pkg) bool { return cfg.FlowScope == nil || cfg.FlowScope(p) }
+	facades := map[string]bool{}
 	for _, p := range all {
-		if cfg.FlowScope != nil && !cfg.FlowScope(p) {
+		if parent, _, ok := strings.Cut(p.Path, "/internal/"); ok && inScope(p) {
+			facades[parent] = true
+		}
+	}
+	for _, p := range all {
+		if !inScope(p) && !facades[p.Path] {
 			continue
 		}
 		for _, f := range p.Files {

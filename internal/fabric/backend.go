@@ -36,7 +36,9 @@ func (e *jobFailedError) Is(target error) bool {
 
 // backend manages the gateway's relationship with one node: a persistent
 // framed connection with automatic redial, the pending-job table, and the
-// node's last health report.
+// node's last health report. It lives as long as the gateway: a node that
+// leaves is marked draining, and one that comes back is routable again on
+// its next handshake.
 type backend struct {
 	g       *Gateway
 	addr    string
@@ -47,13 +49,9 @@ type backend struct {
 	writeMu  sync.Mutex
 	pending  map[uint64]chan jobReply // each buffered 1
 	up       bool
-	draining bool // node reported Draining
-	removed  bool // gateway closing: stop redialing
+	draining bool // a Health frame on this connection reported Draining
 	health   Health
 	lastSeen time.Time
-
-	removedCh chan struct{} // closed on remove, wakes the redial wait
-	done      chan struct{} // closed when runLoop exits
 }
 
 type jobReply struct {
@@ -69,14 +67,9 @@ func newBackend(g *Gateway, addr string) *backend {
 		breaker: newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown, g.clock,
 			g.reg.Counter("fabric_gateway_breaker_opens_total", "breaker closed→open transitions per backend",
 				telemetry.Labels{"node": addr})),
-		pending:   map[uint64]chan jobReply{},
-		removedCh: make(chan struct{}),
-		done:      make(chan struct{}),
+		pending: map[uint64]chan jobReply{},
 	}
-	// A node that leaves and re-joins gets a fresh backend (and breaker);
-	// SetGaugeFunc explicitly re-points the series at the new breaker's
-	// state instead of silently shadowing or panicking on the duplicate.
-	g.reg.SetGaugeFunc("fabric_gateway_breaker_state", "per-backend circuit breaker state (0 closed, 1 open, 2 half-open)",
+	g.reg.GaugeFunc("fabric_gateway_breaker_state", "per-backend circuit breaker state (0 closed, 1 open, 2 half-open)",
 		telemetry.Labels{"node": addr}, b.breaker.stateValue)
 	return b
 }
@@ -86,20 +79,17 @@ func newBackend(g *Gateway, addr string) *backend {
 // circuit breaker, so a persistently failing peer costs one probe per
 // cooldown instead of a dial every backoff tick.
 func (b *backend) runLoop() {
-	defer close(b.done)
 	backoff := b.g.cfg.RedialBackoff
 	wait := func(d time.Duration) bool {
 		select {
 		case <-b.g.clock.After(d):
 			return true
-		case <-b.removedCh:
-			return false
 		case <-b.g.closed:
 			return false
 		}
 	}
 	for {
-		if b.isGone() {
+		if b.g.isClosed() {
 			return
 		}
 		if ok, cooldown := b.breaker.ready(); !ok {
@@ -120,7 +110,7 @@ func (b *backend) runLoop() {
 				b.attach(conn, h)
 				b.readLoop(conn)
 				b.detach(conn)
-				if b.isGone() {
+				if b.g.isClosed() {
 					return
 				}
 				// The connection died underneath us: one breaker strike.
@@ -166,31 +156,19 @@ func (b *backend) awaitHello(conn net.Conn) (Health, error) {
 	return h, nil
 }
 
-func (b *backend) isGone() bool {
-	select {
-	case <-b.removedCh:
-		return true
-	case <-b.g.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-// attach marks the backend routable. The first health report h was already
-// consumed by the handshake, so it is recorded here.
+// attach marks the backend up. The first health report h was already
+// consumed by the handshake, so it is recorded here; its Draining flag is
+// the only one that can clear draining, which is how a node that left and
+// restarted becomes routable again.
 func (b *backend) attach(conn net.Conn, h Health) {
 	b.mu.Lock()
 	b.conn = conn
 	b.up = true
-	b.draining = false
+	b.draining = h.Draining
 	b.health = h
 	b.lastSeen = b.g.clock.Now()
 	b.mu.Unlock()
 	b.g.backendUp(b.addr, true)
-	if h.Draining {
-		b.markDraining()
-	}
 }
 
 // detach fails every pending job with errBackendDown so dispatch can retry
@@ -234,12 +212,12 @@ func (b *backend) readLoop(conn net.Conn) {
 				b.g.decodeErrors.Inc()
 				continue
 			}
+			// A heartbeat encoded before the node's Close can arrive after
+			// its draining report: only the next handshake clears draining.
 			b.mu.Lock()
 			b.health = h
+			b.draining = b.draining || h.Draining
 			b.mu.Unlock()
-			if h.Draining {
-				b.markDraining()
-			}
 		case FrameResult:
 			b.deliver(f.JobID, jobReply{payload: f.Payload})
 		case FrameError:
@@ -260,18 +238,6 @@ func (b *backend) stageStats() map[string]telemetry.HistSnapshot {
 	return b.health.Stages
 }
 
-// markDraining takes the node out of routing; the gateway keeps the
-// connection until its pending jobs drain (graceful leave).
-func (b *backend) markDraining() {
-	b.mu.Lock()
-	already := b.draining
-	b.draining = true
-	b.mu.Unlock()
-	if !already {
-		b.g.nodeDraining(b.addr)
-	}
-}
-
 // deliver hands a job's reply to its waiting roundTrip. A reply for a job
 // the gateway already gave up on (attempt timeout, cancel, failover) has
 // no waiter; it is dropped and counted as late.
@@ -279,7 +245,7 @@ func (b *backend) deliver(id uint64, r jobReply) {
 	b.mu.Lock()
 	done := b.pending[id]
 	delete(b.pending, id)
-	closeIdle := b.removed && len(b.pending) == 0
+	closeIdle := b.g.isClosed() && len(b.pending) == 0
 	conn := b.conn
 	b.mu.Unlock()
 	if done != nil {
@@ -287,46 +253,27 @@ func (b *backend) deliver(id uint64, r jobReply) {
 	} else {
 		b.g.lateReplies.Inc()
 	}
-	// A removed backend lingers only for its in-flight jobs; the last
-	// result closes the connection (graceful leave with in-flight drain).
+	// After the gateway's Close a connection lingers only for its in-flight
+	// jobs; the last result closes it.
 	if closeIdle && conn != nil {
 		conn.Close()
 	}
 }
 
-// available reports whether dispatch may route new jobs here.
-func (b *backend) available(now time.Time) bool {
+// available reports whether dispatch may route new jobs here, and whether
+// the node is draining: a leaving node is neither down nor saturated.
+func (b *backend) available(now time.Time) (ok, draining bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.up || b.draining || b.removed {
-		return false
-	}
-	return now.Sub(b.lastSeen) <= b.g.cfg.HeartbeatTimeout
+	ok = b.up && !b.draining && !b.g.isClosed() && now.Sub(b.lastSeen) <= b.g.cfg.HeartbeatTimeout
+	return ok, b.draining
 }
 
 // snapshot returns the last health report and liveness for /healthz.
 func (b *backend) snapshot() (Health, bool, time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.health, b.up && !b.draining && !b.removed, b.lastSeen
-}
-
-// remove initiates a graceful leave: no new jobs, redial stops, and the
-// connection closes as soon as the pending table is empty.
-func (b *backend) remove() {
-	b.mu.Lock()
-	if b.removed {
-		b.mu.Unlock()
-		return
-	}
-	b.removed = true
-	idle := len(b.pending) == 0
-	conn := b.conn
-	b.mu.Unlock()
-	close(b.removedCh)
-	if idle && conn != nil {
-		conn.Close()
-	}
+	return b.health, b.up && !b.draining && !b.g.isClosed(), b.lastSeen
 }
 
 // roundTrip sends one job and blocks for its reply. req is the request JSON

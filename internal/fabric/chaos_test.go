@@ -85,7 +85,7 @@ func TestChaosPartitionDuringDispatchExactlyOnce(t *testing.T) {
 	// The parked connection still looks routable until its read wakes up,
 	// so wait for the redial itself: a job sent on the dying connection
 	// would fail over to the secondary's cache and never reach the primary.
-	b := g.backend(primary)
+	b := g.backends[primary]
 	conn := func() net.Conn {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -140,7 +140,7 @@ func TestChaosCorruptFrameTripsBadFrameAndBreaker(t *testing.T) {
 			cfg.BreakerCooldown = time.Hour
 		})
 
-		b := g.backend(addr)
+		b := g.backends[addr]
 		deadline := time.Now().Add(10 * time.Second)
 		for b.breaker.stateValue() != breakerOpen {
 			if time.Now().After(deadline) {
@@ -154,7 +154,7 @@ func TestChaosCorruptFrameTripsBadFrameAndBreaker(t *testing.T) {
 		// While open, the breaker suppresses dialing entirely: the probe
 		// (connection #3) must not exist until the cooldown elapses.
 		time.Sleep(20 * time.Millisecond)
-		if b.available(clock.Now()) {
+		if ok, _ := b.available(clock.Now()); ok {
 			t.Error("backend routable while breaker open")
 		}
 
@@ -569,11 +569,11 @@ func TestChaosWALReplayAfterKill(t *testing.T) {
 	}
 }
 
-// TestChaosMembershipChurn takes two nodes off the ring (the draining
-// path) and puts them back, from two goroutines, while a third keeps jobs
-// in flight — the ring-rebalance race test. Run under -race this pins the
-// locking story; functionally, dispatches must keep succeeding on the
-// stable core nodes and the fleet must converge.
+// TestChaosMembershipChurn flips two nodes' draining flags on and off,
+// from two goroutines, while a third keeps jobs in flight — the
+// membership race test. Run under -race this pins the locking story;
+// functionally, dispatches must keep succeeding on the stable core nodes
+// and the fleet must converge.
 func TestChaosMembershipChurn(t *testing.T) {
 	det := fabricDetector()
 	jobFor := func(string) eval.JobFunc {
@@ -598,11 +598,7 @@ func TestChaosMembershipChurn(t *testing.T) {
 					return
 				default:
 				}
-				if i%2 == 0 {
-					g.nodeDraining(addr)
-				} else {
-					g.ring.Add(addr)
-				}
+				setDraining(g, addr, i%2 == 0)
 				time.Sleep(time.Millisecond) // pace the churn
 			}
 		}(churnNode.addr)
@@ -634,16 +630,25 @@ func TestChaosMembershipChurn(t *testing.T) {
 		t.Fatalf("no dispatch succeeded during churn (%d failures)", failed.Load())
 	}
 	// Converge: both churn nodes out, core still routable, dispatch clean.
-	g.nodeDraining(nodes[2].addr)
-	g.nodeDraining(nodes[3].addr)
-	if n := g.ring.Len(); n != 2 {
-		t.Fatalf("ring has %d nodes after churn settled, want 2", n)
+	setDraining(g, nodes[2].addr, true)
+	setDraining(g, nodes[3].addr, true)
+	if n := g.members(); n != 2 {
+		t.Fatalf("%d non-draining nodes after churn settled, want 2", n)
 	}
 	waitRoutable(t, g, nodeAddrs(core)...)
 	if _, err := g.dispatch(context.Background(), jobOf(t, evalReq(t, 451))); err != nil {
 		t.Fatalf("dispatch after churn settled: %v", err)
 	}
 	t.Logf("churn: %d dispatches succeeded, %d transiently failed", ok.Load(), failed.Load())
+}
+
+// setDraining sets a backend's draining flag the way a Health frame (on)
+// or a fresh handshake (off) does.
+func setDraining(g *Gateway, addr string, draining bool) {
+	b := g.backends[addr]
+	b.mu.Lock()
+	b.draining = draining
+	b.mu.Unlock()
 }
 
 // TestAsyncSubmitSaturationRetryAfter: POST /v1/jobs sheds load with the

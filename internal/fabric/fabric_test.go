@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -101,36 +102,54 @@ type fabricNode struct {
 func startNodes(t *testing.T, det *yolo.Model, count int, cfg serve.Config,
 	jobFor func(addr string) eval.JobFunc) []*fabricNode {
 	t.Helper()
-	nodes := make([]*fabricNode, count)
-	for i := range nodes {
+	listeners := make([]net.Listener, count)
+	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = &fabricNode{
-			lis:    &killableListener{Listener: l},
-			addr:   l.Addr().String(),
-			served: make(chan error, 1),
-		}
+		listeners[i] = l
 	}
-	for _, fn := range nodes {
+	nodes := make([]*fabricNode, count)
+	for i, l := range listeners {
 		c := cfg
 		if jobFor != nil {
-			c.Job = jobFor(fn.addr)
+			c.Job = jobFor(l.Addr().String())
 		}
-		fn.exec = serve.NewExecutor(det, c, nil)
-		fn.node = NewNode(fn.exec, NodeConfig{ID: fn.addr, Heartbeat: 50 * time.Millisecond})
-		go func(fn *fabricNode) { fn.served <- fn.node.Serve(fn.lis) }(fn)
+		nodes[i] = serveNode(t, det, l, c)
 	}
+	return nodes
+}
+
+// serveNode serves the fabric protocol on l over a fresh executor until
+// the test ends.
+func serveNode(t *testing.T, det *yolo.Model, l net.Listener, cfg serve.Config) *fabricNode {
+	t.Helper()
+	fn := &fabricNode{
+		lis:    &killableListener{Listener: l},
+		addr:   l.Addr().String(),
+		served: make(chan error, 1),
+		exec:   serve.NewExecutor(det, cfg, nil),
+	}
+	fn.node = NewNode(fn.exec, NodeConfig{ID: fn.addr, Heartbeat: 50 * time.Millisecond})
+	go func() { fn.served <- fn.node.Serve(fn.lis) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		for _, fn := range nodes {
-			_ = fn.node.Close(ctx)
-			_ = fn.exec.Close(ctx)
-		}
+		_ = fn.node.Close(ctx)
+		_ = fn.exec.Close(ctx)
 	})
-	return nodes
+	return fn
+}
+
+// listenAt binds addr again, the way a restarted node takes back its port.
+func listenAt(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func nodeAddrs(nodes []*fabricNode) []string {
@@ -193,20 +212,37 @@ func waitRoutable(t *testing.T, g *Gateway, addrs ...string) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		now := g.clock.Now()
-		ok := true
+		all := true
 		for _, a := range addrs {
-			b := g.backend(a)
-			if b == nil || !b.available(now) {
-				ok = false
+			if ok, _ := g.backends[a].available(now); !ok {
+				all = false
 				break
 			}
 		}
-		if ok {
+		if all {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("backends never became routable")
+}
+
+// route is the node dispatch tries first for key: the first routable
+// backend in the key's ring sequence, or "" when none is.
+func route(g *Gateway, key string) string {
+	now := g.clock.Now()
+	for _, addr := range g.ring.Sequence(key, g.ring.Len()) {
+		if ok, _ := g.backends[addr].available(now); ok {
+			return addr
+		}
+	}
+	return ""
+}
+
+// waitMembers blocks until n configured nodes are not draining.
+func waitMembers(t *testing.T, g *Gateway, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d non-draining node(s)", n), func() bool { return g.members() == n })
 }
 
 // fabricPatchB64 builds a distinct valid patch payload per seed; distinct
@@ -528,18 +564,22 @@ func TestNodeDeathMidJobRetries(t *testing.T) {
 }
 
 // TestGatewayRebalanceOnJoinLeave checks fleet-change semantics end to
-// end: keys keep their owner (and that owner's warm cache) across an
-// unrelated join, and a leaving node's keys redistribute to survivors.
+// end: keys keep their owner (and that owner's warm cache) when a
+// configured node that was down starts listening, and a leaving node's
+// keys redistribute to survivors.
 func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	det := fabricDetector()
-	jobFor := func(string) eval.JobFunc {
-		return func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }
-	}
-	nodes := startNodes(t, det, 3, serve.Config{Workers: 2, QueueSize: 8}, jobFor)
-	initial := nodes[:2]
-	joiner := nodes[2]
+	cfg := serve.Config{Workers: 2, QueueSize: 8,
+		Job: func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }}
+	initial := startNodes(t, det, 2, cfg, nil)
+	// The joiner's port is reserved and released: it is configured from
+	// the start, but nothing listens there until the join.
+	reserved := listenAt(t, "127.0.0.1:0")
+	joinAddr := reserved.Addr().String()
+	reserved.Close()
 
-	g := newTestGateway(t, newFakeClock(), nodeAddrs(initial), nil)
+	clock := newFakeClock()
+	g := newTestGateway(t, clock, append(nodeAddrs(initial), joinAddr), nil)
 	waitRoutable(t, g, nodeAddrs(initial)...)
 
 	ctx := context.Background()
@@ -547,26 +587,29 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	before := map[string]string{}
 	for i := range reqs {
 		reqs[i] = evalReq(t, 100+int64(i))
-		before[reqs[i].Digest()] = lookup(g.ring, reqs[i].Digest())
+		before[reqs[i].Digest()] = route(g, reqs[i].Digest())
 		if _, err := g.dispatch(ctx, jobOf(t, reqs[i])); err != nil {
 			t.Fatalf("warm dispatch %d: %v", i, err)
 		}
 	}
 
-	g.AddNode(joiner.addr)
-	waitRoutable(t, g, nodeAddrs(nodes)...)
+	serveNode(t, det, listenAt(t, joinAddr), cfg)
+	// The refused dials may have opened the joiner's breaker; the fake
+	// clock only runs its cooldown down when advanced.
+	clock.advance(time.Minute)
+	waitRoutable(t, g, joinAddr)
 	movedToJoiner := 0
 	for _, req := range reqs {
 		key := req.Digest()
-		owner := lookup(g.ring, key)
-		if owner != before[key] && owner != joiner.addr {
+		owner := route(g, key)
+		if owner != before[key] && owner != joinAddr {
 			t.Fatalf("key %s moved between pre-existing nodes on join: %s -> %s", key, before[key], owner)
 		}
 		payload, err := g.dispatch(ctx, jobOf(t, req))
 		if err != nil {
 			t.Fatalf("dispatch after join: %v", err)
 		}
-		if owner == joiner.addr {
+		if owner == joinAddr {
 			movedToJoiner++
 		} else if !decodeEvalResponse(t, payload).Cached {
 			// Unmoved key, unmoved owner: the warm cache must still answer.
@@ -575,27 +618,113 @@ func TestGatewayRebalanceOnJoinLeave(t *testing.T) {
 	}
 	t.Logf("join moved %d/%d keys to the new node", movedToJoiner, len(reqs))
 
-	// Graceful leave: the node's draining Health frame takes it off the
-	// ring, its keys spread over survivors and every request still
+	// Graceful leave: the node's draining Health frame takes it out of
+	// routing, its keys spread over survivors and every request still
 	// completes.
 	closeCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := initial[0].node.Close(closeCtx); err != nil {
 		t.Fatalf("closing the leaving node: %v", err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); g.ring.Len() != 2; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring still has %d nodes after the draining Health frame", g.ring.Len())
-		}
-	}
+	waitMembers(t, g, 2)
 	for _, req := range reqs {
-		owner := lookup(g.ring, req.Digest())
-		if owner == initial[0].addr {
-			t.Fatalf("key %s still routed to removed node", req.Digest())
+		if owner := route(g, req.Digest()); owner == initial[0].addr {
+			t.Fatalf("key %s still routed to the drained node", req.Digest())
 		}
 		if _, err := g.dispatch(ctx, jobOf(t, req)); err != nil {
 			t.Fatalf("dispatch after leave: %v", err)
 		}
+	}
+}
+
+// TestGatewayRoutesRestartedNode: a node that drains and restarts at the
+// same address is routed its keys again and runs their jobs. While it is
+// draining, the gateway answers 429 at once when every other node is
+// saturated: a leaving node counts as neither down nor saturated.
+func TestGatewayRoutesRestartedNode(t *testing.T) {
+	det := fabricDetector()
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll()
+	var restartedRan atomic.Int64
+	cfg := serve.Config{Workers: 1, QueueSize: 1, Job: func(eval.Job) (eval.Detail, error) {
+		<-release
+		return stubDetail(0.25), nil
+	}}
+	nodes := startNodes(t, det, 2, cfg, nil)
+	clock := newFakeClock()
+	g := newTestGateway(t, clock, nodeAddrs(nodes), nil)
+	waitRoutable(t, g, nodeAddrs(nodes)...)
+	gwSrv := httptest.NewServer(g.Handler())
+	defer gwSrv.Close()
+
+	leaver := nodes[1]
+	var req serve.EvalRequest
+	for seed := int64(600); ; seed++ {
+		if req = evalReq(t, seed); lookup(g.ring, req.Digest()) == leaver.addr {
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := leaver.node.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitMembers(t, g, 1)
+
+	// One running and one queued job saturate the survivor.
+	errs := make(chan error, 2)
+	for i := int64(0); i < 2; i++ {
+		go func(req serve.EvalRequest) {
+			_, err := g.dispatch(context.Background(), jobOf(t, req))
+			errs <- err
+		}(evalReq(t, 700+i))
+	}
+	waitUntil(t, "the survivor saturated", func() bool {
+		return nodes[0].exec.Inflight() == 1 && nodes[0].exec.QueueDepth() == 1
+	})
+	body, _ := json.Marshal(evalReq(t, 710))
+	resp, err := http.Post(gwSrv.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ra, _ := strconv.Atoi(resp.Header.Get("Retry-After")); resp.StatusCode != http.StatusTooManyRequests || ra < 1 {
+		t.Fatalf("draining node + saturated survivor answered %d, Retry-After %q; want 429 and >= 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := g.retries.Value(); n != 0 {
+		t.Errorf("%d retries before the 429, want 0", n)
+	}
+	releaseAll()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("filler job failed: %v", err)
+		}
+	}
+
+	restarted := cfg
+	restarted.Job = func(eval.Job) (eval.Detail, error) {
+		restartedRan.Add(1)
+		return stubDetail(0.5), nil
+	}
+	serveNode(t, det, listenAt(t, leaver.addr), restarted)
+	// The refused redials may have opened the breaker; let it probe.
+	clock.advance(time.Minute)
+	waitRoutable(t, g, leaver.addr)
+	if n := g.members(); n != 2 {
+		t.Errorf("%d non-draining node(s) after the restart, want 2", n)
+	}
+	if owner := route(g, req.Digest()); owner != leaver.addr {
+		t.Fatalf("key owned by the restarted node routes to %q, want %s", owner, leaver.addr)
+	}
+	payload, err := g.dispatch(context.Background(), jobOf(t, req))
+	if err != nil {
+		t.Fatalf("dispatch to the restarted node: %v", err)
+	}
+	if got := decodeEvalResponse(t, payload).PWC; got != 0.5 || restartedRan.Load() != 1 {
+		t.Errorf("restarted node ran %d job(s), answer PWC %v; want 1 job and 0.5", restartedRan.Load(), got)
 	}
 }
 
@@ -680,9 +809,9 @@ func TestSaturationBackpressure(t *testing.T) {
 	}
 }
 
-// TestNodeGracefulLeaveDrainsInflight: a node announcing Drain leaves the
-// ring (new jobs route around it) while its in-flight job still completes
-// and reaches the waiting client.
+// TestNodeGracefulLeaveDrainsInflight: a node announcing Drain leaves
+// routing (new jobs route around it) while its in-flight job still
+// completes and reaches the waiting client.
 func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 	det := fabricDetector()
 	var victim atomic.Value
@@ -736,14 +865,8 @@ func TestNodeGracefulLeaveDrainsInflight(t *testing.T) {
 		closeErr <- leaverNode.node.Close(ctx)
 	}()
 
-	// The draining Health frame must take the leaver off the ring...
-	deadline := time.Now().Add(10 * time.Second)
-	for g.ring.Len() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring still has %d nodes after the draining Health frame", g.ring.Len())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// The draining Health frame must take the leaver out of routing...
+	waitMembers(t, g, 1)
 	// ...so the same key now routes to the survivor and completes there.
 	payload, err := g.dispatch(context.Background(), jobOf(t, req))
 	if err != nil {
@@ -852,11 +975,12 @@ func TestBackendStalenessWithInjectedClock(t *testing.T) {
 
 	// A real heartbeat can land between the advance and the check and
 	// restamp lastSeen; re-advancing on each try makes the race harmless.
-	b := g.backend(nodes[0].addr)
+	b := g.backends[nodes[0].addr]
 	stale := false
 	for i := 0; i < 100 && !stale; i++ {
 		clock.advance(2 * time.Minute)
-		stale = !b.available(clock.Now())
+		ok, _ := b.available(clock.Now())
+		stale = !ok
 	}
 	if !stale {
 		t.Fatal("backend still routable after virtual heartbeat timeout")

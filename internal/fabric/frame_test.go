@@ -331,3 +331,88 @@ func TestNodeCloseAnswersEveryAcceptedJob(t *testing.T) {
 	}
 	t.Logf("%d job(s) accepted and answered, %d refused as draining", answered, draining)
 }
+
+// TestNodeCloseRepliesReachPeer streams Job frames at a node over plain TCP
+// while Close runs, and counts the replies the client actually reads, not
+// the ones the node wrote. The client reads until EOF and then hangs up,
+// as the gateway does. Every accepted job's reply must arrive: Close must
+// not reset a connection that still holds unread Job frames, which would
+// discard replies already on their way to the client.
+func TestNodeCloseRepliesReachPeer(t *testing.T) {
+	const jobs = 200
+	exec := serve.NewExecutor(fabricDetector(), serve.Config{Workers: 2, QueueSize: 2 * jobs, CacheSize: -1,
+		Job: func(eval.Job) (eval.Detail, error) { return stubDetail(0.25), nil }}, nil)
+	node := NewNode(exec, NodeConfig{ID: "n1", Heartbeat: time.Hour})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(l) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer exec.Close(ctx)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if f, err := ReadFrame(conn); err != nil || f.Type != FrameHealth {
+		t.Fatalf("first frame type %d, err %v; want Health", f.Type, err)
+	}
+	var answered int64
+	var readErr error
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		defer conn.Close() // hang up on EOF
+		for {
+			f, err := ReadFrame(conn)
+			if err != nil {
+				readErr = err
+				return
+			}
+			var je JobError
+			if f.Type == FrameResult || f.Type == FrameError && json.Unmarshal(f.Payload, &je) == nil && je.Code != CodeDraining {
+				answered++
+			}
+		}
+	}()
+
+	req := evalReq(t, 5)
+	started := make(chan struct{})
+	go func() {
+		for i := 0; i < jobs; i++ {
+			if i == jobs/10 {
+				close(started)
+			}
+			req.Seed = int64(i) // distinct requests: no dedupe, every job runs
+			body, err := json.Marshal(req)
+			if err != nil {
+				return
+			}
+			if WriteFrame(conn, Frame{Type: FrameJob, JobID: uint64(i), Payload: appendJobPayload(nil, 0, "", body)}) != nil {
+				return
+			}
+		}
+	}()
+
+	<-started
+	if err := node.Close(ctx); err != nil {
+		t.Fatalf("node close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("node serve loop: %v", err)
+	}
+	<-readDone
+	// The handler exits once the client hangs up; no Job frame is read
+	// after that, so the accepted count is final.
+	waitUntil(t, "the connection handler to exit", func() bool {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		return len(node.conns) == 0
+	})
+	if accepted := node.jobsTotal.Value(); answered != accepted {
+		t.Errorf("node accepted %d job(s) but the client read %d replies (read ended with %v)", accepted, answered, readErr)
+	}
+}

@@ -20,10 +20,10 @@ import (
 
 // GatewayConfig tunes the stateless front-end.
 type GatewayConfig struct {
-	// Nodes are the backend addresses; more can join via AddNode.
+	// Nodes are the backend addresses, fixed for the gateway's lifetime.
+	// A node leaves by draining (its Health frames say so) and rejoins by
+	// reconnecting without draining; a repeated address counts once.
 	Nodes []string
-	// Replicas is the ring virtual-node count; 0 means DefaultReplicas.
-	Replicas int
 	// MaxAttempts bounds full ring passes per job (the node-failure retry
 	// budget); 0 means 3.
 	MaxAttempts int
@@ -125,16 +125,19 @@ var ErrGatewayClosed = errors.New("fabric: gateway shut down")
 // Gateway is the stateless eval front-end: it owns no detector and no
 // result cache, only the hash ring, the backend connections, and a bounded
 // table of in-flight async jobs. Any number of gateways can front the same
-// fleet; routing is a pure function of (patch digest, fleet membership).
+// fleet; routing is a pure function of (patch digest, which nodes are
+// routable).
 type Gateway struct {
-	cfg    GatewayConfig
-	reg    *telemetry.Registry
-	clock  serve.Clock
-	ring   *Ring
-	closed chan struct{}
-
-	mu       sync.Mutex
+	cfg   GatewayConfig
+	reg   *telemetry.Registry
+	clock serve.Clock
+	// ring and backends hold every configured node and are fixed once
+	// NewGateway returns, so they are read without a lock.
+	ring     *Ring
 	backends map[string]*backend
+
+	mu     sync.Mutex // serializes Close
+	closed chan struct{}
 
 	jobSeq   atomic.Uint64 // wire job ids
 	asyncSeq atomic.Uint64 // async job names
@@ -163,7 +166,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		cfg:      cfg,
 		reg:      reg,
 		clock:    cfg.Clock,
-		ring:     NewRing(cfg.Replicas),
+		ring:     NewRing(DefaultReplicas),
 		closed:   make(chan struct{}),
 		backends: map[string]*backend{},
 		jobTable: map[string]*asyncJob{},
@@ -179,21 +182,27 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	g.dispatchHist = reg.Histogram("fabric_gateway_stage_seconds", "gateway-side stage latency (exemplars carry trace ids)",
 		telemetry.Labels{"stage": "dispatch"}, nil)
-	reg.GaugeFunc("fabric_gateway_ring_nodes", "physical nodes on the hash ring", nil,
-		func() float64 { return float64(g.ring.Len()) })
+	reg.GaugeFunc("fabric_gateway_ring_nodes", "configured nodes that are not draining", nil,
+		func() float64 { return float64(g.members()) })
 	reg.GaugeFunc("fabric_gateway_backends_available", "backends currently routable", nil,
 		func() float64 {
 			now := g.clock.Now()
 			n := 0
-			for _, b := range g.allBackends() {
-				if b.available(now) {
+			for _, b := range g.backends {
+				if ok, _ := b.available(now); ok {
 					n++
 				}
 			}
 			return float64(n)
 		})
 	for _, addr := range cfg.Nodes {
-		g.AddNode(addr)
+		if g.backends[addr] != nil {
+			continue
+		}
+		b := newBackend(g, addr)
+		g.backends[addr] = b
+		g.ring.Add(addr)
+		go b.runLoop()
 	}
 	if g.wal != nil {
 		reg.Gauge("fabric_gateway_wal_skipped_lines", "torn or undecodable WAL lines dropped when the journal was opened", nil).
@@ -206,42 +215,28 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // Metrics exposes the gateway registry.
 func (g *Gateway) Metrics() *telemetry.Registry { return g.reg }
 
-func (g *Gateway) allBackends() []*backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*backend, 0, len(g.backends))
+// isClosed reports whether Close has begun.
+func (g *Gateway) isClosed() bool {
+	select {
+	case <-g.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// members counts the configured nodes that are not draining: the fleet a
+// key can route to once every node is up.
+func (g *Gateway) members() int {
+	n := 0
 	for _, b := range g.backends {
-		out = append(out, b)
+		b.mu.Lock()
+		if !b.draining {
+			n++
+		}
+		b.mu.Unlock()
 	}
-	return out
-}
-
-func (g *Gateway) backend(addr string) *backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.backends[addr]
-}
-
-// AddNode joins a node: it enters the hash ring immediately (so routing
-// converges fleet-wide) and the gateway starts dialing it.
-func (g *Gateway) AddNode(addr string) {
-	g.mu.Lock()
-	if _, ok := g.backends[addr]; ok {
-		g.mu.Unlock()
-		return
-	}
-	b := newBackend(g, addr)
-	g.backends[addr] = b
-	g.mu.Unlock()
-	g.ring.Add(addr)
-	go b.runLoop()
-}
-
-// nodeDraining handles a node-initiated leave (a draining health report):
-// take it off the ring so new jobs route around it while its in-flight
-// jobs finish.
-func (g *Gateway) nodeDraining(addr string) {
-	g.ring.Remove(addr)
+	return n
 }
 
 // backendUp records a connectivity transition for the per-node gauge.
@@ -265,7 +260,8 @@ type evalJob struct {
 // dispatch routes one job: consistent-hash sequence for the patch digest,
 // immediate failover across the ring on node failure, bounded backoff
 // between full passes, and a saturation verdict when every routable shard
-// is queue-full.
+// is queue-full. A draining node is skipped without counting as down, so
+// the key routes exactly as a ring without that node would.
 //
 // Tracing: a "dispatch" span (child of the request span riding ctx, or a
 // fresh root) covers the whole routing decision, with one "attempt" child
@@ -306,9 +302,9 @@ func (g *Gateway) dispatch(ctx context.Context, job evalJob) (payload []byte, er
 		retryAfter := 1
 		now := g.clock.Now()
 		for _, addr := range seq {
-			b := g.backend(addr)
-			if b == nil || !b.available(now) {
-				sawDown = true
+			b := g.backends[addr]
+			if ok, draining := b.available(now); !ok {
+				sawDown = sawDown || !draining
 				continue
 			}
 			attemptCtx, cancel := ctx, context.CancelFunc(nil)
@@ -370,9 +366,6 @@ func (g *Gateway) dispatch(ctx context.Context, job evalJob) (payload []byte, er
 			outcome = "saturated"
 			return nil, &errSaturated{retryAfter: retryAfter}
 		}
-		if len(seq) == 0 {
-			lastErr = ErrNoBackends
-		}
 	}
 	if lastErr == nil {
 		lastErr = ErrNoBackends
@@ -390,24 +383,24 @@ func (g *Gateway) spanUnder(ctx context.Context, name string, attrs ...obs.Attr)
 	return g.cfg.Trace.Span(name, attrs...)
 }
 
-// Close shuts the gateway down: backends close, async jobs get until ctx
-// to finish, late submissions fail.
+// Close shuts the gateway down: redials stop, idle connections close now
+// and busy ones with their last reply, async jobs get until ctx to finish,
+// late submissions fail.
 func (g *Gateway) Close(ctx context.Context) error {
 	g.mu.Lock()
-	select {
-	case <-g.closed:
+	if g.isClosed() {
 		g.mu.Unlock()
 		return nil
-	default:
 	}
 	close(g.closed)
-	backends := make([]*backend, 0, len(g.backends))
-	for _, b := range g.backends {
-		backends = append(backends, b)
-	}
 	g.mu.Unlock()
-	for _, b := range backends {
-		b.remove()
+	for _, b := range g.backends {
+		b.mu.Lock()
+		conn, idle := b.conn, len(b.pending) == 0
+		b.mu.Unlock()
+		if idle && conn != nil {
+			conn.Close()
+		}
 	}
 	done := make(chan struct{})
 	go func() { g.asyncWG.Wait(); close(done) }()
@@ -613,11 +606,9 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	select {
-	case <-g.closed:
+	if g.isClosed() {
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: ErrGatewayClosed.Error(), Code: serve.CodeShuttingDown})
 		return
-	default:
 	}
 	if retryAfter, sat := g.fleetSaturated(); sat {
 		g.saturated.Inc()
@@ -658,8 +649,8 @@ func (g *Gateway) fleetSaturated() (retryAfter int, saturated bool) {
 	now := g.clock.Now()
 	routable, full := 0, 0
 	retryAfter = 1
-	for _, b := range g.allBackends() {
-		if !b.available(now) {
+	for _, b := range g.backends {
+		if ok, _ := b.available(now); !ok {
 			continue
 		}
 		routable++
@@ -787,17 +778,18 @@ func (g *Gateway) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports the fleet as the gateway sees it. A shut-down
-// gateway (or one with an empty ring — nothing routable) answers 503 so
-// load balancers stop sending it traffic; the body still carries the full
-// per-node picture for operators.
+// gateway (or one whose every configured node is draining — nothing
+// routable) answers 503 so load balancers stop sending it traffic; the
+// body still carries the full per-node picture for operators.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	now := g.clock.Now()
 	nodes := map[string]any{}
-	for _, b := range g.allBackends() {
+	for _, b := range g.backends {
 		h, up, lastSeen := b.snapshot()
+		available, _ := b.available(now)
 		nodes[b.addr] = map[string]any{
 			"up":         up,
-			"available":  b.available(now),
+			"available":  available,
 			"id":         h.ID,
 			"queueDepth": h.QueueDepth,
 			"queueCap":   h.QueueCapacity,
@@ -805,19 +797,18 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"lastSeenMs": now.Sub(lastSeen).Milliseconds(),
 		}
 	}
+	members := g.members()
 	status, code, draining := "ok", http.StatusOK, false
-	select {
-	case <-g.closed:
+	switch {
+	case g.isClosed():
 		status, code, draining = "draining", http.StatusServiceUnavailable, true
-	default:
-		if g.ring.Len() == 0 {
-			status, code = "no_backends", http.StatusServiceUnavailable
-		}
+	case members == 0:
+		status, code = "no_backends", http.StatusServiceUnavailable
 	}
 	serve.WriteJSON(w, code, map[string]any{
 		"status":     status,
 		"draining":   draining,
-		"ring_nodes": g.ring.Len(),
+		"ring_nodes": members,
 		"nodes":      nodes,
 	})
 }
@@ -851,7 +842,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // tie-breaking is deterministic; stages whose snapshots disagree on bucket
 // bounds (mid-upgrade fleets) are dropped rather than summed wrongly.
 func (g *Gateway) fleetStageStats() map[string]telemetry.HistSnapshot {
-	backends := g.allBackends()
+	backends := make([]*backend, 0, len(g.backends))
+	for _, b := range g.backends {
+		backends = append(backends, b)
+	}
 	sort.Slice(backends, func(i, j int) bool { return backends[i].addr < backends[j].addr })
 	perStage := map[string][]telemetry.HistSnapshot{}
 	for _, b := range backends {

@@ -156,8 +156,13 @@ func (n *Node) Serve(l net.Listener) error {
 }
 
 // Close drains gracefully: stop accepting, send a draining Health on every
-// open connection, let in-flight jobs finish (bounded by ctx), then close
-// the connections. The executor stays up — it belongs to the caller.
+// open connection, let in-flight jobs finish (bounded by ctx), then
+// half-close the connections. Job frames the node never read may still sit
+// in a socket, and a full close would then reset it, losing replies the
+// peer has not read yet; so the node stops writing and its reader ends when
+// the peer hangs up on the EOF (or at ctx's deadline, if it has one). A
+// connection without CloseWrite is closed outright. The executor stays up —
+// it belongs to the caller.
 func (n *Node) Close(ctx context.Context) error {
 	n.mu.Lock()
 	if n.draining {
@@ -187,8 +192,19 @@ func (n *Node) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("fabric: drain: %w", ctx.Err())
 	}
+	dl, hasDeadline := ctx.Deadline()
 	for _, c := range conns {
-		c.conn.Close()
+		hc, ok := c.conn.(interface{ CloseWrite() error })
+		if !ok {
+			c.conn.Close()
+			continue
+		}
+		// Not under writeMu: a writer blocked on a peer that stopped
+		// reading holds it, and the shutdown is what wakes that writer.
+		_ = hc.CloseWrite()
+		if hasDeadline {
+			_ = c.conn.SetReadDeadline(dl)
+		}
 	}
 	return err
 }

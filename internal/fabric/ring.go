@@ -6,15 +6,15 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Ring is a consistent-hash ring with virtual nodes. Keys (patch digests)
-// map to node IDs; adding or removing one node moves only the keys in the
-// arcs it owns, which is what preserves cache affinity across fleet
-// changes. Safe for concurrent use.
+// map to node IDs. A node's absence moves only the keys in the arcs it
+// owns: a caller that skips a node in Sequence routes every key exactly
+// as a ring built without it would, which is what preserves cache
+// affinity while nodes come and go. Build it with Add before sharing it;
+// Sequence and Len only read, so they are then safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
 	replicas int
 	hashes   []uint64          // sorted virtual-node positions
 	owner    map[uint64]string // position -> node id
@@ -42,8 +42,6 @@ func ringHash(s string) uint64 {
 
 // Add inserts a node (idempotent).
 func (r *Ring) Add(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.nodes[id] {
 		return
 	}
@@ -61,33 +59,12 @@ func (r *Ring) Add(id string) {
 	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
 }
 
-// Remove deletes a node and its virtual nodes (idempotent).
-func (r *Ring) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[id] {
-		return
-	}
-	delete(r.nodes, id)
-	kept := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == id {
-			delete(r.owner, h)
-			continue
-		}
-		kept = append(kept, h)
-	}
-	r.hashes = kept
-}
-
 // check verifies the ring's structure: positions strictly ascending, one
 // owner per position, every owner a member, and every member owning at
-// least one position. Tests run it after every mutation.
+// least one position. Tests run it after every Add.
 //
 //rtlint:ignore deadcode invariant checker: tests run it after every step; the hot path has no hook
 func (r *Ring) check() error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.hashes) != len(r.owner) {
 		return fmt.Errorf("fabric: ring has %d positions, %d owners", len(r.hashes), len(r.owner))
 	}
@@ -115,8 +92,6 @@ func (r *Ring) check() error {
 
 // Len reports the number of physical nodes.
 func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return len(r.nodes)
 }
 
@@ -125,8 +100,6 @@ func (r *Ring) Len() int {
 // Every caller with the same key and fleet sees the same sequence, so
 // retries land deterministically.
 func (r *Ring) Sequence(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.hashes) == 0 || n <= 0 {
 		return nil
 	}

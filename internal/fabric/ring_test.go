@@ -68,50 +68,53 @@ func TestRingSequenceDistinctAndStable(t *testing.T) {
 	}
 }
 
-// TestRingRebalanceBounded is the consistent-hashing contract: removing a
-// node moves only the keys that node owned, and re-adding it restores the
-// original assignment exactly (cache affinity survives a node bounce).
-func TestRingRebalanceBounded(t *testing.T) {
-	r := NewRing(0)
-	for _, id := range []string{"n1", "n2", "n3"} {
-		r.Add(id)
+// routeSkipping is key's owner when the skipped nodes cannot take it, as
+// dispatch sees it: the first node in key's sequence not in skip, or "".
+func routeSkipping(r *Ring, key string, skip map[string]bool) string {
+	for _, id := range r.Sequence(key, r.Len()) {
+		if !skip[id] {
+			return id
+		}
 	}
-	keys := ringKeys(2000)
-	before := map[string]string{}
+	return ""
+}
+
+// TestRingRebalanceBounded is the consistent-hashing contract: a node's
+// absence moves only the keys that node owned. The gateway skips an absent
+// node in Sequence instead of taking it off the ring, so skipping n2 must
+// route every key exactly as a ring built without n2 does, and the ring
+// itself is unchanged for when n2 is back.
+func TestRingRebalanceBounded(t *testing.T) {
+	full, without := NewRing(0), NewRing(0)
+	for _, id := range []string{"n1", "n2", "n3"} {
+		full.Add(id)
+		if id != "n2" {
+			without.Add(id)
+		}
+	}
+	skip := map[string]bool{"n2": true}
 	perNode := map[string]int{}
-	for _, k := range keys {
-		before[k] = lookup(r, k)
-		perNode[before[k]]++
+	moved := 0
+	for _, k := range ringKeys(2000) {
+		before, after := lookup(full, k), routeSkipping(full, k, skip)
+		perNode[before]++
+		if want := lookup(without, k); after != want {
+			t.Fatalf("key %q routes to %q skipping n2, a ring without n2 says %q", k, after, want)
+		}
+		if before != "n2" && after != before {
+			t.Fatalf("key %q moved from surviving node %q to %q on unrelated absence", k, before, after)
+		}
+		if after != before {
+			moved++
+		}
 	}
 	for _, id := range []string{"n1", "n2", "n3"} {
 		if perNode[id] == 0 {
-			t.Fatalf("node %s owns no keys out of %d; distribution broken: %v", id, len(keys), perNode)
-		}
-	}
-
-	r.Remove("n2")
-	moved := 0
-	for _, k := range keys {
-		after := lookup(r, k)
-		if after == "n2" {
-			t.Fatalf("key %q still maps to removed node", k)
-		}
-		if before[k] != "n2" && after != before[k] {
-			t.Fatalf("key %q moved from surviving node %q to %q on unrelated removal", k, before[k], after)
-		}
-		if before[k] == "n2" {
-			moved++
+			t.Fatalf("node %s owns no keys; distribution broken: %v", id, perNode)
 		}
 	}
 	if moved != perNode["n2"] {
 		t.Fatalf("moved %d keys, want exactly n2's %d", moved, perNode["n2"])
-	}
-
-	r.Add("n2")
-	for _, k := range keys {
-		if got := lookup(r, k); got != before[k] {
-			t.Fatalf("key %q maps to %q after rejoin, originally %q", k, got, before[k])
-		}
 	}
 }
 
@@ -128,41 +131,49 @@ func TestRingEdgeCases(t *testing.T) {
 	if seq := r.Sequence("k", 10); len(seq) != 1 || seq[0] != "solo" {
 		t.Fatalf("sequence on 1-node ring = %v", seq)
 	}
-	r.Remove("ghost") // idempotent no-op
-	r.Remove("solo")
-	r.Remove("solo")
-	if r.Len() != 0 {
-		t.Fatalf("len after removal = %d", r.Len())
+	if got := routeSkipping(r, "k", map[string]bool{"solo": true}); got != "" {
+		t.Fatalf("1-node ring skipping its node routes to %q, want none", got)
 	}
 }
 
-// TestRingModel drives the ring with seeded random adds and removes,
-// repeats included, next to a model that places every member's virtual
-// nodes itself. After every step the ring must pass check(), list the
-// model's members, and route each probe key to the owner of the first
-// model position at or after the key's hash.
+// TestRingModel drives the ring with seeded random adds, repeats
+// included, rebuilding it from empty every 40 steps, next to a model that
+// places every member's virtual nodes itself. After every Add the ring
+// must pass check() and list the model's members; then a random set of
+// members is skipped, and each probe key must route to the owner of the
+// first position at or after its hash on a model ring of the rest.
 func TestRingModel(t *testing.T) {
 	const replicas = 8
 	rng := rand.New(rand.NewSource(41))
-	r := NewRing(replicas)
-	members := map[string]bool{}
+	var r *Ring
+	var members map[string]bool
 	keys := ringKeys(32)
 	for step := 0; step < 400; step++ {
-		id := "n" + strconv.Itoa(rng.Intn(6))
-		if rng.Intn(2) == 0 {
-			r.Add(id)
-			members[id] = true
-		} else {
-			r.Remove(id)
-			delete(members, id)
+		if step%40 == 0 {
+			r, members = NewRing(replicas), map[string]bool{}
 		}
+		id := "n" + strconv.Itoa(rng.Intn(6))
+		r.Add(id)
+		members[id] = true
 		if err := r.check(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if !reflect.DeepEqual(r.nodes, members) {
+			t.Fatalf("step %d: nodes %v, model %v", step, r.nodes, members)
+		}
 
+		skip := map[string]bool{}
 		owner := map[uint64]string{}
 		var pos []uint64
-		for m := range members {
+		for n := 0; n < 6; n++ {
+			m := "n" + strconv.Itoa(n)
+			if !members[m] {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				skip[m] = true
+				continue
+			}
 			for i := 0; i < replicas; i++ {
 				h := ringHash(m + "#" + strconv.Itoa(i))
 				owner[h] = m
@@ -170,9 +181,6 @@ func TestRingModel(t *testing.T) {
 			}
 		}
 		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-		if !reflect.DeepEqual(r.nodes, members) {
-			t.Fatalf("step %d: nodes %v, model %v", step, r.nodes, members)
-		}
 		for _, k := range keys {
 			want := ""
 			if len(pos) > 0 {
@@ -180,8 +188,8 @@ func TestRingModel(t *testing.T) {
 				i := sort.Search(len(pos), func(i int) bool { return pos[i] >= h })
 				want = owner[pos[i%len(pos)]]
 			}
-			if got := lookup(r, k); got != want {
-				t.Fatalf("step %d: lookup(%q) = %q, model %q", step, k, got, want)
+			if got := routeSkipping(r, k, skip); got != want {
+				t.Fatalf("step %d: key %q skipping %v routes to %q, model %q", step, k, skip, got, want)
 			}
 		}
 	}

@@ -322,30 +322,16 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 // from (e.g. a ratio of two live counters). fn must be safe for concurrent
 // use. Registering over an existing function or value gauge panics — two
 // closures cannot be compared for idempotence, and silently keeping either
-// one hides a stale-closure bug. Use SetGaugeFunc when replacement is the
-// intent (e.g. a re-created component re-binding its scrape closure).
+// one hides a stale-closure bug.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.setGaugeFunc(name, help, labels, fn, false)
-}
-
-// SetGaugeFunc registers or explicitly replaces the derived gauge for
-// name+labels. This is the re-bind path for components that are torn down
-// and re-created (a fabric backend re-joining re-points the series at the
-// new breaker); family type/help conflicts and a value gauge on the same
-// series still panic.
-func (r *Registry) SetGaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.setGaugeFunc(name, help, labels, fn, true)
-}
-
-func (r *Registry) setGaugeFunc(name, help string, labels Labels, fn func() float64, replace bool) {
 	if fn == nil {
 		panic(fmt.Sprintf("telemetry: nil GaugeFunc for %q", name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.lookup(name, help, "gauge", labels)
-	if s.gaugeFn != nil && !replace {
-		panic(fmt.Sprintf("telemetry: derived gauge %q%s already registered; use SetGaugeFunc to replace it", name, s.labels))
+	if s.gaugeFn != nil {
+		panic(fmt.Sprintf("telemetry: derived gauge %q%s already registered", name, s.labels))
 	}
 	if s.gauge != nil {
 		panic(fmt.Sprintf("telemetry: gauge %q%s already registered as a value gauge", name, s.labels))

@@ -268,20 +268,11 @@ func TestRegistrationCollisions(t *testing.T) {
 
 	fn := func() float64 { return 1 }
 	r.GaugeFunc("derived", "d", nil, fn)
-	mustPanic(t, "use SetGaugeFunc", func() { r.GaugeFunc("derived", "d", nil, fn) })
+	mustPanic(t, "derived gauge", func() { r.GaugeFunc("derived", "d", nil, fn) })
 	mustPanic(t, "derived gauge", func() { r.Gauge("derived", "d", nil) })
-	r.SetGaugeFunc("derived", "d", nil, func() float64 { return 2 })
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "derived 2") {
-		t.Fatalf("SetGaugeFunc did not replace the closure:\n%s", sb.String())
-	}
 
 	r.Gauge("plain", "p", nil)
 	mustPanic(t, "value gauge", func() { r.GaugeFunc("plain", "p", nil, fn) })
-	mustPanic(t, "value gauge", func() { r.SetGaugeFunc("plain", "p", nil, fn) })
 }
 
 func TestHistogramExemplarExposition(t *testing.T) {

@@ -28,21 +28,14 @@ import (
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/scene"
 	"roadtrojan/internal/shapes"
-	"roadtrojan/internal/tensor"
 	"roadtrojan/internal/yolo"
 )
 
 // Re-exported core types. Aliases keep the internal packages private while
 // giving users real access to the data types they receive.
 type (
-	// Tensor is the dense float64 array type images and patches use.
-	Tensor = tensor.Tensor
 	// Class is one of the five detector labels.
 	Class = scene.Class
-	// Box is a center-format bounding box in pixels.
-	Box = scene.Box
-	// Detection is one decoded detector output.
-	Detection = yolo.Detection
 	// Score bundles PWC and CWC for one evaluation.
 	Score = metrics.Score
 	// AttackConfig parameterizes decal crafting (N, k, shape, α, EOT, …).
@@ -55,20 +48,10 @@ type (
 	Shape = shapes.Shape
 	// Condition fixes the evaluation environment (digital vs physical).
 	Condition = eval.Condition
-	// Table is a paper-style result table.
-	Table = eval.Table
-	// Row is one table row.
-	Row = eval.Row
 )
 
-// The five dataset classes.
-const (
-	Person  = scene.Person
-	Word    = scene.Word
-	Mark    = scene.Mark
-	Car     = scene.Car
-	Bicycle = scene.Bicycle
-)
+// Car is the target class of the paper's attacks.
+const Car = scene.Car
 
 // The four decal silhouettes.
 const (
@@ -121,7 +104,7 @@ func TrainDetector(cfg DetectorConfig) (*Detector, *scene.Dataset, error) {
 }
 
 // LoadDetector restores a detector from a weights file written by
-// SaveDetector (or cmd/trainyolo).
+// cmd/trainyolo (nn.SaveStateFile of the model's state).
 func LoadDetector(path string) (*Detector, error) {
 	state, err := nn.LoadStateFile(path)
 	if err != nil {
@@ -133,19 +116,6 @@ func LoadDetector(path string) (*Detector, error) {
 	}
 	m.SetTraining(false)
 	return &Detector{model: m}, nil
-}
-
-// SaveDetector writes the detector weights to path.
-func (d *Detector) SaveDetector(path string) error {
-	return nn.SaveStateFile(path, d.model.State())
-}
-
-// Detect runs inference on a [3,H,W] image in [0,1].
-func (d *Detector) Detect(img *Tensor) []Detection {
-	d.model.SetTraining(false)
-	batch := img.Reshape(1, 3, img.Dim(1), img.Dim(2))
-	heads := d.model.Forward(batch)
-	return d.model.DecodeSample(heads, 0, yolo.DefaultDecode())
 }
 
 // NewRoadScene builds the "real-world environment": a textured asphalt road
@@ -217,11 +187,6 @@ func EvaluateScenarioTraced(d *Detector, sc Scene, patch *Patch, target Class, c
 		return Score{}, err
 	}
 	return detail.Score, nil
-}
-
-// EvaluateRow scores a patch across several challenges as one table row.
-func EvaluateRow(d *Detector, sc Scene, patch *Patch, target Class, name string, challenges []string, cond Condition) (Row, error) {
-	return eval.RunRow(d.model, scene.DefaultCamera(), sc, patch, target, name, challenges, cond)
 }
 
 // AllChallenges lists the Table I column order.

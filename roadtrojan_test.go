@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"roadtrojan/internal/attack"
+	"roadtrojan/internal/nn"
 	"roadtrojan/internal/serve"
 	"roadtrojan/internal/shapes"
 	"roadtrojan/internal/tensor"
@@ -37,7 +38,7 @@ func TestFacadeTrainSaveLoadDetect(t *testing.T) {
 	det := microDetector(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "det.rtwt")
-	if err := det.SaveDetector(path); err != nil {
+	if err := nn.SaveStateFile(path, det.Model().State()); err != nil {
 		t.Fatal(err)
 	}
 	det2, err := LoadDetector(path)
@@ -46,7 +47,7 @@ func TestFacadeTrainSaveLoadDetect(t *testing.T) {
 	}
 
 	sc := NewSimScene()
-	// Render a frame via the evaluation path and ensure Detect runs.
+	// Render frames via the evaluation path and run the loaded detector.
 	s, err := EvaluateScenario(det2, sc, nil, Car, "fix", DigitalCondition())
 	if err != nil {
 		t.Fatal(err)
