@@ -98,16 +98,14 @@ func run() error {
 	}
 	sinks = append(sinks, obs.NewTextSink(os.Stdout))
 	if *progress != "" {
-		prog := obs.NewProgressSink(nil)
+		prog := obs.NewProgressSink()
 		srv, err := obs.ServeProgress(*progress, prog)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Printf("progress on http://%s/progress (metrics: /metrics, profiler: /debug/pprof)\n", srv.Addr)
-		// The telemetry sink folds the same record stream into the
-		// registry /metrics serves, so scrapers see live counters too.
-		sinks = append(sinks, prog, obs.NewTelemetrySink(prog.Registry()))
+		sinks = append(sinks, prog)
 	}
 	tr := obs.New(obs.Multi(sinks...), obs.NewLogicalClock())
 

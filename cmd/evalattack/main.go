@@ -92,14 +92,14 @@ func run() error {
 		sinks = append(sinks, j)
 	}
 	if *progress != "" {
-		prog := obs.NewProgressSink(nil)
+		prog := obs.NewProgressSink()
 		srv, err := obs.ServeProgress(*progress, prog)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Printf("progress on http://%s/progress (metrics: /metrics, profiler: /debug/pprof)\n", srv.Addr)
-		sinks = append(sinks, prog, obs.NewTelemetrySink(prog.Registry()))
+		sinks = append(sinks, prog)
 	}
 	tr := obs.New(obs.Multi(sinks...), obs.NewLogicalClock())
 

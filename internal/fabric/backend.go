@@ -48,8 +48,7 @@ type backend struct {
 	conn     net.Conn
 	writeMu  sync.Mutex
 	pending  map[uint64]chan jobReply // each buffered 1
-	up       bool
-	draining bool // a Health frame on this connection reported Draining
+	draining bool                     // a Health frame on this connection reported Draining
 	health   Health
 	lastSeen time.Time
 }
@@ -107,7 +106,9 @@ func (b *backend) runLoop() {
 			} else {
 				b.breaker.success()
 				backoff = b.g.cfg.RedialBackoff
-				b.attach(conn, h)
+				if !b.attach(conn, h) {
+					return
+				}
 				b.readLoop(conn)
 				b.detach(conn)
 				if b.g.isClosed() {
@@ -159,16 +160,24 @@ func (b *backend) awaitHello(conn net.Conn) (Health, error) {
 // attach marks the backend up. The first health report h was already
 // consumed by the handshake, so it is recorded here; its Draining flag is
 // the only one that can clear draining, which is how a node that left and
-// restarted becomes routable again.
-func (b *backend) attach(conn net.Conn, h Health) {
+// restarted becomes routable again. A handshake that ends after the
+// gateway's Close closes conn and reports false: Close reads b.conn under
+// b.mu after closing the gateway, so each connection is closed by one side
+// or the other.
+func (b *backend) attach(conn net.Conn, h Health) bool {
 	b.mu.Lock()
+	if b.g.isClosed() {
+		b.mu.Unlock()
+		conn.Close()
+		return false
+	}
 	b.conn = conn
-	b.up = true
 	b.draining = h.Draining
 	b.health = h
 	b.lastSeen = b.g.clock.Now()
 	b.mu.Unlock()
 	b.g.backendUp(b.addr, true)
+	return true
 }
 
 // detach fails every pending job with errBackendDown so dispatch can retry
@@ -178,7 +187,6 @@ func (b *backend) detach(conn net.Conn) {
 	b.mu.Lock()
 	if b.conn == conn {
 		b.conn = nil
-		b.up = false
 	}
 	orphans := make([]chan jobReply, 0, len(b.pending))
 	for id, done := range b.pending {
@@ -265,7 +273,7 @@ func (b *backend) deliver(id uint64, r jobReply) {
 func (b *backend) available(now time.Time) (ok, draining bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ok = b.up && !b.draining && !b.g.isClosed() && now.Sub(b.lastSeen) <= b.g.cfg.HeartbeatTimeout
+	ok = b.conn != nil && !b.draining && !b.g.isClosed() && now.Sub(b.lastSeen) <= b.g.cfg.HeartbeatTimeout
 	return ok, b.draining
 }
 
@@ -273,7 +281,7 @@ func (b *backend) available(now time.Time) (ok, draining bool) {
 func (b *backend) snapshot() (Health, bool, time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.health, b.up && !b.draining && !b.g.isClosed(), b.lastSeen
+	return b.health, b.conn != nil && !b.draining && !b.g.isClosed(), b.lastSeen
 }
 
 // roundTrip sends one job and blocks for its reply. req is the request JSON
@@ -291,7 +299,7 @@ func (b *backend) roundTrip(ctx context.Context, req []byte, trace string) ([]by
 	done := make(chan jobReply, 1)
 
 	b.mu.Lock()
-	if !b.up || b.conn == nil {
+	if b.conn == nil {
 		b.mu.Unlock()
 		return nil, errBackendDown
 	}

@@ -728,6 +728,39 @@ func TestGatewayRoutesRestartedNode(t *testing.T) {
 	}
 }
 
+// TestGatewayCloseDropsDialingBackend: Close sweeps only connections that
+// are attached, so a backend still dialing or in its handshake attaches
+// after the sweep. The gateway must hang up on that connection itself
+// instead of holding it open until the node leaves.
+func TestGatewayCloseDropsDialingBackend(t *testing.T) {
+	fn := startNodes(t, fabricDetector(), 1, serve.Config{Workers: 1, QueueSize: 1}, nil)[0]
+	conns := fn.node.connsGauge
+	dialed := make(chan struct{})
+	var dialedOnce sync.Once
+	closed := make(chan struct{})
+	g := NewGateway(GatewayConfig{Nodes: []string{fn.addr}, Dial: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		dialedOnce.Do(func() { close(dialed) })
+		<-closed // the connection is handed over only once Close has returned
+		return conn, err
+	}})
+	<-dialed
+	waitUntil(t, "the node to accept the gateway's dial", func() bool { return conns.Value() == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := g.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(closed)
+	deadline := time.Now().Add(5 * time.Second)
+	for conns.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("node still holds %v gateway connection(s) 5s after the gateway closed", conns.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSaturationBackpressure fills every shard's bounded queue and expects
 // the HTTP edge to answer 429 with a usable Retry-After rather than
 // queueing unboundedly or retrying forever.

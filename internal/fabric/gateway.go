@@ -384,8 +384,9 @@ func (g *Gateway) spanUnder(ctx context.Context, name string, attrs ...obs.Attr)
 }
 
 // Close shuts the gateway down: redials stop, idle connections close now
-// and busy ones with their last reply, async jobs get until ctx to finish,
-// late submissions fail.
+// and busy ones with their last reply, a handshake still in progress
+// closes its connection when it completes, async jobs get until ctx to
+// finish, late submissions fail.
 func (g *Gateway) Close(ctx context.Context) error {
 	g.mu.Lock()
 	if g.isClosed() {

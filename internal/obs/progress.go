@@ -33,29 +33,49 @@ type ProgressState struct {
 	Records    int64   `json:"records"`
 }
 
-// ProgressSink maintains ProgressState from the record stream and serves it
-// over HTTP together with /metrics and (always, since a progress listener is
-// an explicit debugging opt-in) /debug/pprof.
+// attackLossBuckets cover the observed range of detector attack losses
+// (roughly 0.01 … 100 across methods and scenes), log-spaced.
+var attackLossBuckets = []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
+
+// ProgressSink keeps ProgressState and the obs_* metric families current
+// from the record stream and serves both over HTTP, together with
+// /debug/pprof (always, since a progress listener is an explicit debugging
+// opt-in).
 type ProgressSink struct {
 	mu    sync.Mutex
 	state ProgressState
 	reg   *telemetry.Registry
+
+	iters      *telemetry.Counter
+	evalRuns   *telemetry.Counter
+	verifies   *telemetry.Counter
+	spans      *telemetry.Counter
+	attackLoss *telemetry.Histogram
+	pTarget    *telemetry.Gauge
+	bestScore  *telemetry.Gauge
+	lastPWC    *telemetry.Gauge
+	gradNorm   *telemetry.Gauge
 }
 
-// NewProgressSink returns an empty progress view. reg may be nil; then
-// /metrics serves an empty registry.
-func NewProgressSink(reg *telemetry.Registry) *ProgressSink {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+// NewProgressSink returns an empty progress view over a fresh registry
+// holding the obs_* families.
+func NewProgressSink() *ProgressSink {
+	reg := telemetry.NewRegistry()
+	return &ProgressSink{
+		reg:        reg,
+		iters:      reg.Counter("obs_train_iterations_total", "Attack-trainer iterations observed.", nil),
+		evalRuns:   reg.Counter("obs_eval_runs_total", "Evaluation repetitions observed.", nil),
+		verifies:   reg.Counter("obs_verify_total", "Snapshot verifications observed.", nil),
+		spans:      reg.Counter("obs_spans_total", "Spans opened.", nil),
+		attackLoss: reg.Histogram("obs_attack_loss", "Per-iteration raw attack loss.", nil, attackLossBuckets),
+		pTarget:    reg.Gauge("obs_p_target", "Latest mean target-class probability.", nil),
+		bestScore:  reg.Gauge("obs_best_verify_score", "Best combined verify score so far.", nil),
+		lastPWC:    reg.Gauge("obs_last_pwc", "Most recent per-run PWC.", nil),
+		gradNorm:   reg.Gauge("obs_grad_norm", "Latest patch-layer gradient L2 norm.", nil),
 	}
-	return &ProgressSink{reg: reg}
 }
 
-// Registry returns the registry /metrics serves, for composing with a
-// TelemetrySink feeding the same registry.
-func (p *ProgressSink) Registry() *telemetry.Registry { return p.reg }
-
-// Emit updates the live snapshot.
+// Emit updates the live snapshot and the metric families.
 func (p *ProgressSink) Emit(r *Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -73,13 +93,24 @@ func (p *ProgressSink) Emit(r *Record) {
 		p.state.GradNorm = r.Float("grad_norm")
 		p.state.Best = r.Float("best")
 		p.state.InkMean = r.Float("ink_mean")
+		p.iters.Inc()
+		p.attackLoss.Observe(p.state.AttackLoss)
+		p.pTarget.Set(p.state.PTarget)
+		p.bestScore.Set(p.state.Best)
+		p.gradNorm.Set(p.state.GradNorm)
 	case "verify":
 		p.state.Verifies++
 		p.state.Best = r.Float("best")
+		p.verifies.Inc()
+		p.bestScore.Set(p.state.Best)
 	case "eval_run":
 		p.state.EvalRuns++
 		p.state.LastPWC = r.Float("pwc")
 		p.state.LastCWC = r.Int("cwc") == 1
+		p.evalRuns.Inc()
+		p.lastPWC.Set(p.state.LastPWC)
+	case "span_start":
+		p.spans.Inc()
 	}
 }
 

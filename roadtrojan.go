@@ -7,12 +7,8 @@
 // over rotation / speed / angle challenges.
 //
 // This root package is the public API; the implementation lives under
-// internal/. Typical flow:
-//
-//	det, ds, _ := roadtrojan.TrainDetector(roadtrojan.DefaultDetectorConfig())
-//	sc := roadtrojan.NewSimScene()
-//	patch, _, _ := roadtrojan.CraftPatch(det, sc, roadtrojan.DefaultAttackConfig())
-//	score, _ := roadtrojan.EvaluateScenario(det, sc, patch, roadtrojan.Car, "slow", roadtrojan.DigitalCondition())
+// internal/. The package example shows the typical flow: train the
+// detector, craft a patch, score one challenge.
 package roadtrojan
 
 import (
@@ -27,7 +23,6 @@ import (
 	"roadtrojan/internal/nn"
 	"roadtrojan/internal/obs"
 	"roadtrojan/internal/scene"
-	"roadtrojan/internal/shapes"
 	"roadtrojan/internal/yolo"
 )
 
@@ -44,22 +39,12 @@ type (
 	Patch = attack.Patch
 	// Scene is an attacked road location.
 	Scene = attack.Scene
-	// Shape is a decal silhouette (star/circle/square/triangle).
-	Shape = shapes.Shape
 	// Condition fixes the evaluation environment (digital vs physical).
 	Condition = eval.Condition
 )
 
 // Car is the target class of the paper's attacks.
 const Car = scene.Car
-
-// The four decal silhouettes.
-const (
-	Star     = shapes.Star
-	Circle   = shapes.Circle
-	Square   = shapes.Square
-	Triangle = shapes.Triangle
-)
 
 // Detector wraps the victim YOLOv3-tiny-style model.
 type Detector struct {
@@ -146,13 +131,8 @@ func CraftPatchTraced(d *Detector, sc Scene, cfg AttackConfig, tr *obs.Trace) (*
 	return p, err
 }
 
-// CraftBaselinePatch trains the colored EOT baseline [34] (Sava et al.).
-func CraftBaselinePatch(d *Detector, sc Scene, cfg AttackConfig, log io.Writer) (*Patch, error) {
-	return CraftBaselinePatchTraced(d, sc, cfg, obs.TextTrace(log))
-}
-
-// CraftBaselinePatchTraced is CraftBaselinePatch with a structured trace
-// (see CraftPatchTraced).
+// CraftBaselinePatchTraced trains the colored EOT baseline [34] (Sava et
+// al.) with a structured trace (see CraftPatchTraced).
 func CraftBaselinePatchTraced(d *Detector, sc Scene, cfg AttackConfig, tr *obs.Trace) (*Patch, error) {
 	p, _, err := attack.TrainBaseline(d.model, scene.DefaultCamera(), sc, cfg, tr)
 	return p, err

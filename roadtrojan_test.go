@@ -89,7 +89,7 @@ func TestFacadeCraftAndEvaluate(t *testing.T) {
 	if p.IsColored() {
 		t.Fatal("ours must be monochrome")
 	}
-	pb, err := CraftBaselinePatch(det, sc, cfg, nil)
+	pb, err := CraftBaselinePatchTraced(det, sc, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

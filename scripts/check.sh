@@ -63,12 +63,13 @@ go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 # detector, and a node must answer one job with exactly one frame (Health
 # first, one Result per Job, a draining Health on Close), a node closed
 # while jobs stream in must answer every job it accepted before Close
-# returns, and the client must read every one of those replies, and a node
-# that drains and restarts at the same address must get jobs again. Fast
-# and focused, so fabric wiring regressions fail here with a readable name
-# before the full suite runs.
-echo "== fabric smoke (gateway + 2 nodes, one frame per job, close under load, restart)"
-go test -race -count 1 -run 'TestFabricSmoke|TestNodeAnswersEachJobWithOneFrame|TestNodeCloseAnswersEveryAcceptedJob|TestNodeCloseRepliesReachPeer|TestGatewayRoutesRestartedNode' ./internal/fabric
+# returns, and the client must read every one of those replies, a node
+# that drains and restarts at the same address must get jobs again, and a
+# gateway closed while a backend is still dialing must hang up on that
+# connection once the dial completes. Fast and focused, so fabric wiring
+# regressions fail here with a readable name before the full suite runs.
+echo "== fabric smoke (gateway + 2 nodes, one frame per job, close under load, restart, close while dialing)"
+go test -race -count 1 -run 'TestFabricSmoke|TestNodeAnswersEachJobWithOneFrame|TestNodeCloseAnswersEveryAcceptedJob|TestNodeCloseRepliesReachPeer|TestGatewayRoutesRestartedNode|TestGatewayCloseDropsDialingBackend' ./internal/fabric
 
 # Trace golden gate: the committed tracetool fixture must merge
 # byte-for-byte into testdata/merged.golden, and a live gateway plus
