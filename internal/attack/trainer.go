@@ -125,36 +125,34 @@ func (p trajectoryPools) sampleWindow(rng *rand.Rand, consecutive bool, w int) [
 // samples and runs the detector's attack loss. It returns the loss, the
 // texture gradient, and the mean target probability. Each frame's EOT draw
 // is journaled on sp (free when tracing is off).
+//
+// The EOT draws come off rng, and are journaled, in frame order before any
+// frame renders; the frames then render, and later backpropagate,
+// concurrently, each into its own slot. The texture gradient is summed in
+// ascending frame order, so the bytes do not depend on the worker count.
 func forwardFrames(det *yolo.Model, g *scene.Ground, decaled *tensor.Tensor, window []scene.TrajectoryStep,
 	sampler *eot.Sampler, rng *rand.Rand, sc Scene, targetClass scene.Class,
 	sp *obs.Span, it int) (float64, *tensor.Tensor, float64, error) {
 
 	w := len(window)
 	imgH, imgW := window[0].Cam.ImgH, window[0].Cam.ImgW
-	batch := tensor.New(w, 3, imgH, imgW)
-	graphs := make([]*frameGraph, w)
+	applied := make([]*eot.Applied, w)
 	targets := make([]yolo.AttackTarget, w)
-	sz := 3 * imgH * imgW
 	for i, st := range window {
-		applied := sampler.Sample(rng, imgH, imgW)
+		a := sampler.Sample(rng, imgH, imgW)
+		applied[i] = a
 		sp.EOT(obs.EOTDraw{
 			It: it, Frame: i,
-			Resize: applied.Params.Resize, Rotation: applied.Params.Rotation,
-			Bright: applied.Params.Bright, Gamma: applied.Params.Gamma, Persp: applied.Params.Persp,
+			Resize: a.Params.Resize, Rotation: a.Params.Rotation,
+			Bright: a.Params.Bright, Gamma: a.Params.Gamma, Persp: a.Params.Persp,
 		})
-		img, fg, err := renderTrainFrame(g, decaled, st, applied)
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		copy(batch.Data()[i*sz:(i+1)*sz], img.Data())
-		graphs[i] = fg
 		box, ok := st.Cam.GroundBoxToImage(sc.GX0, sc.GY0, sc.GX1, sc.GY1)
 		if ok {
 			// The EOT geometry moved the scene inside the frame; the attack
 			// loss must hit the cells where the target actually landed.
-			cx, cy, w, h, valid := applied.MapBox(box.CX, box.CY, box.W, box.H)
+			cx, cy, bw, bh, valid := a.MapBox(box.CX, box.CY, box.W, box.H)
 			if valid {
-				box = scene.Box{CX: cx, CY: cy, W: w, H: h}
+				box = scene.Box{CX: cx, CY: cy, W: bw, H: bh}
 			} else {
 				ok = false
 			}
@@ -163,6 +161,25 @@ func forwardFrames(det *yolo.Model, g *scene.Ground, decaled *tensor.Tensor, win
 			box = scene.Box{CX: -100, CY: -100, W: 1, H: 1} // contributes nothing
 		}
 		targets[i] = yolo.AttackTarget{Box: box, Class: targetClass}
+	}
+
+	batch := tensor.New(w, 3, imgH, imgW)
+	graphs := make([]*frameGraph, w)
+	errs := make([]error, w)
+	sz := 3 * imgH * imgW
+	tensor.ParallelFor(w, func(i int) {
+		img, fg, err := renderTrainFrame(g, decaled, window[i], applied[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		copy(batch.Data()[i*sz:(i+1)*sz], img.Data())
+		graphs[i] = fg
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, nil, 0, err
+		}
 	}
 
 	det.SetTraining(false)
@@ -176,15 +193,15 @@ func forwardFrames(det *yolo.Model, g *scene.Ground, decaled *tensor.Tensor, win
 
 	dBatch := det.InputGrad(dHeads) // the detector is frozen (white-box victim)
 
-	var dTex *tensor.Tensor
-	for i := range graphs {
-		dImg := tensor.FromSlice(append([]float64(nil), dBatch.Data()[i*sz:(i+1)*sz]...), 3, imgH, imgW)
-		dt := graphs[i].backward(dImg)
-		if dTex == nil {
-			dTex = dt
-		} else {
-			dTex.AddInPlace(dt)
-		}
+	// Each frame's backward reads and may overwrite only its own slice of
+	// dBatch, which nothing reads afterwards.
+	dts := make([]*tensor.Tensor, w)
+	tensor.ParallelFor(w, func(i int) {
+		dts[i] = graphs[i].backward(tensor.FromSlice(dBatch.Data()[i*sz:(i+1)*sz], 3, imgH, imgW))
+	})
+	dTex := dts[0]
+	for _, dt := range dts[1:] {
+		dTex.AddInPlace(dt)
 	}
 	tensor.AssertFiniteScalar("attack loss", loss)
 	tensor.AssertFinite("texture gradient", dTex)

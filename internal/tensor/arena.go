@@ -17,7 +17,7 @@ const (
 	// ScratchDCols holds the column gradient scattered by Col2Im.
 	ScratchDCols
 	// ScratchWT holds a transposed weight matrix shared read-only by all
-	// workers of one dispatch.
+	// workers of one dispatch, or one worker's own column block of it.
 	ScratchWT
 	// ScratchA and ScratchB are general-purpose slots for callers outside
 	// this package (nn.Linear reuses them for transpose scratch).

@@ -174,7 +174,9 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 // partials are merged into dWeight/dBias in ascending lane order after the
 // join. The floating-point summation tree therefore depends only on n (and
 // for n = 1 it matches the sequential pre-optimization kernel bit for
-// bit). An input-gradient-only call has nothing to reduce and spreads its
+// bit). An input-gradient-only call has nothing to reduce: it splits the
+// input channels over the workers (inputGradByChannel) when each gets at
+// least packMinRows rows of the column gradient, and otherwise spreads its
 // samples over Workers(n).
 func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias *Tensor) *Tensor {
 	if refKernels {
@@ -196,12 +198,15 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 	workers := Workers(n)
 	if needW || needB {
 		workers = min(n, gradLanes)
+	} else if p := channelWorkers(c, kh*kw); p > 1 {
+		inputGradByChannel(dIn.data, weight.data, dOut.data, p, n, c, h, w, oc, kh, kw, stride, pad, m)
+		return dIn
 	}
 	ss := AcquireScratch(workers)
 
 	// W^T [k, oc], written once here and read by every worker.
 	wT := ss[0].Buf(ScratchWT, k*oc)
-	transposeInto(wT, weight.data, oc, k)
+	transposeInto(wT, weight.data, oc, k, k)
 
 	// With a single worker the partial-sum indirection is pointless:
 	// accumulate straight into the caller's gradients, which reproduces the
@@ -279,12 +284,54 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 	return dIn
 }
 
+// channelWorkers is the worker count of the input-channel split for c
+// input channels of kk kernel taps each: GOMAXPROCS when every worker's
+// share of channels, at least c/GOMAXPROCS of them, gives it packMinRows
+// column-gradient rows, and 1 (no split) otherwise. Below that row count
+// the matmul falls off the packed kernels, which costs more than the
+// per-sample split's serial transpose.
+func channelWorkers(c, kk int) int {
+	p := runtime.GOMAXPROCS(0)
+	if p > 1 && c/p*kk >= packMinRows {
+		return p
+	}
+	return 1
+}
+
+// inputGradByChannel writes dIn for an input-gradient-only Conv2DBackward
+// over workers slots: slot i owns input channels [i·c/workers,
+// (i+1)·c/workers). It transposes only those channels' weight columns, then
+// walks the samples in ascending order, computing the matching rows of
+// dCols = W^T @ dOut_s and scattering them into its own channels of dIn.
+// No two slots write one element, and every element receives the terms of
+// the per-sample path in the same order, so the bytes do not depend on the
+// worker count.
+func inputGradByChannel(dIn, wdata, dOut []float64, workers, n, c, h, w, oc, kh, kw, stride, pad, m int) {
+	kk := kh * kw
+	ss := AcquireScratch(workers)
+	parallelForSlot(workers, workers, func(slot, i int) {
+		c0, c1 := i*c/workers, (i+1)*c/workers
+		rows := (c1 - c0) * kk
+		sc := ss[slot]
+		wT := sc.Buf(ScratchWT, rows*oc)
+		transposeInto(wT, wdata[c0*kk:], oc, rows, c*kk)
+		dCols := sc.Buf(ScratchDCols, rows*m)
+		for s := 0; s < n; s++ {
+			matMulRowsBlocked(dCols, wT, dOut[s*oc*m:(s+1)*oc*m], 0, rows, oc, m, false)
+			Col2Im(dCols, c1-c0, h, w, kh, kw, stride, pad, dIn[(s*c+c0)*h*w:(s*c+c1)*h*w])
+		}
+	})
+	ReleaseScratch(ss)
+}
+
 // transposeInto writes the [cols, rows] transpose of the row-major
-// [rows, cols] matrix src into dst. The walk is tiled so that both the
-// sequential reads and the strided writes of a tile stay within cache —
-// a straight row scan writes rows*8 bytes apart and misses on every store
-// once rows exceeds a few hundred.
-func transposeInto(dst, src []float64, rows, cols int) {
+// [rows, cols] matrix src into dst, where src's rows start ld elements
+// apart (ld = cols for a whole matrix; larger for a column block of a
+// wider one). The walk is tiled so that both the sequential reads and the
+// strided writes of a tile stay within cache — a straight row scan writes
+// rows*8 bytes apart and misses on every store once rows exceeds a few
+// hundred.
+func transposeInto(dst, src []float64, rows, cols, ld int) {
 	if len(dst) != rows*cols {
 		panic(fmt.Sprintf("tensor: transposeInto dst length %d, want %d", len(dst), rows*cols))
 	}
@@ -300,7 +347,7 @@ func transposeInto(dst, src []float64, rows, cols int) {
 				c1 = cols
 			}
 			for r := r0; r < r1; r++ {
-				srow := src[r*cols+c0 : r*cols+c1]
+				srow := src[r*ld+c0 : r*ld+c1]
 				for i, v := range srow {
 					dst[(c0+i)*rows+r] = v
 				}

@@ -132,7 +132,7 @@ func Transpose2D(t *Tensor) *Tensor {
 	}
 	rows, cols := t.shape[0], t.shape[1]
 	out := New(cols, rows)
-	transposeInto(out.data, t.data, rows, cols)
+	transposeInto(out.data, t.data, rows, cols, cols)
 	return out
 }
 
@@ -144,7 +144,7 @@ func Transpose2DInto(dst []float64, t *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose2DInto requires rank-2 input, got %v", t.shape))
 	}
 	rows, cols := t.shape[0], t.shape[1]
-	transposeInto(dst, t.data, rows, cols)
+	transposeInto(dst, t.data, rows, cols, cols)
 	return FromSlice(dst, cols, rows)
 }
 

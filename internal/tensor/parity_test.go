@@ -454,6 +454,50 @@ func TestConv2DBackwardChunkOracle(t *testing.T) {
 	bitEqual(t, "chunk oracle dB", dB.Data(), wantB.Data())
 }
 
+// TestConv2DInputGradChannelSplitBitExact pins the input-gradient-only
+// backward to the reference kernel at several worker counts, across the
+// input-channel split (uneven channel chunks, c below GOMAXPROCS) and its
+// per-sample fallback (too few rows per worker, the first layer's c = 3).
+func TestConv2DInputGradChannelSplitBitExact(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(41))
+	type shape struct{ c, k int }
+	var shapes []shape
+	for c := 1; c <= 9; c++ {
+		shapes = append(shapes, shape{c, 1}, shape{c, 3})
+	}
+	// 1×1 kernels split only from packMinRows channels per worker on.
+	shapes = append(shapes, shape{26, 1}, shape{51, 1})
+	for _, procs := range []int{2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		split, fallback := 0, 0
+		for _, sh := range shapes {
+			for n := 1; n <= 7; n++ {
+				for _, stride := range []int{1, 2} {
+					cc := convCase{n: n, c: sh.c, h: 4 + rng.Intn(5), w: 4 + rng.Intn(5),
+						oc: 1 + rng.Intn(6), kh: sh.k, kw: sh.k, stride: stride, pad: sh.k / 2}
+					in, wt, _ := convInputs(rng, cc)
+					oh := ConvOut(cc.h, cc.kh, cc.stride, cc.pad)
+					ow := ConvOut(cc.w, cc.kw, cc.stride, cc.pad)
+					dOut := FromSlice(randData(rng, n*cc.oc*oh*ow), n, cc.oc, oh, ow)
+					if channelWorkers(cc.c, cc.kh*cc.kw) > 1 {
+						split++
+					} else {
+						fallback++
+					}
+					got := Conv2DBackward(in, wt, dOut, cc.stride, cc.pad, nil, nil)
+					want := conv2DBackwardRef(in, wt, dOut, cc.stride, cc.pad, nil, nil)
+					bitEqual(t, fmt.Sprintf("GOMAXPROCS %d input grad %v", procs, cc), got.Data(), want.Data())
+				}
+			}
+		}
+		if split == 0 || fallback == 0 {
+			t.Fatalf("GOMAXPROCS %d: %d channel-split and %d fallback cases, want both paths covered", procs, split, fallback)
+		}
+	}
+}
+
 // TestConv2DBackwardNumericGradientBatchedParallel extends the numeric
 // gradient check through the chunked multi-worker reduction: batch > 1 with
 // GOMAXPROCS forced above 1 so the per-slot partial sums and the post-join

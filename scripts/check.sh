@@ -49,13 +49,15 @@ echo "== rtlint corpus + seeded-scratch self-test"
 go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 
 # Focused journal checks first: golden-report drift, journal determinism,
-# the frozen-detector parity checks (input-only backward, batched verify)
-# and the decal-window parity checks fail in seconds here, before the full
-# race suite spins up.
+# the frozen-detector parity checks (input-only backward and its
+# input-channel split, batched verify, concurrent window frames) and the
+# decal-window parity checks fail in seconds here, before the full race
+# suite spins up.
 echo "== golden journal + report + frozen-detector parity"
-go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster' ./internal/attack
+go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster|TestForwardFramesWorkerCountInvariant' ./internal/attack
 go test -count 1 -run 'TestWarpWindowMatchesFullRaster|TestCompositeWindowMatchesFullCanvas' ./internal/imaging
 go test -count 1 -run 'TestInputGradMatchesBackward' ./internal/yolo
+go test -count 1 -run 'TestConv2DInputGradChannelSplitBitExact' ./internal/tensor
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
@@ -106,11 +108,14 @@ go test -count 1 -run 'FuzzDecodeEvalRequest|TestDecodeEvalRequestFallbacks|Test
 go test -count 1 -run 'FuzzJobEnvelope|TestDecodeJobBareAndMalformed|TestGatewayRequestBodyLimits|TestGatewayEscapedBodySharesPlainEntry' ./internal/fabric
 
 # Hit-path and host-independence gate: the allocation bound on an executor
-# cache hit, and the trained bytes at GOMAXPROCS 1, which must match the
-# golden recorded at 2.
-echo "== cache-hit allocations + GOMAXPROCS=1 training golden"
+# cache hit, and the trained bytes at GOMAXPROCS 1, 3 and 4, which must
+# match the golden recorded at 2 (3 splits the detector's input channels
+# into uneven chunks).
+echo "== cache-hit allocations + GOMAXPROCS=1,3,4 training golden"
 go test -count 1 -run 'TestCacheHitSkipsPatchDecode' ./internal/serve
 GOMAXPROCS=1 go test -count 1 -run TestTrainGolden ./internal/attack
+GOMAXPROCS=3 go test -count 1 -run TestTrainGolden ./internal/attack
+GOMAXPROCS=4 go test -count 1 -run TestTrainGolden ./internal/attack
 
 echo "== go test -race ./..."
 go test -race ./...
