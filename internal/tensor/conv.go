@@ -288,8 +288,8 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 // input channels of kk kernel taps each: GOMAXPROCS when every worker's
 // share of channels, at least c/GOMAXPROCS of them, gives it packMinRows
 // column-gradient rows, and 1 (no split) otherwise. Below that row count
-// the matmul falls off the packed kernels, which costs more than the
-// per-sample split's serial transpose.
+// a matmul wider than narrowMaxN falls off the packed kernel, which costs
+// more than the per-sample split's serial transpose.
 func channelWorkers(c, kk int) int {
 	p := runtime.GOMAXPROCS(0)
 	if p > 1 && c/p*kk >= packMinRows {

@@ -91,9 +91,10 @@ func matMulRows(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 // strided loads it removes.
 const packThreshold = 1 << 14
 
-// packMinRows is the minimum row count before packing pays: the packed
-// panel is amortized across the row range, and below this many rows the
-// relayout costs more than the strided loads it eliminates.
+// packMinRows is the minimum row count before packing pays for outputs
+// wider than narrowMaxN: the packed panel is amortized across the row range,
+// and below this many rows the relayout costs more than the strided loads it
+// eliminates.
 const packMinRows = 12
 
 // Shape gates for the streaming kernel: when the row range is too short for
@@ -107,12 +108,12 @@ const (
 	streamMinN = 256
 )
 
-// narrowMaxN: at and below this output width the whole dst row fits a
-// handful of registers, and the binding traffic is re-streaming a (the
-// weight matrix, megabytes for the deep layers) once per column block. The
-// narrow kernel uses 8-column blocks (vs the general kernel's 4) to halve
-// the number of passes over a. Deep conv layers on small feature maps
-// (n = OH*OW = 16) lower to exactly this shape.
+// narrowMaxN: at and below this output width the packed kernel runs for any
+// row count. The whole dst row fits a handful of 8-column register blocks,
+// and the binding traffic is re-streaming a (the weight matrix, megabytes for
+// the deep layers) once per block, so packing b's few columns pays even for
+// a short row range. Deep conv layers on small feature maps (n = OH*OW = 16)
+// lower to exactly this shape.
 const narrowMaxN = 32
 
 // matMulRowsBlocked is the production kernel: tiled over k (mmKC) and n
@@ -137,15 +138,9 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 		matMulRowsStream(dst, a, b, lo, hi, k, n)
 		return
 	}
-	if (hi-lo)*k*n >= packThreshold {
-		if n >= 8 && n <= narrowMaxN {
-			matMulRowsNarrow(dst, a, b, lo, hi, k, n)
-			return
-		}
-		if n >= 4 && hi-lo >= packMinRows {
-			matMulRowsPacked(dst, a, b, lo, hi, k, n)
-			return
-		}
+	if (hi-lo)*k*n >= packThreshold && n >= 8 && (n <= narrowMaxN || hi-lo >= packMinRows) {
+		matMulRowsPacked(dst, a, b, lo, hi, k, n)
+		return
 	}
 	for p0 := 0; p0 < k; p0 += mmKC {
 		p1 := p0 + mmKC
@@ -195,16 +190,17 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 }
 
 // matMulRowsPacked is the large-product path of matMulRowsBlocked. Each
-// [kc, width] tile of b is repacked once into 4-column micro-panels laid
-// out sequentially in p — the inner register loop then reads pack linearly
-// instead of striding n doubles through b, which is what starves the
-// prefetcher on conv-sized products (n = OH*OW in the thousands). With
-// AVX2, each group of four rows runs its panels in pairs through
-// tile4x8AVX2 unless one of its a rows holds ±0 in the k-tile; everything
-// else runs in packedPair and packedRow. The packing is a pure relayout:
-// per output element the accumulation order over p and the av==0 skip are
-// exactly those of the reference kernel, so bit-parity is preserved. dst
-// rows must already hold their initial values (zeroed or accumulating).
+// [kc, ≤mmNC] tile of b is repacked once into 8-column micro-panels laid
+// out sequentially in p — the inner register loop then reads a panel
+// linearly instead of striding n doubles through b, which is what starves
+// the prefetcher on conv-sized products (n = OH*OW in the thousands), and
+// for narrow outputs a is walked once per panel, sequentially. With AVX2,
+// each group of four rows runs its panels in tile4x8AVX2 unless one of its
+// a rows holds ±0 in the k-tile; everything else runs in packedRow. The
+// packing is a pure relayout: per output element the accumulation order
+// over p and the av==0 skip are exactly those of the reference kernel, so
+// bit-parity is preserved. dst rows must already hold their initial values
+// (zeroed or accumulating).
 func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 	// One tile of packed micro-panels. Stack-allocated: goroutine-private by
 	// construction, no arena traffic, and the one-time zeroing is below the
@@ -215,16 +211,18 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 		kc := p1 - p0
 		for j0 := 0; j0 < n; j0 += mmNC {
 			j1 := min(j0+mmNC, n)
-			j4 := j0 + (j1-j0)&^3
-			// Pack: micro-panel jg holds columns [j0+jg, j0+jg+4) for all p
-			// in the tile, contiguous in p. Columns past j4 stay unpacked
-			// and are handled by the scalar tails.
+			j8 := j0 + (j1-j0)&^7
+			// Pack: micro-panel jg holds columns [j0+jg, j0+jg+8) for all p
+			// in the tile, contiguous in p. Columns past j8 stay unpacked
+			// and are handled by the scalar tails. Eight assignments, not
+			// copy: a runtime memmove call per 64 bytes cost twice as much.
 			for p := 0; p < kc; p++ {
-				brow := b[(p0+p)*n+j0 : (p0+p)*n+j4]
-				o := p * 4
-				for jg := 0; jg+4 <= len(brow); jg += 4 {
-					copy(pack[o:o+4], brow[jg:jg+4])
-					o += kc * 4
+				brow := b[(p0+p)*n+j0 : (p0+p)*n+j8]
+				o := p * 8
+				for jg := 0; jg+8 <= len(brow); jg += 8 {
+					d, s := pack[o:o+8:o+8], brow[jg:jg+8:jg+8]
+					d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+					o += kc * 8
 				}
 			}
 			i := lo
@@ -232,173 +230,35 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 				for ; i+4 <= hi; i += 4 {
 					jFrom := j0
 					if !rowsHaveZero(a[i*k+p0:], k, kc) {
-						for ; jFrom+8 <= j4; jFrom += 8 {
-							o := (jFrom - j0) * kc
-							tile8(dst[i*n+jFrom:], n, a[i*k+p0:], k, pack[o:], pack[o+4*kc:], 4, kc)
+						for ; jFrom < j8; jFrom += 8 {
+							tile8(dst[i*n+jFrom:], n, a[i*k+p0:], k, pack[(jFrom-j0)*kc:], 8, kc)
 						}
 					}
-					packedPair(dst, a, b, pack[:], i, k, n, p0, p1, j0, j1, jFrom)
-					packedPair(dst, a, b, pack[:], i+2, k, n, p0, p1, j0, j1, jFrom)
+					for r := i; r < i+4; r++ {
+						packedRow(dst, a, b, pack[:], r, k, n, p0, p1, j0, j1, jFrom)
+					}
 				}
 			}
-			for ; i+2 <= hi; i += 2 {
-				packedPair(dst, a, b, pack[:], i, k, n, p0, p1, j0, j1, j0)
-			}
-			if i < hi {
-				packedRow(dst, a, b, pack[:], i, k, n, p0, p1, j0, j1)
+			for ; i < hi; i++ {
+				packedRow(dst, a, b, pack[:], i, k, n, p0, p1, j0, j1, j0)
 			}
 		}
 	}
 }
 
-// packedPair computes rows i and i+1 of one matMulRowsPacked tile from
-// column jFrom to j1: a 2×4 register block per packed panel (two rows share
-// every panel load, halving the panel traffic per multiply-add), then one
+// packedRow computes row i of one matMulRowsPacked tile from column jFrom
+// to j1: an eight-accumulator register block per packed panel, then one
 // column at a time past the panels.
-func packedPair(dst, a, b, pack []float64, i, k, n, p0, p1, j0, j1, jFrom int) {
+func packedRow(dst, a, b, pack []float64, i, k, n, p0, p1, j0, j1, jFrom int) {
 	kc := p1 - p0
-	j4 := j0 + (j1-j0)&^3
-	arow0 := a[i*k+p0 : i*k+p1]
-	arow1 := a[(i+1)*k+p0 : (i+1)*k+p1]
-	drow0 := dst[i*n : (i+1)*n]
-	drow1 := dst[(i+1)*n : (i+2)*n]
-	jj := jFrom
-	for ; jj+4 <= j4; jj += 4 {
-		acc00, acc01, acc02, acc03 := drow0[jj], drow0[jj+1], drow0[jj+2], drow0[jj+3]
-		acc10, acc11, acc12, acc13 := drow1[jj], drow1[jj+1], drow1[jj+2], drow1[jj+3]
-		panel := pack[(jj-j0)*kc : (jj-j0)*kc+kc*4]
-		for p, av0 := range arow0 {
-			bp := panel[:4]
-			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-			panel = panel[4:]
-			if av0 != 0 {
-				acc00 += av0 * b0
-				acc01 += av0 * b1
-				acc02 += av0 * b2
-				acc03 += av0 * b3
-			}
-			if av1 := arow1[p]; av1 != 0 {
-				acc10 += av1 * b0
-				acc11 += av1 * b1
-				acc12 += av1 * b2
-				acc13 += av1 * b3
-			}
-		}
-		drow0[jj], drow0[jj+1], drow0[jj+2], drow0[jj+3] = acc00, acc01, acc02, acc03
-		drow1[jj], drow1[jj+1], drow1[jj+2], drow1[jj+3] = acc10, acc11, acc12, acc13
-	}
-	for ; jj < j1; jj++ {
-		acc0, acc1 := drow0[jj], drow1[jj]
-		off := p0*n + jj
-		for p, av0 := range arow0 {
-			bv := b[off]
-			if av0 != 0 {
-				acc0 += av0 * bv
-			}
-			if av1 := arow1[p]; av1 != 0 {
-				acc1 += av1 * bv
-			}
-			off += n
-		}
-		drow0[jj], drow1[jj] = acc0, acc1
-	}
-}
-
-// packedRow computes the odd last row of one matMulRowsPacked tile.
-func packedRow(dst, a, b, pack []float64, i, k, n, p0, p1, j0, j1 int) {
-	kc := p1 - p0
-	j4 := j0 + (j1-j0)&^3
+	j8 := j0 + (j1-j0)&^7
 	arow := a[i*k+p0 : i*k+p1]
 	drow := dst[i*n : (i+1)*n]
-	jj := j0
-	for ; jj+4 <= j4; jj += 4 {
-		acc0, acc1, acc2, acc3 := drow[jj], drow[jj+1], drow[jj+2], drow[jj+3]
-		panel := pack[(jj-j0)*kc : (jj-j0)*kc+kc*4]
-		for _, av := range arow {
-			if av != 0 {
-				bp := panel[:4]
-				acc0 += av * bp[0]
-				acc1 += av * bp[1]
-				acc2 += av * bp[2]
-				acc3 += av * bp[3]
-			}
-			panel = panel[4:]
-		}
-		drow[jj], drow[jj+1], drow[jj+2], drow[jj+3] = acc0, acc1, acc2, acc3
-	}
-	for ; jj < j1; jj++ {
-		acc := drow[jj]
-		off := p0*n + jj
-		for _, av := range arow {
-			if av != 0 {
-				acc += av * b[off]
-			}
-			off += n
-		}
-		drow[jj] = acc
-	}
-}
-
-// matMulRowsNarrow is the narrow-output path (n <= narrowMaxN, the deep
-// conv layers where OH*OW has shrunk to a few dozen): b is tiny and packs
-// whole k-tiles into L1, so the binding traffic is streaming a — megabytes
-// of weights — once per column block. Eight-column register blocks mean a is
-// walked only ceil(n/8) times, half as often as the general 4-column
-// kernel, and each walk is sequential. With AVX2, each group of four rows
-// runs its 8-column blocks in tile4x8AVX2 unless one of its a rows holds ±0
-// in the k-tile. Accumulation order and the av==0 skip per output element
-// match the reference kernel exactly. dst rows must already hold their
-// initial values.
-func matMulRowsNarrow(dst, a, b []float64, lo, hi, k, n int) {
-	var pack [mmKC * narrowMaxN]float64
-	n8 := n &^ 7
-	for p0 := 0; p0 < k; p0 += mmKC {
-		p1 := min(p0+mmKC, k)
-		kc := p1 - p0
-		// Pack: column block jg holds columns [jg, jg+8) for every p in the
-		// tile, contiguous in p. Columns past n8 are handled unpacked.
-		for p := 0; p < kc; p++ {
-			brow := b[(p0+p)*n : (p0+p)*n+n8]
-			o := p * 8
-			for jg := 0; jg+8 <= n8; jg += 8 {
-				copy(pack[o:o+8], brow[jg:jg+8])
-				o += kc * 8
-			}
-		}
-		i := lo
-		if useAVX2 {
-			for ; i+4 <= hi; i += 4 {
-				jFrom := 0
-				if !rowsHaveZero(a[i*k+p0:], k, kc) {
-					for jj := 0; jj < n8; jj += 8 {
-						tile8(dst[i*n+jj:], n, a[i*k+p0:], k, pack[jj*kc:], pack[jj*kc+4:], 8, kc)
-					}
-					jFrom = n8
-				}
-				for r := i; r < i+4; r++ {
-					narrowRow(dst, a, b, pack[:], r, k, n, p0, p1, jFrom)
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			narrowRow(dst, a, b, pack[:], i, k, n, p0, p1, 0)
-		}
-	}
-}
-
-// narrowRow computes row i of one matMulRowsNarrow k-tile from column jFrom
-// on: an eight-accumulator register block per packed column block, then one
-// column at a time past the blocks.
-func narrowRow(dst, a, b, pack []float64, i, k, n, p0, p1, jFrom int) {
-	kc := p1 - p0
-	n8 := n &^ 7
-	arow := a[i*k+p0 : i*k+p1]
-	drow := dst[i*n : i*n+n]
 	jj := jFrom
-	for ; jj+8 <= n8; jj += 8 {
+	for ; jj+8 <= j8; jj += 8 {
 		acc0, acc1, acc2, acc3 := drow[jj], drow[jj+1], drow[jj+2], drow[jj+3]
 		acc4, acc5, acc6, acc7 := drow[jj+4], drow[jj+5], drow[jj+6], drow[jj+7]
-		panel := pack[jj*kc : jj*kc+kc*8]
+		panel := pack[(jj-j0)*kc : (jj-j0)*kc+kc*8]
 		for _, av := range arow {
 			if av != 0 {
 				bp := panel[:8]
@@ -416,7 +276,7 @@ func narrowRow(dst, a, b, pack []float64, i, k, n, p0, p1, jFrom int) {
 		drow[jj], drow[jj+1], drow[jj+2], drow[jj+3] = acc0, acc1, acc2, acc3
 		drow[jj+4], drow[jj+5], drow[jj+6], drow[jj+7] = acc4, acc5, acc6, acc7
 	}
-	for ; jj < n; jj++ {
+	for ; jj < j1; jj++ {
 		acc := drow[jj]
 		off := p0*n + jj
 		for _, av := range arow {
@@ -431,7 +291,7 @@ func narrowRow(dst, a, b, pack []float64, i, k, n, p0, p1, jFrom int) {
 
 // rowsHaveZero reports whether one of the four a rows starting at a[0]
 // (lda apart) holds ±0 in its first kc entries. tile4x8AVX2 has no
-// per-term zero skip, so such a row group runs in the Go tiles instead.
+// per-term zero skip, so such a row group runs in packedRow instead.
 // NaN is not zero: the reference kernel multiplies it in, and so does the
 // AVX2 tile.
 func rowsHaveZero(a []float64, lda, kc int) bool {
@@ -446,15 +306,14 @@ func rowsHaveZero(a []float64, lda, kc int) bool {
 }
 
 // tile8 runs tile4x8AVX2 on dst[4,8] += a[4,kc] @ b[kc,8], where row p of
-// b is b0[p*ldb:][:4] followed by b1[p*ldb:][:4] and dst and a rows are
-// ldd and lda doubles apart, after checking that the last element each
-// operand reaches lies inside its slice.
-func tile8(dst []float64, ldd int, a []float64, lda int, b0, b1 []float64, ldb, kc int) {
+// b is b[p*ldb:][:8] and dst and a rows are ldd and lda doubles apart,
+// after checking that the last element each operand reaches lies inside
+// its slice.
+func tile8(dst []float64, ldd int, a []float64, lda int, b []float64, ldb, kc int) {
 	_ = dst[3*ldd+7]
 	_ = a[3*lda+kc-1]
-	_ = b0[(kc-1)*ldb+3]
-	_ = b1[(kc-1)*ldb+3]
-	tile4x8AVX2(&dst[0], ldd, &a[0], lda, &b0[0], &b1[0], ldb, kc)
+	_ = b[(kc-1)*ldb+7]
+	tile4x8AVX2(&dst[0], ldd, &a[0], lda, &b[0], ldb, kc)
 }
 
 // matMulRowsStream is the small-k, large-n path: b rows are streamed

@@ -1,16 +1,16 @@
 package tensor
 
 // useAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers, so matMulRowsPacked and matMulRowsNarrow can run their full
-// 4×8 tiles in tile4x8AVX2. Set once at package init; tests flip it to run
-// both tile paths.
+// registers, so matMulRowsPacked can run its full 4×8 tiles in
+// tile4x8AVX2. Set once at package init; tests flip it to run both tile
+// paths.
 var useAVX2 = detectAVX2()
 
 // tile4x8AVX2 adds a[4,kc] @ b[kc,8] into dst[4,8] in place (see
 // matmul_amd64.s). Call it through tile8, which checks the bounds.
 //
 //go:noescape
-func tile4x8AVX2(dst *float64, ldd int, a *float64, lda int, b0, b1 *float64, ldb, kc int)
+func tile4x8AVX2(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, kc int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

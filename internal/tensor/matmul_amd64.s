@@ -1,23 +1,22 @@
 #include "textflag.h"
 
-// func tile4x8AVX2(dst *float64, ldd int, a *float64, lda int, b0 *float64, b1 *float64, ldb int, kc int)
+// func tile4x8AVX2(dst *float64, ldd int, a *float64, lda int, b *float64, ldb int, kc int)
 //
 // dst[r][c] += a[r][p] * b[p][c] for r in [0,4), c in [0,8), p ascending
-// over [0,kc). Columns 0..3 of b row p are at b0 + p·ldb, columns 4..7 at
-// b1 + p·ldb; rows of dst and a are ldd and lda doubles apart. Y0..Y7 hold
-// the 4×8 dst block for the whole loop. Each product is rounded by VMULPD
-// and each sum by VADDPD, exactly as the scalar Go loop rounds them; a
-// fused multiply-add would round once and change the result. There is no
-// per-term zero skip: the caller must not pass an a row that holds ±0.
-TEXT ·tile4x8AVX2(SB), NOSPLIT, $0-64
+// over [0,kc). Row p of b is the 8 doubles at b + p·ldb; rows of dst and
+// a are ldd and lda doubles apart. Y0..Y7 hold the 4×8 dst block for the
+// whole loop. Each product is rounded by VMULPD and each sum by VADDPD,
+// exactly as the scalar Go loop rounds them; a fused multiply-add would
+// round once and change the result. There is no per-term zero skip: the
+// caller must not pass an a row that holds ±0.
+TEXT ·tile4x8AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), DX
 	MOVQ a+16(FP), SI
 	MOVQ lda+24(FP), R8
-	MOVQ b0+32(FP), BX
-	MOVQ b1+40(FP), R13
-	MOVQ ldb+48(FP), R9
-	MOVQ kc+56(FP), CX
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R9
+	MOVQ kc+48(FP), CX
 	SHLQ $3, DX
 	SHLQ $3, R8
 	SHLQ $3, R9
@@ -43,7 +42,7 @@ TEXT ·tile4x8AVX2(SB), NOSPLIT, $0-64
 
 loop:
 	VMOVUPD      (BX), Y8
-	VMOVUPD      (R13), Y9
+	VMOVUPD      32(BX), Y9
 	VBROADCASTSD (SI), Y10
 	VMULPD       Y8, Y10, Y11
 	VMULPD       Y9, Y10, Y10
@@ -69,7 +68,6 @@ loop:
 	ADDQ         $8, R11
 	ADDQ         $8, R12
 	ADDQ         R9, BX
-	ADDQ         R9, R13
 	DECQ         CX
 	JNE          loop
 

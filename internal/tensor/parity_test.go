@@ -156,7 +156,8 @@ func testMatMulBlockedPartialRows(t *testing.T) {
 }
 
 // detectorShapes are the matmul shapes the 64×64 detector's conv layers
-// lower to (BenchmarkMatMulDetectorShapes times the same list).
+// lower to, forward and input gradient, plus short-row narrow products
+// (BenchmarkMatMulDetectorShapes times the same list).
 var detectorShapes = []struct{ m, k, n int }{
 	{8, 27, 4096},   // b1: 3->8ch, 64x64
 	{16, 72, 1024},  // b2
@@ -165,13 +166,26 @@ var detectorShapes = []struct{ m, k, n int }{
 	{128, 576, 16},  // b5
 	{256, 1152, 16}, // b6 (dominant)
 	{64, 864, 64},   // h2pre
+	// Input gradients, W^T @ dOut; b6 and b5 as one of two workers'
+	// input-channel shares.
+	{27, 8, 4096},  // b1; 27 rows, not a multiple of 4
+	{72, 16, 1024}, // b2
+	{576, 256, 16}, // b6
+	{288, 128, 16}, // b5
+	// Head convs: 30 rows, not a multiple of 4.
+	{30, 128, 16}, // h1conv
+	{30, 64, 64},  // h2conv
+	// Narrow outputs with fewer than packMinRows rows.
+	{1, 1024, 32},
+	{5, 400, 16},
 }
 
-// TestMatMulTilesMatchRefBitExact drives the packed and narrow paths, with
-// and without the AVX2 tiles, on the detector's shapes and on random shapes
-// large enough to take them. The a operand is zero-free (every 4-row tile
-// reaches the kernel), sparse (the zero-skip fallback) or wide-exponent
-// with ±Inf and NaN spots, and the initial dst holds −0 values.
+// TestMatMulTilesMatchRefBitExact drives the packed path, with and without
+// the AVX2 tiles, on the detector's shapes, on the dispatch boundaries at
+// n = 8, 32 and 33 with 11 and 12 rows, and on random shapes large enough
+// to take it. The a operand is zero-free (every 4-row tile reaches the
+// kernel), sparse (the zero-skip fallback) or wide-exponent with ±Inf and
+// NaN spots, and the initial dst holds −0 values.
 func TestMatMulTilesMatchRefBitExact(t *testing.T) {
 	withTilePaths(t, testMatMulTilesMatchRef)
 }
@@ -183,7 +197,13 @@ func testMatMulTilesMatchRef(t *testing.T) {
 	for _, s := range detectorShapes {
 		shapes = append(shapes, shape{s.m, s.k, s.n})
 	}
-	for len(shapes) < 40 {
+	for _, n := range []int{8, 32, 33} {
+		for _, m := range []int{packMinRows - 1, packMinRows} {
+			shapes = append(shapes, shape{m, 200, n})
+		}
+	}
+	fixed := len(shapes)
+	for len(shapes) < fixed+33 {
 		s := shape{packMinRows + rng.Intn(50), 1 + rng.Intn(300), 8 + rng.Intn(150)}
 		if len(shapes)%2 == 0 {
 			s.n = 8 + rng.Intn(narrowMaxN-7)
@@ -217,9 +237,8 @@ func testMatMulTilesMatchRef(t *testing.T) {
 	}
 }
 
-// TestTile4x8MatchesRef calls the AVX2 kernel directly, on both panel
-// layouts it serves (two 4-column panels with ldb 4, and one 8-column block
-// with ldb 8), against the reference kernel on the same 4×kc×8 product.
+// TestTile4x8MatchesRef calls the AVX2 kernel directly on one 8-column
+// panel (ldb 8), against the reference kernel on the same 4×kc×8 product.
 func TestTile4x8MatchesRef(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("CPU without AVX2")
@@ -228,23 +247,14 @@ func TestTile4x8MatchesRef(t *testing.T) {
 	for _, kc := range []int{1, 2, 3, 7, 64, mmKC} {
 		for _, fill := range []func(*rand.Rand, int) []float64{denseData, wideData} {
 			a := fill(rng, 4*kc)
-			b := fill(rng, kc*8) // row-major [kc,8]: the narrow layout
-			panels := make([]float64, kc*8)
-			for p := 0; p < kc; p++ {
-				copy(panels[p*4:p*4+4], b[p*8:p*8+4])
-				copy(panels[kc*4+p*4:kc*4+p*4+4], b[p*8+4:p*8+8])
-			}
+			b := fill(rng, kc*8) // row-major [kc,8]: the packed panel layout
 			init := withNegZeros(rng, fill(rng, 4*8))
 			want := append([]float64(nil), init...)
 			matMulRowsRef(want, a, b, 0, 4, kc, 8, true)
 
 			got := append([]float64(nil), init...)
-			tile8(got, 8, a, kc, b, b[4:], 8, kc)
+			tile8(got, 8, a, kc, b, 8, kc)
 			bitEqual(t, fmt.Sprintf("kc=%d ldb=8", kc), got, want)
-
-			got = append(got[:0], init...)
-			tile8(got, 8, a, kc, panels, panels[kc*4:], 4, kc)
-			bitEqual(t, fmt.Sprintf("kc=%d ldb=4", kc), got, want)
 		}
 	}
 }

@@ -50,14 +50,15 @@ go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 
 # Focused journal checks first: golden-report drift, journal determinism,
 # the frozen-detector parity checks (input-only backward and its
-# input-channel split, batched verify, concurrent window frames) and the
-# decal-window parity checks fail in seconds here, before the full race
-# suite spins up.
-echo "== golden journal + report + frozen-detector parity"
+# input-channel split, batched verify, concurrent window frames), the
+# matmul kernel parity checks (blocked and packed paths and the AVX2 tile,
+# with the tile on and off) and the decal-window parity checks fail in
+# seconds here, before the full race suite spins up.
+echo "== golden journal + report + frozen-detector and matmul parity"
 go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster|TestForwardFramesWorkerCountInvariant' ./internal/attack
 go test -count 1 -run 'TestWarpWindowMatchesFullRaster|TestCompositeWindowMatchesFullCanvas' ./internal/imaging
 go test -count 1 -run 'TestInputGradMatchesBackward' ./internal/yolo
-go test -count 1 -run 'TestConv2DInputGradChannelSplitBitExact' ./internal/tensor
+go test -count 1 -run 'TestConv2DInputGradChannelSplitBitExact|TestMatMulBlockedMatchesRefBitExact|TestMatMulBlockedPartialRows|TestMatMulTilesMatchRefBitExact|TestTile4x8MatchesRef' ./internal/tensor
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
