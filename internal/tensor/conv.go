@@ -176,7 +176,7 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 // for n = 1 it matches the sequential pre-optimization kernel bit for
 // bit). An input-gradient-only call has nothing to reduce: it splits the
 // input channels over the workers (inputGradByChannel) when each gets at
-// least packMinRows rows of the column gradient, and otherwise spreads its
+// least tileRows rows of the column gradient, and otherwise spreads its
 // samples over Workers(n).
 func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias *Tensor) *Tensor {
 	if refKernels {
@@ -286,13 +286,12 @@ func Conv2DBackward(input, weight, dOut *Tensor, stride, pad int, dWeight, dBias
 
 // channelWorkers is the worker count of the input-channel split for c
 // input channels of kk kernel taps each: GOMAXPROCS when every worker's
-// share of channels, at least c/GOMAXPROCS of them, gives it packMinRows
+// share of channels, at least c/GOMAXPROCS of them, gives it tileRows
 // column-gradient rows, and 1 (no split) otherwise. Below that row count
-// a matmul wider than narrowMaxN falls off the packed kernel, which costs
-// more than the per-sample split's serial transpose.
+// a worker's matmul has no full row group for the packed kernel.
 func channelWorkers(c, kk int) int {
 	p := runtime.GOMAXPROCS(0)
-	if p > 1 && c/p*kk >= packMinRows {
+	if p > 1 && c/p*kk >= tileRows {
 		return p
 	}
 	return 1

@@ -10,13 +10,13 @@ import (
 // out across goroutines; below it the scheduling overhead dominates.
 const parallelThreshold = 1 << 15
 
-// Cache-blocking parameters of the production kernel. One [mmKC, mmNC]
-// panel of b (64 KiB) stays resident while every dst row in the current
-// row range consumes it, so b is streamed from cache rather than memory
-// when the row range is taller than one.
+// Cache-blocking parameters of the packed kernel. One [mmKC, mmNC] tile
+// of b (64 KiB), packed into 8-column panels, stays resident while every
+// dst row in the row range consumes it, so b is streamed from cache rather
+// than memory.
 const (
 	mmKC = 128 // k-tile: rows of b per panel
-	mmNC = 64  // n-tile: columns of b per panel, multiple of the 8-wide unroll
+	mmNC = 64  // n-tile: columns of b per tile, a multiple of the 8-column panel
 )
 
 // MatMul returns a @ b for a [m,k] tensor and a [k,n] tensor, computing the
@@ -91,37 +91,15 @@ func matMulRows(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 // strided loads it removes.
 const packThreshold = 1 << 14
 
-// packMinRows is the minimum row count before packing pays for outputs
-// wider than narrowMaxN: the packed panel is amortized across the row range,
-// and below this many rows the relayout costs more than the strided loads it
-// eliminates.
-const packMinRows = 12
+// tileRows is the row height of the 4×8 register tile (tile4x8AVX2): the
+// packed kernel walks its row range in groups of tileRows rows, and a
+// shorter range has no group to amortize the relayout over.
+const tileRows = 4
 
-// Shape gates for the streaming kernel: when the row range is too short for
-// packing to amortize its relayout AND k is small with wide rows (the first
-// conv layer: k = inCh*KH*KW tens, n = OH*OW thousands, a handful of output
-// channels), sequentially streaming whole b rows beats both the strided
-// 4-wide tile walk and packing. With many rows the packed kernel holds dst
-// in registers and wins, so streaming is strictly a small-row escape hatch.
-const (
-	streamMaxK = 96
-	streamMinN = 256
-)
-
-// narrowMaxN: at and below this output width the packed kernel runs for any
-// row count. The whole dst row fits a handful of 8-column register blocks,
-// and the binding traffic is re-streaming a (the weight matrix, megabytes for
-// the deep layers) once per block, so packing b's few columns pays even for
-// a short row range. Deep conv layers on small feature maps (n = OH*OW = 16)
-// lower to exactly this shape.
-const narrowMaxN = 32
-
-// matMulRowsBlocked is the production kernel: tiled over k (mmKC) and n
-// (mmNC) with a 4-wide j unroll that keeps four accumulators in registers
-// across each k-panel, quartering the dst load/store traffic of the
-// reference ikj loop. Large products additionally repack each b tile into
-// column micro-panels so the inner loop streams b sequentially instead of
-// striding by n. For every output element the contributions arrive in
+// matMulRowsBlocked is the production kernel. A row range of at least
+// tileRows rows with n ≥ 8 and at least packThreshold work runs the packed
+// kernel; everything else runs one row at a time, streaming whole b rows
+// in ascending p. For every output element the contributions arrive in
 // strictly ascending k order with the same zero-skip rule as the reference
 // kernel, so the result is bit-identical to matMulRowsRef (the parity tests
 // enforce this across random shapes).
@@ -134,69 +112,28 @@ func matMulRowsBlocked(dst, a, b []float64, lo, hi, k, n int, accum bool) {
 			}
 		}
 	}
-	if hi-lo < packMinRows && k <= streamMaxK && n >= streamMinN {
-		matMulRowsStream(dst, a, b, lo, hi, k, n)
-		return
-	}
-	if (hi-lo)*k*n >= packThreshold && n >= 8 && (n <= narrowMaxN || hi-lo >= packMinRows) {
+	if hi-lo >= tileRows && n >= 8 && (hi-lo)*k*n >= packThreshold {
 		matMulRowsPacked(dst, a, b, lo, hi, k, n)
 		return
 	}
-	for p0 := 0; p0 < k; p0 += mmKC {
-		p1 := p0 + mmKC
-		if p1 > k {
-			p1 = k
-		}
-		for j0 := 0; j0 < n; j0 += mmNC {
-			j1 := j0 + mmNC
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				drow := dst[i*n : (i+1)*n]
-				jj := j0
-				for ; jj+4 <= j1; jj += 4 {
-					acc0, acc1, acc2, acc3 := drow[jj], drow[jj+1], drow[jj+2], drow[jj+3]
-					off := p0*n + jj
-					for p := p0; p < p1; p++ {
-						av := arow[p]
-						if av != 0 {
-							bp := b[off : off+4]
-							acc0 += av * bp[0]
-							acc1 += av * bp[1]
-							acc2 += av * bp[2]
-							acc3 += av * bp[3]
-						}
-						off += n
-					}
-					drow[jj], drow[jj+1], drow[jj+2], drow[jj+3] = acc0, acc1, acc2, acc3
-				}
-				for ; jj < j1; jj++ {
-					acc := drow[jj]
-					off := p0*n + jj
-					for p := p0; p < p1; p++ {
-						av := arow[p]
-						if av != 0 {
-							acc += av * b[off]
-						}
-						off += n
-					}
-					drow[jj] = acc
-				}
+	for i := lo; i < hi; i++ {
+		drow := dst[i*n : i*n+n]
+		for p, av := range a[i*k : (i+1)*k] {
+			if av != 0 {
+				streamAxpy(drow, b[p*n:p*n+n], av)
 			}
 		}
 	}
 }
 
-// matMulRowsPacked is the large-product path of matMulRowsBlocked. Each
+// matMulRowsPacked is the packed path of matMulRowsBlocked. Each
 // [kc, ≤mmNC] tile of b is repacked once into 8-column micro-panels laid
 // out sequentially in p — the inner register loop then reads a panel
 // linearly instead of striding n doubles through b, which is what starves
 // the prefetcher on conv-sized products (n = OH*OW in the thousands), and
 // for narrow outputs a is walked once per panel, sequentially. With AVX2,
-// each group of four rows runs its panels in tile4x8AVX2 unless one of its
-// a rows holds ±0 in the k-tile; everything else runs in packedRow. The
+// each group of tileRows rows runs its panels in tile4x8AVX2 unless one of
+// its a rows holds ±0 in the k-tile; everything else runs in packedRow. The
 // packing is a pure relayout: per output element the accumulation order
 // over p and the av==0 skip are exactly those of the reference kernel, so
 // bit-parity is preserved. dst rows must already hold their initial values
@@ -227,14 +164,14 @@ func matMulRowsPacked(dst, a, b []float64, lo, hi, k, n int) {
 			}
 			i := lo
 			if useAVX2 {
-				for ; i+4 <= hi; i += 4 {
+				for ; i+tileRows <= hi; i += tileRows {
 					jFrom := j0
 					if !rowsHaveZero(a[i*k+p0:], k, kc) {
 						for ; jFrom < j8; jFrom += 8 {
 							tile8(dst[i*n+jFrom:], n, a[i*k+p0:], k, pack[(jFrom-j0)*kc:], 8, kc)
 						}
 					}
-					for r := i; r < i+4; r++ {
+					for r := i; r < i+tileRows; r++ {
 						packedRow(dst, a, b, pack[:], r, k, n, p0, p1, j0, j1, jFrom)
 					}
 				}
@@ -289,13 +226,13 @@ func packedRow(dst, a, b, pack []float64, i, k, n, p0, p1, j0, j1, jFrom int) {
 	}
 }
 
-// rowsHaveZero reports whether one of the four a rows starting at a[0]
+// rowsHaveZero reports whether one of the tileRows a rows starting at a[0]
 // (lda apart) holds ±0 in its first kc entries. tile4x8AVX2 has no
 // per-term zero skip, so such a row group runs in packedRow instead.
 // NaN is not zero: the reference kernel multiplies it in, and so does the
 // AVX2 tile.
 func rowsHaveZero(a []float64, lda, kc int) bool {
-	for r := 0; r < 4; r++ {
+	for r := 0; r < tileRows; r++ {
 		for _, v := range a[r*lda : r*lda+kc] {
 			if v == 0 {
 				return true
@@ -314,64 +251,6 @@ func tile8(dst []float64, ldd int, a []float64, lda int, b []float64, ldb, kc in
 	_ = a[3*lda+kc-1]
 	_ = b[(kc-1)*ldb+7]
 	tile4x8AVX2(&dst[0], ldd, &a[0], lda, &b[0], ldb, kc)
-}
-
-// matMulRowsStream is the small-k, large-n path: b rows are streamed
-// sequentially (prefetch-friendly, no strided access) while four dst rows
-// consume each b row in one pass, quartering the dst load/store traffic of
-// a one-row ikj loop. Per output element the p order and the av==0 skip
-// match the reference kernel exactly (the per-row skip just routes through
-// the sparse fallback), so bit-parity is preserved. dst rows must already
-// hold their initial values.
-func matMulRowsStream(dst, a, b []float64, lo, hi, k, n int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		arow0 := a[i*k : (i+1)*k]
-		arow1 := a[(i+1)*k : (i+2)*k]
-		arow2 := a[(i+2)*k : (i+3)*k]
-		arow3 := a[(i+3)*k : (i+4)*k]
-		d0 := dst[i*n : i*n+n]
-		d1 := dst[(i+1)*n : (i+1)*n+n]
-		d2 := dst[(i+2)*n : (i+2)*n+n]
-		d3 := dst[(i+3)*n : (i+3)*n+n]
-		for p := 0; p < k; p++ {
-			brow := b[p*n : p*n+n]
-			av0, av1, av2, av3 := arow0[p], arow1[p], arow2[p], arow3[p]
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				d0, d1, d2, d3 := d0[:n], d1[:n], d2[:n], d3[:n]
-				for j, bv := range brow {
-					d0[j] += av0 * bv
-					d1[j] += av1 * bv
-					d2[j] += av2 * bv
-					d3[j] += av3 * bv
-				}
-				continue
-			}
-			// Sparse fallback: rows with a zero coefficient skip this b row,
-			// exactly as the reference kernel does.
-			if av0 != 0 {
-				streamAxpy(d0, brow, av0)
-			}
-			if av1 != 0 {
-				streamAxpy(d1, brow, av1)
-			}
-			if av2 != 0 {
-				streamAxpy(d2, brow, av2)
-			}
-			if av3 != 0 {
-				streamAxpy(d3, brow, av3)
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : i*n+n]
-		for p, av := range arow {
-			if av != 0 {
-				streamAxpy(drow, b[p*n:p*n+n], av)
-			}
-		}
-	}
 }
 
 // dotRowsNT computes dst[ma,nb] = a[ma,p] @ b[nb,p]^T without materializing

@@ -113,7 +113,7 @@ func testMatMulBlockedMatchesRef(t *testing.T) {
 	type shape struct{ m, k, n int }
 	shapes := []shape{
 		// Tile-boundary and degenerate edges: single rows/cols, exact tile
-		// multiples, one-past and one-short of the 4-wide unroll and the
+		// multiples, one-past and one-short of the 4-row tile and the
 		// mmKC/mmNC tiles.
 		{1, 1, 1}, {1, 1, 5}, {3, 1, 4}, {1, 7, 1},
 		{2, mmKC, mmNC}, {2, mmKC + 1, mmNC + 1}, {2, mmKC - 1, mmNC - 1},
@@ -156,8 +156,9 @@ func testMatMulBlockedPartialRows(t *testing.T) {
 }
 
 // detectorShapes are the matmul shapes the 64×64 detector's conv layers
-// lower to, forward and input gradient, plus short-row narrow products
-// (BenchmarkMatMulDetectorShapes times the same list).
+// lower to, forward and input gradient, plus the GAN's products and
+// short-row narrow products (BenchmarkMatMulDetectorShapes times the same
+// list).
 var detectorShapes = []struct{ m, k, n int }{
 	{8, 27, 4096},   // b1: 3->8ch, 64x64
 	{16, 72, 1024},  // b2
@@ -175,15 +176,22 @@ var detectorShapes = []struct{ m, k, n int }{
 	// Head convs: 30 rows, not a multiple of 4.
 	{30, 128, 16}, // h1conv
 	{30, 64, 64},  // h2conv
-	// Narrow outputs with fewer than packMinRows rows.
+	// The GAN's products: from 4 rows on they pack, below 4 the row loop
+	// runs them at wide n.
+	{8, 144, 1024}, // g.c3 forward
+	{8, 9, 256},    // d.c1 forward
+	{9, 8, 256},    // d.c1 input gradient
+	{1, 72, 1024},  // g.out forward
+	{3, 32, 1024},  // g.fc forward at batch 3
+	// Narrow outputs with few rows: one below tileRows, one above.
 	{1, 1024, 32},
 	{5, 400, 16},
 }
 
-// TestMatMulTilesMatchRefBitExact drives the packed path, with and without
-// the AVX2 tiles, on the detector's shapes, on the dispatch boundaries at
-// n = 8, 32 and 33 with 11 and 12 rows, and on random shapes large enough
-// to take it. The a operand is zero-free (every 4-row tile reaches the
+// TestMatMulTilesMatchRefBitExact drives both paths, with and without the
+// AVX2 tiles, on the detector's shapes, on the dispatch boundaries at
+// n = 7, 8, 32 and 33 with 3, 4, 11 and 12 rows, and on random shapes
+// large enough to take the packed path. The a operand is zero-free (every 4-row tile reaches the
 // kernel), sparse (the zero-skip fallback) or wide-exponent with ±Inf and
 // NaN spots, and the initial dst holds −0 values.
 func TestMatMulTilesMatchRefBitExact(t *testing.T) {
@@ -197,16 +205,18 @@ func testMatMulTilesMatchRef(t *testing.T) {
 	for _, s := range detectorShapes {
 		shapes = append(shapes, shape{s.m, s.k, s.n})
 	}
-	for _, n := range []int{8, 32, 33} {
-		for _, m := range []int{packMinRows - 1, packMinRows} {
-			shapes = append(shapes, shape{m, 200, n})
+	// k = 600 puts every case of at least tileRows rows and 8 columns
+	// over packThreshold, so rows and n alone pick the path.
+	for _, n := range []int{7, 8, 32, 33} {
+		for _, m := range []int{tileRows - 1, tileRows, 11, 12} {
+			shapes = append(shapes, shape{m, 600, n})
 		}
 	}
 	fixed := len(shapes)
 	for len(shapes) < fixed+33 {
-		s := shape{packMinRows + rng.Intn(50), 1 + rng.Intn(300), 8 + rng.Intn(150)}
+		s := shape{tileRows + rng.Intn(50), 1 + rng.Intn(300), 8 + rng.Intn(150)}
 		if len(shapes)%2 == 0 {
-			s.n = 8 + rng.Intn(narrowMaxN-7)
+			s.n = 8 + rng.Intn(25)
 		}
 		if s.m*s.k*s.n >= packThreshold {
 			shapes = append(shapes, s)
@@ -477,8 +487,9 @@ func TestConv2DInputGradChannelSplitBitExact(t *testing.T) {
 	for c := 1; c <= 9; c++ {
 		shapes = append(shapes, shape{c, 1}, shape{c, 3})
 	}
-	// 1×1 kernels split only from packMinRows channels per worker on.
-	shapes = append(shapes, shape{26, 1}, shape{51, 1})
+	// 1×1 kernels split only from tileRows channels per worker on: c = 7
+	// and 8 above straddle it at GOMAXPROCS 2, these at 3 and 4.
+	shapes = append(shapes, shape{11, 1}, shape{12, 1}, shape{15, 1}, shape{16, 1})
 	for _, procs := range []int{2, 3, 4} {
 		runtime.GOMAXPROCS(procs)
 		split, fallback := 0, 0

@@ -51,15 +51,23 @@ go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 # Focused journal checks first: golden-report drift, journal determinism,
 # the frozen-detector parity checks (input-only backward and its
 # input-channel split, batched verify, concurrent window frames), the
-# matmul kernel parity checks (blocked and packed paths and the AVX2 tile,
-# with the tile on and off) and the decal-window parity checks fail in
-# seconds here, before the full race suite spins up.
+# matmul kernel parity checks (the packed path and the row loop on their
+# row and column boundaries, and the AVX2 tile, with the tile on and off)
+# and the decal-window parity checks fail in seconds here, before the full
+# race suite spins up.
 echo "== golden journal + report + frozen-detector and matmul parity"
 go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster|TestForwardFramesWorkerCountInvariant' ./internal/attack
 go test -count 1 -run 'TestWarpWindowMatchesFullRaster|TestCompositeWindowMatchesFullCanvas' ./internal/imaging
 go test -count 1 -run 'TestInputGradMatchesBackward' ./internal/yolo
 go test -count 1 -run 'TestConv2DInputGradChannelSplitBitExact|TestMatMulBlockedMatchesRefBitExact|TestMatMulBlockedPartialRows|TestMatMulTilesMatchRefBitExact|TestTile4x8MatchesRef' ./internal/tensor
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
+
+# One iteration of each tensor benchmark (about 0.5 s): they call the
+# kernels directly, matMulRowsPacked on 1-row shapes included, so a kernel
+# change that breaks a benchmark fails here rather than at the next
+# profiling session.
+echo "== tensor benchmarks, one iteration each"
+go test -count 1 -run '^$' -bench . -benchtime 1x ./internal/tensor
 
 # Fabric smoke gate: a gateway fronting two real nodes over loopback TCP
 # must complete an evaluate round-trip and drain cleanly, under the race
