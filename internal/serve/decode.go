@@ -9,18 +9,19 @@ import (
 	"roadtrojan/internal/telemetry"
 )
 
-// The evaluate path's request reader. An evaluate body is a flat object of
-// short strings, small integers and one ~22 KB base64 patch, and
-// encoding/json spends most of its time on it stepping its scanner over
-// the patch one byte at a time. ObjectReader reads such an object in one
-// pass instead: a string ends at the first '"' (bytes.IndexByte) and is
-// taken as is when it is printable ASCII with no backslash, and an integer
-// goes to strconv. Anything else makes it give up, and the caller decodes
-// the same bytes with encoding/json, which stays the only authority on
-// JSON. So the reader never has to decide an escape, a non-ASCII byte, a
-// case-folded key, a null or a fractional number: for those the
-// accept/reject verdict, the values and the error text are encoding/json's
-// own.
+// The request reader. An evaluate body is a flat object of short strings,
+// small integers and one ~22 KB base64 patch; a detect body is two small
+// integers and an array of 3·H·W numbers. encoding/json spends most of its
+// time on either stepping its scanner over the patch or the array one byte
+// at a time. ObjectReader reads such an object in one pass instead: a
+// string ends at the first '"' (bytes.IndexByte) and is taken as is when
+// it is printable ASCII with no backslash, an integer goes to strconv, and
+// so does each number of an array once it matches JSON's number grammar.
+// Anything else makes it give up, and the caller decodes the same bytes
+// with encoding/json, which stays the only authority on JSON. So the
+// reader never has to decide an escape, a non-ASCII byte, a case-folded
+// key, a null or an out-of-range number: for those the accept/reject
+// verdict, the values and the error text are encoding/json's own.
 
 // ObjectReader reads one flat JSON object in a single pass. Whitespace
 // between tokens is skipped. Its methods report false when the input needs
@@ -132,14 +133,92 @@ func (o *ObjectReader) Int(bitSize int) (int64, bool) {
 		o.pos++
 	}
 	digits := o.pos
-	for o.pos < len(o.data) && '0' <= o.data[o.pos] && o.data[o.pos] <= '9' {
-		o.pos++
-	}
+	o.pos = skipDigits(o.data, o.pos)
 	if o.pos == digits || (o.data[digits] == '0' && o.pos-start > 1) {
 		return 0, false
 	}
 	v, err := strconv.ParseInt(string(o.data[start:o.pos]), 10, bitSize)
 	return v, err == nil
+}
+
+// Float64s reads an array of numbers. Each element must match JSON's
+// number grammar before strconv.ParseFloat sees it, because ParseFloat
+// also takes forms JSON does not (Inf, NaN, +1, .5, hex floats,
+// underscores); encoding/json converts a number with the same
+// ParseFloat(s, 64), so the values are its own, bit for bit. A number
+// ParseFloat refuses (1e400) gives up, as does a null or any other
+// element. The slice is sized from the commas before the first ']'.
+func (o *ObjectReader) Float64s() ([]float64, bool) {
+	if !o.consume('[') {
+		return nil, false
+	}
+	end := bytes.IndexByte(o.data[o.pos:], ']')
+	if end < 0 {
+		return nil, false
+	}
+	out := make([]float64, 0, bytes.Count(o.data[o.pos:o.pos+end], []byte{','})+1)
+	if o.consume(']') {
+		return out, true
+	}
+	for {
+		o.skipSpace()
+		start := o.pos
+		o.pos += numberLen(o.data[start:])
+		if o.pos == start {
+			return nil, false
+		}
+		v, err := strconv.ParseFloat(string(o.data[start:o.pos]), 64)
+		if err != nil {
+			return nil, false
+		}
+		out = append(out, v)
+		if !o.consume(',') {
+			return out, o.consume(']')
+		}
+	}
+}
+
+// numberLen returns the length of the JSON number at the start of s,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when s does not
+// start with one. What follows the number is the caller's to check.
+func numberLen(s []byte) int {
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case i < len(s) && '1' <= s[i] && s[i] <= '9':
+		i = skipDigits(s, i+1)
+	default:
+		return 0
+	}
+	if i < len(s) && s[i] == '.' {
+		frac := i + 1
+		if i = skipDigits(s, frac); i == frac {
+			return 0
+		}
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		exp := i
+		if i = skipDigits(s, i); i == exp {
+			return 0
+		}
+	}
+	return i
+}
+
+// skipDigits returns the index of the first non-digit in s at or after i.
+func skipDigits(s []byte, i int) int {
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // EvalRequest reads an evaluate request object into r: only its seven
@@ -197,4 +276,49 @@ func DecodeEvalRequest(data []byte, fallbacks *telemetry.Counter) (EvalRequest, 
 func EvalDecodeFallbacks(reg *telemetry.Registry) *telemetry.Counter {
 	return reg.Counter("eval_decode_fallback_total",
 		"evaluate requests decoded with encoding/json because the single-pass reader gave up", nil)
+}
+
+// DetectRequest reads a detect request object into r: only its three JSON
+// keys, spelled exactly.
+func (o *ObjectReader) DetectRequest(r *DetectRequest) bool {
+	return o.Object(func(key string) bool {
+		var ok bool
+		var v int64
+		switch key {
+		case "image":
+			r.Image, ok = o.Float64s()
+		case "height":
+			v, ok = o.Int(strconv.IntSize)
+			r.Height = int(v)
+		case "width":
+			v, ok = o.Int(strconv.IntSize)
+			r.Width = int(v)
+		}
+		return ok
+	})
+}
+
+// DecodeDetectRequest decodes the first JSON value of data as a
+// DetectRequest; whatever follows is ignored. The result and the error are
+// exactly those of a json.Decoder over data: ObjectReader takes the plain
+// frames, and the rest go to the Decoder, each counted on fallbacks (nil
+// counts nothing).
+func DecodeDetectRequest(data []byte, fallbacks *telemetry.Counter) (DetectRequest, error) {
+	var r DetectRequest
+	if NewObjectReader(data).DetectRequest(&r) {
+		return r, nil
+	}
+	if fallbacks != nil {
+		fallbacks.Inc()
+	}
+	r = DetectRequest{}
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&r)
+	return r, err
+}
+
+// DetectDecodeFallbacks returns reg's count of detect requests that
+// DecodeDetectRequest handed to encoding/json.
+func DetectDecodeFallbacks(reg *telemetry.Registry) *telemetry.Counter {
+	return reg.Counter("detect_decode_fallback_total",
+		"detect requests decoded with encoding/json because the single-pass reader gave up", nil)
 }

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -113,7 +112,7 @@ type Server struct {
 	ownExec bool
 	httpSrv *http.Server
 
-	evalFallbacks *telemetry.Counter
+	evalFallbacks, detectFallbacks *telemetry.Counter
 }
 
 // New builds the service around a trained detector, cloning one replica per
@@ -134,7 +133,8 @@ func New(det *yolo.Model, cfg Config) *Server {
 func NewWith(exec *Executor, cfg Config) *Server {
 	cfg.fillDefaults()
 	reg := exec.Metrics()
-	return &Server{cfg: cfg, exec: exec, reg: reg, evalFallbacks: EvalDecodeFallbacks(reg)}
+	return &Server{cfg: cfg, exec: exec, reg: reg,
+		evalFallbacks: EvalDecodeFallbacks(reg), detectFallbacks: DetectDecodeFallbacks(reg)}
 }
 
 // Executor exposes the execution core (for embedding a second transport).
@@ -230,16 +230,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// limitBody bounds r's body at limit bytes. When the declared length
-// already exceeds it, the 413 is written and ok is false.
-func limitBody(w http.ResponseWriter, r *http.Request, limit int64) (body io.Reader, ok bool) {
-	if r.ContentLength > limit {
-		writeTooLarge(w, limit)
-		return nil, false
-	}
-	return http.MaxBytesReader(w, r.Body, limit), true
-}
-
 func writeTooLarge(w http.ResponseWriter, limit int64) {
 	WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
 		Error: fmt.Sprintf("request body exceeds %d bytes", limit), Code: CodeTooLarge})
@@ -256,20 +246,25 @@ func writeBodyError(w http.ResponseWriter, err error, limit int64) {
 	WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad JSON: " + err.Error(), Code: CodeBadRequest})
 }
 
-// readJSON decodes the first JSON value of r's body into v, reading at most
-// limit bytes; whatever follows the value is ignored. On failure the reply
-// is already written: 413 when the body exceeds limit, 400 when it does not
-// decode.
-func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body, ok := limitBody(w, r, limit)
-	if !ok {
-		return false
+// readBody reads r's whole body, at most limit bytes; both request routes
+// read their body this way before decoding it. The buffer is sized from
+// the declared length up to MaxEvalBody and grows past that only as bytes
+// arrive, so a client declaring a 96 MiB detect body does not get that
+// much allocated before it sends any. On failure the reply is already
+// written: 413 when the declared length or the body exceeds limit, 400
+// when the body does not read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		writeTooLarge(w, limit)
+		return nil, false
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), MaxEvalBody)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		writeBodyError(w, err, limit)
-		return false
+		return nil, false
 	}
-	return true
+	return buf.Bytes(), true
 }
 
 // ReadEvalRequest reads an evaluate body of at most MaxEvalBody bytes and
@@ -279,22 +274,35 @@ func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 // already written: 413 when the body exceeds the limit, 400 when it does
 // not decode.
 func ReadEvalRequest(w http.ResponseWriter, r *http.Request, fallbacks *telemetry.Counter) (EvalRequest, []byte, bool) {
-	body, ok := limitBody(w, r, MaxEvalBody)
+	data, ok := readBody(w, r, MaxEvalBody)
 	if !ok {
 		return EvalRequest{}, nil, false
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(body); err != nil {
-		writeBodyError(w, err, MaxEvalBody)
-		return EvalRequest{}, nil, false
-	}
-	req, n, err := DecodeEvalRequest(buf.Bytes(), fallbacks)
+	req, n, err := DecodeEvalRequest(data, fallbacks)
 	if err != nil {
 		writeBodyError(w, err, MaxEvalBody)
 		return EvalRequest{}, nil, false
 	}
-	return req, buf.Bytes()[:n], true
+	return req, data[:n], true
+}
+
+// readDetectRequest reads a detect body of at most maxDetectBody bytes and
+// decodes its first JSON value with DecodeDetectRequest, under a
+// read_request child of the request's span. On failure the reply is
+// already written, as for ReadEvalRequest.
+func (s *Server) readDetectRequest(w http.ResponseWriter, r *http.Request) (DetectRequest, bool) {
+	sp := obs.SpanFromContext(r.Context()).Child("read_request")
+	defer sp.End()
+	data, ok := readBody(w, r, maxDetectBody)
+	if !ok {
+		return DetectRequest{}, false
+	}
+	req, err := DecodeDetectRequest(data, s.detectFallbacks)
+	if err != nil {
+		writeBodyError(w, err, maxDetectBody)
+		return DetectRequest{}, false
+	}
+	return req, true
 }
 
 // WriteJSON writes v as a JSON response body with status code.
@@ -330,8 +338,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required", Code: CodeMethodNotAllowed})
 		return
 	}
-	var req DetectRequest
-	if !readJSON(w, r, maxDetectBody, &req) {
+	req, ok := s.readDetectRequest(w, r)
+	if !ok {
 		return
 	}
 	resp, err := s.exec.Detect(r.Context(), req)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 
 	"roadtrojan/internal/attack"
 	"roadtrojan/internal/eval"
+	"roadtrojan/internal/obs"
 	"roadtrojan/internal/scene"
 	"roadtrojan/internal/shapes"
 	"roadtrojan/internal/tensor"
@@ -303,16 +305,8 @@ func TestDetectEndpoint(t *testing.T) {
 	det := testDetector(t)
 	_, ts := startServer(t, det, Config{Workers: 2})
 
-	scenes := serialScenes()
-	frame, err := scene.DefaultCamera().Render(scenes["road"].Ground)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := DetectRequest{
-		Image:  append([]float64(nil), frame.Data()...),
-		Height: frame.Dim(1), Width: frame.Dim(2),
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/detect", req)
+	frame := roadFrame(t)
+	resp, body := postJSON(t, ts.URL+"/v1/detect", frameRequest(frame))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -330,6 +324,57 @@ func TestDetectEndpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Detections, want) && !(len(got.Detections) == 0 && len(want) == 0) {
 		t.Errorf("detections differ:\n got %+v\nwant %+v", got.Detections, want)
+	}
+}
+
+// TestDetectTraceReadsRequestUnderSpan: a traced /v1/detect journals the
+// body read and decode as a read_request child of the request span, ended
+// before the detect_batched span begins.
+func TestDetectTraceReadsRequestUnderSpan(t *testing.T) {
+	var buf bytes.Buffer
+	j := obs.NewJournal(&buf)
+	tr := obs.New(j, obs.NewLogicalClock())
+	tr.SetProcess("n0")
+	s := New(testDetector(t), Config{Workers: 1, Trace: tr})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	raw, err := json.Marshal(frameRequest(roadFrame(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/detect", bytes.NewReader(raw)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.MergeTrace([]obs.ProcessJournal{{Proc: "n0", Records: recs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Roots) != 1 || m.Roots[0].Name != "request" {
+		t.Fatalf("want one request root, got %d roots", len(m.Roots))
+	}
+	var read, batched *obs.MergedSpan
+	for _, c := range m.Roots[0].Children {
+		switch c.Name {
+		case "read_request":
+			read = c
+		case "detect_batched":
+			batched = c
+		}
+	}
+	if read == nil || batched == nil {
+		t.Fatalf("request span lacks read_request or detect_batched:\n%s", buf.Bytes())
+	}
+	if read.Dur < 0 || read.End >= batched.Start {
+		t.Errorf("read_request [%d,%d] (dur %d) does not end before detect_batched starts at %d",
+			read.Start, read.End, read.Dur, batched.Start)
 	}
 }
 
@@ -406,6 +451,28 @@ func TestRequestBodyLimits(t *testing.T) {
 		if tc.want == http.StatusRequestEntityTooLarge && e.Code != CodeTooLarge {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Code, CodeTooLarge)
 		}
+	}
+}
+
+// TestDetectDeclaredLengthAllocatesOnArrival: a detect request declaring a
+// body just under the ~96 MiB limit but sending two bytes allocates for
+// what arrives, not for what was declared.
+func TestDetectDeclaredLengthAllocatesOnArrival(t *testing.T) {
+	s := New(testDetector(t), Config{Workers: 1})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	h := s.Handler()
+	r := httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(`{}`))
+	r.ContentLength = maxDetectBody
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", w.Code, w.Body.Bytes())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*MaxEvalBody {
+		t.Errorf("a 2-byte body declared at %d bytes allocated %d bytes", maxDetectBody, got)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 )
 
 // DetectRequest is the POST /v1/detect body: one rendered [3,H,W] frame in
-// [0,1], flattened channel-major. It is also the fabric detect-job payload.
+// [0,1], flattened channel-major. Only servd's HTTP route takes it; the
+// fabric carries evaluate jobs alone.
 type DetectRequest struct {
 	Image  []float64 `json:"image"`
 	Height int       `json:"height"`

@@ -106,14 +106,17 @@ go test -count 1 -run 'TestReadJournal|FuzzReadJournal|TestWAL|FuzzWALReplay' ./
 go test -count 1 -run 'TestRunWarnsOnMidFileCorruption' ./cmd/runreport
 go test -count 1 -run 'TestTracetoolMidFileCorruptionWarnsAndMerges|TestTracetoolTornJournalWarnsAndMerges' ./cmd/tracetool
 
-# Request-reader gate: the single-pass evaluate reader agrees with
-# encoding/json on every committed seed (one per fallback trigger), the
-# node's envelope pass agrees with json.Unmarshal and refuses bare-request
-# payloads, the per-route body limits hold at servd and the gateway, and
-# a body whose patch escapes '/' shares the plain body's digest, node and
-# cache entry, with each fallback counted.
-echo "== one evaluate-request reader (fuzz seeds + envelope + limits + escaped body)"
-go test -count 1 -run 'FuzzDecodeEvalRequest|TestDecodeEvalRequestFallbacks|TestPlainASCIIEveryByteEveryLane|TestEvalDecodeFallbackMetric|TestRequestBodyLimits' ./internal/serve
+# Request-reader gate: the single-pass evaluate and detect readers agree
+# with encoding/json on every committed seed (one per fallback trigger),
+# the node's envelope pass agrees with json.Unmarshal and refuses
+# bare-request payloads, the per-route body limits hold at servd and the
+# gateway (a declared detect length is not allocated before its bytes
+# arrive), a body whose patch escapes '/' shares the plain body's digest,
+# node and cache entry, and a detect body with a null element or an
+# escaped key answers as encoding/json reads it, with each fallback
+# counted.
+echo "== one request reader, evaluate and detect (fuzz seeds + envelope + limits + fallback bodies)"
+go test -count 1 -run 'FuzzDecodeEvalRequest|TestDecodeEvalRequestFallbacks|FuzzDecodeDetectRequest|TestDecodeDetectRequestFallbacks|TestPlainASCIIEveryByteEveryLane|TestEvalDecodeFallbackMetric|TestDetectDecodeFallbackMetric|TestRequestBodyLimits|TestDetectDeclaredLengthAllocatesOnArrival' ./internal/serve
 go test -count 1 -run 'FuzzJobEnvelope|TestDecodeJobBareAndMalformed|TestGatewayRequestBodyLimits|TestGatewayEscapedBodySharesPlainEntry' ./internal/fabric
 
 # Hit-path and host-independence gate: the allocation bound on an executor
