@@ -6,8 +6,9 @@ package sharedforward
 // in every closure is the same race as sharing a module, just through the
 // arena instead of the activation cache.
 
-// FusedConv mimics tensor's fused conv skeleton: fold once, then one scratch
-// buffer per worker slot for the im2col lowering.
+// FusedConv mimics the skeleton of an arena-backed conv kernel with a fused
+// batch-norm epilogue, the shape of tensor.Conv2D: fold once, then one
+// scratch buffer per worker slot for the im2col lowering.
 type FusedConv struct {
 	folded bool
 	ar     Arena

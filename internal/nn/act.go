@@ -6,7 +6,8 @@ import (
 	"roadtrojan/internal/tensor"
 )
 
-// LeakyReLU applies max(x, slope*x) elementwise; darknet uses slope 0.1.
+// LeakyReLU applies x for x > 0 and slope·x otherwise, elementwise; darknet
+// uses slope 0.1.
 type LeakyReLU struct {
 	Slope float64
 
@@ -24,11 +25,7 @@ func (l *LeakyReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	os := out.Data()
 	for i, v := range x.Data() {
-		if v > 0 {
-			os[i] = v
-		} else {
-			os[i] = l.Slope * v
-		}
+		os[i] = v * leakScale(v, l.Slope)
 	}
 	return out
 }
@@ -40,13 +37,22 @@ func (l *LeakyReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	ds := dOut.Data()
 	dis := dIn.Data()
 	for i, v := range l.lastInput.Data() {
-		if v > 0 {
-			dis[i] = ds[i]
-		} else {
-			dis[i] = l.Slope * ds[i]
-		}
+		dis[i] = ds[i] * leakScale(v, l.Slope)
 	}
 	return dIn
+}
+
+// leakScale is the rectifier's factor at v: 1 when v > 0, slope otherwise.
+// Multiplying by it rounds exactly like choosing between u and slope·u (u·1
+// is u, and u·slope is slope·u), and the choice compiles to a conditional
+// move where a branch on an activation's sign would mispredict about half
+// the time.
+func leakScale(v, slope float64) float64 {
+	k := math.Float64bits(slope)
+	if v > 0 {
+		k = 0x3ff0000000000000 // math.Float64bits(1)
+	}
+	return math.Float64frombits(k)
 }
 
 // Params returns nil.

@@ -8,7 +8,8 @@ import (
 
 // BatchNorm2D normalizes each channel of an NCHW batch to zero mean and unit
 // variance, then applies a learnable per-channel affine transform. Running
-// statistics are tracked for inference mode.
+// statistics are tracked for inference mode, whose affine (inferLeaky) is
+// also the epilogue of ConvBNLeaky's fused Forward.
 type BatchNorm2D struct {
 	Gamma *Param // [C] scale
 	Beta  *Param // [C] shift
@@ -50,7 +51,7 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 func (b *BatchNorm2D) SetTraining(training bool) { b.training = training }
 
 // Training reports the current mode (ConvBNLeaky consults it to decide
-// whether the fused eval kernel may run).
+// whether its fused inference path may run).
 func (b *BatchNorm2D) Training() bool { return b.training }
 
 // Forward normalizes x per channel.
@@ -58,46 +59,45 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := tensor.New(n, c, h, w)
 	b.lastInput = x
-	// The x̂ cache is only consumed by Backward; in inference mode it is
-	// recomputed there from lastInput instead, saving a full-tensor
-	// allocation and store pass on the serving path.
-	if b.training {
-		b.lastXHat = tensor.New(n, c, h, w)
-	} else {
-		b.lastXHat = nil
-	}
 	b.lastMean = make([]float64, c)
 	b.lastInvSD = make([]float64, c)
 	plane := h * w
+	if !b.training {
+		// The x̂ cache is only consumed by Backward; in inference mode it is
+		// recomputed there from lastInput instead, saving a full-tensor
+		// allocation and store pass on the serving path.
+		b.lastXHat = nil
+		copy(b.lastMean, b.RunningMean.Data())
+		for ch, v := range b.RunningVar.Data() {
+			b.lastInvSD[ch] = b.invSD(v)
+		}
+		b.inferLeaky(out.Data(), x.Data(), n, plane, 1)
+		return out
+	}
+	b.lastXHat = tensor.New(n, c, h, w)
 	cnt := float64(n * plane)
 
 	for ch := 0; ch < c; ch++ {
-		var mean, variance float64
-		if b.training {
-			sum := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*c + ch) * plane
-				for i := 0; i < plane; i++ {
-					sum += x.Data()[base+i]
-				}
+		sum := 0.0
+		for s := 0; s < n; s++ {
+			base := (s*c + ch) * plane
+			for i := 0; i < plane; i++ {
+				sum += x.Data()[base+i]
 			}
-			mean = sum / cnt
-			sq := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*c + ch) * plane
-				for i := 0; i < plane; i++ {
-					d := x.Data()[base+i] - mean
-					sq += d * d
-				}
-			}
-			variance = sq / cnt
-			b.RunningMean.Data()[ch] = (1-b.Momentum)*b.RunningMean.Data()[ch] + b.Momentum*mean
-			b.RunningVar.Data()[ch] = (1-b.Momentum)*b.RunningVar.Data()[ch] + b.Momentum*variance
-		} else {
-			mean = b.RunningMean.Data()[ch]
-			variance = b.RunningVar.Data()[ch]
 		}
-		invSD := 1 / math.Sqrt(variance+b.Eps)
+		mean := sum / cnt
+		sq := 0.0
+		for s := 0; s < n; s++ {
+			base := (s*c + ch) * plane
+			for i := 0; i < plane; i++ {
+				d := x.Data()[base+i] - mean
+				sq += d * d
+			}
+		}
+		variance := sq / cnt
+		b.RunningMean.Data()[ch] = (1-b.Momentum)*b.RunningMean.Data()[ch] + b.Momentum*mean
+		b.RunningVar.Data()[ch] = (1-b.Momentum)*b.RunningVar.Data()[ch] + b.Momentum*variance
+		invSD := b.invSD(variance)
 		b.lastMean[ch] = mean
 		b.lastInvSD[ch] = invSD
 		g := b.Gamma.Value.Data()[ch]
@@ -106,21 +106,46 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			base := (s*c + ch) * plane
 			xs := x.Data()[base : base+plane]
 			os := out.Data()[base : base+plane]
-			if b.training {
-				xhs := b.lastXHat.Data()[base : base+plane]
-				for i, v := range xs {
-					xh := (v - mean) * invSD
-					xhs[i] = xh
-					os[i] = g*xh + bt
-				}
-			} else {
-				for i, v := range xs {
-					os[i] = g*((v-mean)*invSD) + bt
-				}
+			xhs := b.lastXHat.Data()[base : base+plane]
+			for i, v := range xs {
+				xh := (v - mean) * invSD
+				xhs[i] = xh
+				os[i] = g*xh + bt
 			}
 		}
 	}
 	return out
+}
+
+// invSD is the normalizer 1/√(variance+ε) of a channel with the given
+// variance.
+func (b *BatchNorm2D) invSD(variance float64) float64 {
+	return 1 / math.Sqrt(variance+b.Eps)
+}
+
+// inferLeaky writes leaky(γ·((x−μ)·invSD)+β) into dst for the NCHW batch x
+// of n samples with plane pixels per channel, reading γ, β and the running
+// statistics as they are at the call, so an edit to any of them shows in the
+// next call. dst may alias x. A slope of 1 makes the rectifier the exact identity, which is
+// the inference-mode Forward; ConvBNLeaky's fused Forward passes its
+// rectifier's slope and runs it in place over the convolution's output, so
+// both round exactly like the unfused conv → batch norm → LeakyReLU chain.
+func (b *BatchNorm2D) inferLeaky(dst, x []float64, n, plane int, slope float64) {
+	c := b.C
+	for ch := 0; ch < c; ch++ {
+		g := b.Gamma.Value.Data()[ch]
+		bt := b.Beta.Value.Data()[ch]
+		mean := b.RunningMean.Data()[ch]
+		invSD := b.invSD(b.RunningVar.Data()[ch])
+		for s := 0; s < n; s++ {
+			base := (s*c + ch) * plane
+			ds := dst[base : base+plane]
+			for i, v := range x[base : base+plane] {
+				y := g*((v-mean)*invSD) + bt
+				ds[i] = y * leakScale(y, slope)
+			}
+		}
+	}
 }
 
 // Backward implements the standard batch-norm gradient. In training mode the

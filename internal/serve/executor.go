@@ -64,9 +64,9 @@ type Executor struct {
 }
 
 // NewExecutor builds the evaluation core around a trained detector, cloning
-// one replica per worker and starting the pool. The caller keeps ownership
-// of det; the executor never runs inference on it. A nil registry gets a
-// fresh one (see Metrics).
+// one fused inference-mode replica per worker and starting the pool. The
+// caller keeps ownership of det; the executor never runs inference on it. A
+// nil registry gets a fresh one (see Metrics).
 func NewExecutor(det *yolo.Model, cfg Config, reg *telemetry.Registry) *Executor {
 	cfg.fillDefaults()
 	if reg == nil {
@@ -119,9 +119,9 @@ func NewExecutor(det *yolo.Model, cfg Config, reg *telemetry.Registry) *Executor
 	for i := 0; i < cfg.Workers; i++ {
 		replica := det.Clone()
 		replica.SetTraining(false)
-		// Fused eval kernels with exact parity: one pass per conv block,
-		// bit-identical output — replicas answer the same bytes as an
-		// unfused detector would.
+		// Fused conv blocks: one convolution and one in-place batch-norm
+		// and rectifier pass each, rounding like the unfused chain —
+		// replicas answer the same bytes as an unfused detector would.
 		replica.SetFused(true)
 		e.wg.Add(1)
 		go e.worker(replica)

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // parallelThreshold is the minimum amount of scalar work before MatMul fans
 // out across goroutines; below it the scheduling overhead dominates.
@@ -47,33 +43,17 @@ func MatMulAccum(dst, a, b *Tensor) {
 }
 
 func matMulInto(dst, a, b []float64, m, k, n int, accum bool) {
-	work := m * k * n
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers == 1 || m == 1 {
+	workers := Workers(m)
+	if workers == 1 || m*k*n < parallelThreshold {
+		// Called directly: the closure below escapes to the workers'
+		// goroutines, so building it would cost the serial call an
+		// allocation.
 		matMulRows(dst, a, b, 0, m, k, n, accum)
 		return
 	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(dst, a, b, lo, hi, k, n, accum)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelForChunks(m, workers, func(_, lo, hi int) {
+		matMulRows(dst, a, b, lo, hi, k, n, accum)
+	})
 }
 
 // matMulRows computes rows [lo,hi) of dst = a@b (or dst += a@b when accum),

@@ -24,12 +24,6 @@ var refKernels bool
 // running on another goroutine.
 func SetRefKernels(on bool) { refKernels = on }
 
-// RefKernelsEnabled reports whether the reference kernels are routing. The
-// fused eval modules consult it so a ref-kernel window measures (and a parity
-// test compares against) the genuinely unfused pipeline: when it is true,
-// nn.ConvBNLeaky falls back to its conv→BN→leaky submodule chain.
-func RefKernelsEnabled() bool { return refKernels }
-
 // matMulRowsRef computes rows [lo,hi) of dst = a@b with the original
 // unblocked ikj ordering: the inner loop streams through contiguous memory
 // in both b and dst, re-loading and re-storing dst once per multiply.

@@ -85,6 +85,33 @@ func TestFusedModelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFusedModelBitIdenticalAfterLoadState: a fused inference-mode model
+// whose weights and running statistics are replaced by LoadState, with no
+// mode switch in between, must answer the unfused chain's bytes for the new
+// state.
+func TestFusedModelBitIdenticalAfterLoadState(t *testing.T) {
+	m, rng := smallModel(t, 45)
+	src, _ := smallModel(t, 46)
+	m.SetFused(true)
+	x := tensor.NewRandN(rng, 0.3, 2, 3, 32, 32).AddScalar(0.5)
+	m.Forward(x)
+	if err := m.LoadState(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Forward(x)
+	want := src.Forward(x)
+	for i, v := range got.Coarse.Data() {
+		if v != want.Coarse.Data()[i] {
+			t.Fatalf("coarse[%d]: fused after LoadState %v unfused %v", i, v, want.Coarse.Data()[i])
+		}
+	}
+	for i, v := range got.Fine.Data() {
+		if v != want.Fine.Data()[i] {
+			t.Fatalf("fine[%d]: fused after LoadState %v unfused %v", i, v, want.Fine.Data()[i])
+		}
+	}
+}
+
 // TestDecodeBatchMatchesDecodeSample: parallel batch decode must equal the
 // per-sample decoder exactly, detection for detection.
 func TestDecodeBatchMatchesDecodeSample(t *testing.T) {

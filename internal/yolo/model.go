@@ -80,8 +80,9 @@ type Model struct {
 	lastRouteACh int
 }
 
-// newConvBlock is darknet's standard unit: conv + BN + leaky(0.1), as the
-// fusable nn.ConvBNLeaky module (fusing starts off; see Model.SetFused).
+// newConvBlock is darknet's standard unit: conv + BN + leaky(0.1), as one
+// nn.ConvBNLeaky module, whose fused inference path is off until
+// Model.SetFused turns it on.
 func newConvBlock(rng *rand.Rand, name string, in, out, k, stride, pad int) *nn.ConvBNLeaky {
 	return nn.NewConvBNLeaky(rng, name, in, out, k, stride, pad, 0.1)
 }
@@ -243,13 +244,15 @@ func (m *Model) SetTraining(training bool) {
 	}
 }
 
-// SetFused toggles the eval-time fused conv+BN+leaky kernels on every conv
-// block (the two head convolutions carry their own bias and are unaffected).
-// Fusing is inference-only: Backward or InputGrad through a fused Forward
-// panics, so training paths leave it off, and so does the attack trainer,
-// whose eval-mode Forward feeds the input-only InputGrad. The exact-parity
-// kernels keep fused output bit-identical to the unfused chain; serving
-// enables this on its worker replicas.
+// SetFused toggles the fused inference path on every conv block (the two
+// head convolutions carry their own bias and are unaffected): one
+// tensor.Conv2D, then batch norm's affine and the leak in place, reading
+// batch norm's live parameters and statistics, so the output is
+// bit-identical to the unfused chain even after LoadState. Fusing is
+// inference-only: Backward or InputGrad through a fused Forward panics, so
+// training paths leave it off, and so does the attack trainer, whose
+// eval-mode Forward feeds the input-only InputGrad. Serving enables it on
+// its worker replicas.
 func (m *Model) SetFused(on bool) {
 	for _, cb := range m.blocks() {
 		cb.SetFused(on)

@@ -51,14 +51,18 @@ go test -count 1 -run 'TestCorpus|TestSeededScratch' ./internal/analysis
 # Focused journal checks first: golden-report drift, journal determinism,
 # the frozen-detector parity checks (input-only backward and its
 # input-channel split, batched verify, concurrent window frames), the
-# matmul kernel parity checks (the packed path and the row loop on their
-# row and column boundaries, and the AVX2 tile, with the tile on and off)
-# and the decal-window parity checks fail in seconds here, before the full
-# race suite spins up.
-echo "== golden journal + report + frozen-detector and matmul parity"
+# fused-block parity checks (fused against the unfused chain per block and
+# per detector, at batch N, on serving clones, and after the batch-norm
+# state changes under a fused block: retraining, in-place edits,
+# LoadState), the matmul kernel parity checks (the packed path and the row
+# loop on their row and column boundaries, and the AVX2 tile, with the tile
+# on and off) and the decal-window parity checks fail in seconds here,
+# before the full race suite spins up.
+echo "== golden journal + report + frozen-detector, fused-block and matmul parity"
 go test -count 1 -run 'TestTrainJournal|TestTrainGolden|TestVerifyChannelMatchesPerView|TestDecalWindowMatchesFullRaster|TestForwardFramesWorkerCountInvariant' ./internal/attack
 go test -count 1 -run 'TestWarpWindowMatchesFullRaster|TestCompositeWindowMatchesFullCanvas' ./internal/imaging
-go test -count 1 -run 'TestInputGradMatchesBackward' ./internal/yolo
+go test -count 1 -run 'TestConvBNLeakyFusedParity|TestConvBNLeakyRefoldAfterTraining' ./internal/nn
+go test -count 1 -run 'TestInputGradMatchesBackward|TestFusedModelBitIdentical|TestFusedCloneServingPath|TestForwardBatchMatchesSingles' ./internal/yolo
 go test -count 1 -run 'TestConv2DInputGradChannelSplitBitExact|TestMatMulBlockedMatchesRefBitExact|TestMatMulBlockedPartialRows|TestMatMulTilesMatchRefBitExact|TestTile4x8MatchesRef' ./internal/tensor
 go test -count 1 -run 'Golden' ./internal/obs ./cmd/runreport
 
